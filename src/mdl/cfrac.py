@@ -9,21 +9,19 @@ conditions and feed the discrepancy bounds downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
-    Comparison,
     DependenceError,
     Enclosure,
     FormEvaluator,
-    RealExpr,
     RealParam,
     log2_enclosure,
     neg_log2_enclosure,
+    precision_ladder,
 )
 
 
@@ -78,12 +76,7 @@ def expand(alpha: RealParam, terms: int,
                            terminated=(den == 0 or num == 0))
     if alpha.is_decimal:
         raise ValueError("decimal literals have no certified continued fraction")
-    bits = 128
-    while True:
-        if bits > cap:
-            raise CapExceeded(
-                f"continued fraction of {alpha} needs more than {cap} bits "
-                f"for {terms} quotients")
+    for bits in precision_ladder(128, cap):
         e = alpha.enclosure(bits)
         lo, hi = e.lo, e.hi
         quotients = []
@@ -101,7 +94,8 @@ def expand(alpha: RealParam, terms: int,
             lo, hi = 1 / hi, 1 / lo
         if ok:
             return CFExpansion(tuple(quotients), _convergents_of(quotients))
-        bits *= 2
+    raise CapExceeded(f"continued fraction of {alpha} needs more than {cap} "
+                      f"bits for {terms} quotients")
 
 
 def min_dist(alpha: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP):
@@ -146,21 +140,6 @@ class SigmaEntry:
         return expo.overlaps(self.value)
 
 
-@dataclass
-class DiophantineProfile:
-    """Height-indexed table N -> sigma(N) with verified witnesses."""
-
-    entries: dict = field(default_factory=dict)
-
-    def add(self, entry: SigmaEntry):
-        self.entries[entry.N] = entry
-
-    def check_monotone(self) -> bool:
-        ns = sorted(self.entries)
-        return all(self.entries[a].value.lo <= self.entries[b].value.hi
-                   for a, b in zip(ns, ns[1:]))
-
-
 def _exponent_enclosure(dist: Enclosure, height: int, bits: int = 96) -> Enclosure:
     """-log2(dist) / log2(height) with outward rounding."""
     if dist.lo <= 0:
@@ -177,11 +156,11 @@ def _best_candidate(cands, fe: FormEvaluator, cap: int):
     for coeffs in cands:
         lo, hi, b = fe.dist_window(coeffs)
         if lo <= 0:
-            bits = 512
-            while lo <= 0 and bits <= cap:
+            for bits in precision_ladder(512, cap):
                 lo, hi, b = fe.dist_window(coeffs, bits=bits)
-                bits *= 2
-            if lo <= 0:
+                if lo > 0:
+                    break
+            else:
                 # also catches non-syntactic dependences such as 2*sqrt2 - sqrt8
                 raise DependenceError(_normalize_witness(coeffs))
         height = max(abs(k) for k in coeffs)
@@ -194,24 +173,21 @@ def _best_candidate(cands, fe: FormEvaluator, cap: int):
     for approx, coeffs in scored[1:]:
         if approx < best[0] - 1e-6:
             break
-        bits = 96
-        while True:
-            other = _exponent_enclosure(fe.dist_enclosure(coeffs, min(bits, cap)),
-                                        max(map(abs, coeffs)), bits=min(bits, cap))
-            cur = _exponent_enclosure(fe.dist_enclosure(best[1], min(bits, cap)),
-                                      max(map(abs, best[1])), bits=min(bits, cap))
+        for bits in precision_ladder(96, cap):
+            other = _exponent_enclosure(fe.dist_enclosure(coeffs, bits),
+                                        max(map(abs, coeffs)), bits=bits)
+            cur = _exponent_enclosure(fe.dist_enclosure(best[1], bits),
+                                      max(map(abs, best[1])), bits=bits)
             if other.hi < cur.lo:
                 break
             if other.lo > cur.hi:
                 best = (approx, coeffs)
                 best_enc = other
                 break
-            if bits >= cap:  # numerically tied; keep lexicographic winner
-                if coeffs < best[1]:
-                    best = (approx, coeffs)
-                    best_enc = other
-                break
-            bits *= 2
+        else:  # numerically tied at the cap; keep lexicographic winner
+            if coeffs < best[1]:
+                best = (approx, coeffs)
+                best_enc = other
     return best_enc, best[1]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .realnum import (
     DEFAULT_PRECISION_CAP,
@@ -27,6 +27,7 @@ from .realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    precision_ladder,
 )
 
 RationalLike = Union[int, Fraction]
@@ -110,10 +111,6 @@ class CircleSet:
 
     def canonical(self) -> "CircleSet":
         return CircleSet(_canonicalize(self.arcs), self.slack)
-
-    def contains_point(self, x: RationalLike) -> bool:
-        x = Fraction(x) % 1
-        return any(a <= x <= b for a, b in self.arcs)
 
     def to_endpoint_pairs(self) -> list:
         """JSON form: flat list of [numerator, denominator] endpoint pairs."""
@@ -206,12 +203,6 @@ def build_Aq(psi_q, gamma, q: int, bits: int = 64) -> CircleSet:
 # ---------------------------------------------------------------------------
 # Structured pair intersection (windowed, exact)
 # ---------------------------------------------------------------------------
-
-def _overlap_line(two_rho: Fraction, two_rhop: Fraction, R: Fraction,
-                  d: Fraction) -> Fraction:
-    v = min(two_rho, two_rhop, R - d)
-    return v if v > 0 else Fraction(0)
-
 
 def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
@@ -348,8 +339,6 @@ class AqFamily:
 
     def __init__(self, psi, gamma, bits: int = 64):
         self.psi = psi
-        self.gamma = gamma
-        self.bits = bits
         self.g, self.gslack = _gamma_grid(gamma, bits)
 
     def radius(self, q: int) -> Enclosure:
@@ -358,9 +347,6 @@ class AqFamily:
     def pair_measure(self, q: int, qp: int) -> Enclosure:
         return aq_pair_measure(self.radius(q), self.radius(qp), q, qp,
                                self.g, self.gslack)
-
-    def set_of(self, q: int) -> CircleSet:
-        return build_Aq(_psi_lookup(self.psi, q), self.gamma, q, bits=self.bits)
 
 
 def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
@@ -470,20 +456,16 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
     else:
         bound = 4 * (1 + C0 / (2 * H)) * pq * pqp
 
-    b = bits
-    while True:
-        fam = AqFamily(psi, gamma, bits=b)
-        meas = fam.pair_measure(q, qp)
+    for b in precision_ladder(bits, cap):
+        meas = AqFamily(psi, gamma, bits=b).pair_measure(q, qp)
         if meas.hi <= bound:
             verdict = True
             break
         if meas.lo > bound:
             verdict = False
             break
-        if b >= cap:
-            verdict = None
-            break
-        b = min(2 * b, cap)
+    else:
+        verdict = None
 
     min_C0 = None
     if case == "II":

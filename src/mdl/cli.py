@@ -14,23 +14,21 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import arith, cfrac, circlesets, discrepancy, gallagher
 from .gallagher import (
     CSV_HEADER,
-    ApproxFunction,
     ExperimentRecord,
     PsiPrime,
     parse_psi,
 )
 from .realnum import (
     DEFAULT_PRECISION_CAP,
-    Comparison,
+    CapExceeded,
+    DependenceError,
     Enclosure,
-    RealParam,
     parse_param,
 )
 
@@ -399,37 +397,24 @@ def run_hits(args) -> RunResult:
 
 
 def _mc_chunk(chunk_args):
-    (psi_text, beta_text, gp_text, omega_text, gamma_text, Q, direct,
-     seed, idxs) = chunk_args
-    psi = parse_psi(psi_text)
-    beta = parse_param(beta_text)
-    gp = parse_param(gp_text)
-    pp = PsiPrime(psi, beta, gp, _parse_omega(omega_text))
-    gamma = parse_param(gamma_text)
-    sweep = gallagher._HitSweep(gamma, pp, Q, direct)
-    total = 0
-    undecided = 0
-    for i in idxs:
-        res = sweep.count_for(gallagher.counter_sample(seed, i))
-        total += res.count
-        undecided += res.undecided
-    return total, undecided
+    gamma, pp, Q, direct, seed, idxs = chunk_args
+    s = gallagher.mc_survey(gamma, pp, Q, len(idxs), seed, direct=direct,
+                            first=idxs.start)
+    return s.mean * s.samples, s.undecided, s.expected
 
 
 def run_mc_survey(args) -> RunResult:
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     gamma = parse_param(args.gamma)
     pp = _pp_from_args(args)
-    idxs = list(range(args.samples))
-    chunks = _chunked(idxs, args.threads)
-    work = [(args.psi, args.beta, args.gamma_prime or "rat:0",
-             args.omega or "none", args.gamma, args.Q, args.direct,
-             args.seed, ch) for ch in chunks]
+    chunks = _chunked(range(args.samples), args.threads)
+    work = [(gamma, pp, args.Q, args.direct, args.seed, ch) for ch in chunks]
     parts = _pmap(_mc_chunk, work, args.threads)
     total = sum(p[0] for p in parts)
     undecided = sum(p[1] for p in parts)
-    sweep = gallagher._HitSweep(gamma, pp, args.Q, args.direct)
-    expected = sweep.expected()
-    mean = Fraction(total, args.samples)
+    expected = parts[0][2]
+    mean = total / args.samples
     ptxt = f"{pp.canonical()};gamma={gamma.canonical()};seed={args.seed}"
     recs = [_rec("mc-mean", ptxt, args.Q, mean, undecided=undecided),
             _rec_enc("mc-expected", ptxt, args.Q, expected),
@@ -509,15 +494,24 @@ def _add_common(sp):
     sp.add_argument("--output", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are configuration errors: exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mdl",
         description="Exact experiments on limsup arc systems, Kronecker "
                     "discrepancy, Diophantine exponents and divisor sums.")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = {}    # name -> subparser, for reading command defaults
 
     def new(name, **kw):
-        sp = sub.add_parser(name, **kw)
+        sp = ap.commands[name] = sub.add_parser(name, **kw)
         _add_common(sp)
         return sp
 
@@ -658,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = new("mc-survey", help="Monte-Carlo hit-count survey")
     sp.add_argument("--psi", required=True)
     sp.add_argument("--gamma", required=True)
-    sp.add_argument("--beta", default=None)
+    sp.add_argument("--beta", required=True)
     sp.add_argument("--gamma-prime", default="rat:0")
     sp.add_argument("--omega", default="none")
     sp.add_argument("--Q", type=int, required=True)
@@ -680,14 +674,10 @@ def _apply_config(args, parser):
     known = {k.replace("-", "_") for k in vars(args)}
     cfg = load_config(args.config, known)
     # config fills only values the command line left at their defaults
-    defaults = {}
-    for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        if action.dest != "help":
-            defaults[action.dest] = action.default
+    command = parser.commands[args.command]
     for key, value in cfg.items():
-        cur = getattr(args, key, None)
-        if cur == defaults.get(key, None):
-            target_default = defaults.get(key)
+        target_default = command.get_default(key)
+        if getattr(args, key, None) == target_default:
             if isinstance(target_default, int) and not isinstance(target_default, bool):
                 setattr(args, key, int(value))
             elif isinstance(target_default, bool):
@@ -719,12 +709,12 @@ def main(argv=None) -> int:
     args.precision_bits_or = lambda d: min(d, args.precision_bits)
     try:
         result = EXPERIMENTS[args.command](args)
-    except ConfigError as e:
+    except (ConfigError, ValueError, KeyError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return 1
-    except (ValueError, KeyError) as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return 1
+    except (DependenceError, CapExceeded) as e:
+        sys.stderr.write(f"refused: {e}\n")
+        return 3
     if args.output:
         with open(args.output, "w") as fh:
             write_records(result.records, args.format, fh)

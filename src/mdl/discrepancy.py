@@ -10,7 +10,6 @@ free-box supremum is bracketed by a grid scan plus slack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -24,90 +23,11 @@ from .realnum import (
     FormEvaluator,
     RealParam,
     log2_enclosure,
+    precision_ladder,
     rational_power,
 )
 
 RationalLike = Union[int, Fraction]
-
-
-class OrbitTable:
-    """Scaled-integer windows for the fractional parts {q*alpha}, q <= Q.
-
-    frac_window(q) returns (lo, hi, scale_bits) with the true fractional
-    part inside [lo, hi]/2^scale_bits; the window may straddle an integer
-    boundary only for the first/last few grid units, which membership tests
-    escalate through the exact path.
-    """
-
-    def __init__(self, alpha: RealParam, bits: int = 128,
-                 cap: int = DEFAULT_PRECISION_CAP):
-        self.alpha = alpha
-        self.bits = bits
-        self.cap = cap
-        self._pins: dict = {}
-        self._pin(bits)
-
-    def _pin(self, bits: int):
-        if bits in self._pins:
-            return
-        e = self.alpha.enclosure(bits + 4)
-        scale = 1 << bits
-        lo = math.floor(e.lo * scale)
-        spread = math.ceil(e.hi * scale) - lo
-        self._pins[bits] = (lo, spread)
-
-    def frac_window(self, q: int, bits: Optional[int] = None):
-        b = self.bits if bits is None else b_cap(bits, self.cap)
-        self._pin(b)
-        lo, spread = self._pins[b]
-        scale = 1 << b
-        u = (q * lo) % scale
-        return u, u + q * spread, b
-
-    def in_interval(self, q: int, a: Fraction, b: Fraction) -> Comparison:
-        """Decide {q*alpha} in [a, b) rigorously (escalates to the cap)."""
-        bits = self.bits
-        while True:
-            u_lo, u_hi, bb = self.frac_window(q, bits)
-            scale = 1 << bb
-            # the window is an absolute range for q*alpha mod scale; compare
-            # against both [a,b) and its shift by one period to cover wrap
-            decided = self._interval_decision(u_lo, u_hi, scale, a, b)
-            if decided is not None:
-                return decided
-            if bits >= self.cap:
-                if self.alpha.is_rational or self.alpha.is_decimal:
-                    return self._exact_decision(q, a, b)
-                return Comparison.UNDECIDED
-            bits = min(2 * bits, self.cap)
-
-    @staticmethod
-    def _interval_decision(u_lo, u_hi, scale, a, b):
-        """LT = inside [a,b), GT = outside, None = window straddles an edge."""
-        asc, bsc = a * scale, b * scale
-        for shift in (0, scale):
-            lo, hi = u_lo + shift, u_hi + shift
-            if lo >= asc and hi < bsc:            # entirely in [a, b)
-                return Comparison.LT
-            if lo >= bsc and hi < asc + scale:    # entirely in [b, a+1)
-                return Comparison.GT
-        return None
-
-    def _exact_decision(self, q, a, b):
-        if not self.alpha.is_rational:
-            raise CapExceeded("membership undecided at the precision cap")
-        v = (q * self.alpha.value) % 1
-        return Comparison.LT if a <= v < b else Comparison.GT
-
-    def all_windows(self, Q: int):
-        """Vectorized windows for q = 1..Q (numpy arrays of Python ints
-        avoided: returns base pin so callers can run their own loops)."""
-        self._pin(self.bits)
-        return self._pins[self.bits], self.bits
-
-
-def b_cap(bits: int, cap: int) -> int:
-    return min(bits, cap)
 
 
 @dataclass
@@ -126,6 +46,30 @@ class BoxCountResult:
         return v
 
 
+def _in_interval(fe: FormEvaluator, q: int, a: Fraction, b: Fraction) -> Comparison:
+    """Decide {q x} in [a, b) for the single parameter x of `fe`: LT inside,
+    GT outside.  At the cap a rational x is decided exactly, a decimal
+    literal raises CapExceeded and an irrational x is UNDECIDED."""
+    for bits in precision_ladder(fe.bits, fe.cap):
+        s, err, bb = fe.frac_window((q,), bits)
+        scale = 1 << bb
+        asc, bsc = a * scale, b * scale
+        # the window lives modulo one period: compare it and its shift by one
+        # period against [a, b) and against the complement [b, a + 1)
+        for lo in (s - err, s - err + scale):
+            hi = lo + 2 * err
+            if lo >= asc and hi < bsc:
+                return Comparison.LT
+            if lo >= bsc and hi < asc + scale:
+                return Comparison.GT
+    x = fe.params[0]
+    if x.is_rational:
+        return Comparison.LT if a <= q * x.value % 1 < b else Comparison.GT
+    if x.is_decimal:
+        raise CapExceeded(f"{{{q}*{x}}} in [{a}, {b}) undecided at the precision cap")
+    return Comparison.UNDECIDED
+
+
 def box_count(params: Sequence[RealParam], Q: int, box,
               cap: int = DEFAULT_PRECISION_CAP) -> BoxCountResult:
     """Exact count of q <= Q with ({q a_1}, ..., {q a_k}) in the half-open
@@ -140,26 +84,21 @@ def box_count(params: Sequence[RealParam], Q: int, box,
     for a, b in boxes:
         if not (0 <= a <= b <= 1):
             raise ValueError("box sides must satisfy 0 <= a <= b <= 1")
-    tables = [OrbitTable(p, cap=cap) for p in params]
+    evaluators = [FormEvaluator([p], cap=cap) for p in params]
     count = 0
     undecided = 0
     for q in range(1, Q + 1):
-        inside = True
-        for t, (a, b) in zip(tables, boxes):
+        for fe, (a, b) in zip(evaluators, boxes):
             if a == b:
-                inside = False
                 break
             if a == 0 and b == 1:
                 continue
-            res = t.in_interval(q, a, b)
+            res = _in_interval(fe, q, a, b)
             if res == Comparison.UNDECIDED:
                 undecided += 1
-                inside = False
-                break
             if res != Comparison.LT:
-                inside = False
                 break
-        if inside:
+        else:
             count += 1
     vol = Fraction(1)
     for a, b in boxes:
@@ -187,9 +126,9 @@ def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
                          "allow_decimal=True to accept the approximation")
     if not alpha.is_irrational and not alpha.is_decimal:
         raise ValueError("star discrepancy needs an irrational parameter")
-    while True:
-        table = OrbitTable(alpha, bits=bits, cap=cap)
-        (lo_pin, spread), b = table.all_windows(Q)
+    fe = FormEvaluator([alpha], bits=bits, cap=cap)
+    for b in precision_ladder(bits, cap):
+        lo_pin, spread = fe.pin(b)[0][0]
         scale = 1 << b
         err = Q * spread  # absolute window width in grid units
         us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
@@ -198,9 +137,8 @@ def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
         ok = ok and us[0] > err and scale - us[-1] > err  # no wrap ambiguity
         if ok:
             break
-        if b >= cap:
-            raise CapExceeded("cannot separate orbit points at the cap")
-        bits = min(2 * b, cap)
+    else:
+        raise CapExceeded("cannot separate orbit points at the cap")
     max_lo = 0
     max_hi = 0
     for i, u in enumerate(us, start=1):
@@ -229,7 +167,7 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     import numpy as np
-    ta, tb = OrbitTable(alpha, cap=cap), OrbitTable(beta, cap=cap)
+    ta, tb = FormEvaluator([alpha], cap=cap), FormEvaluator([beta], cap=cap)
     cells = np.zeros((m, m), dtype=np.int64)
     for q in range(1, Q + 1):
         i = _cell_index(ta, q, m)
@@ -257,18 +195,13 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     return lower, upper
 
 
-def _cell_index(table: OrbitTable, q: int, m: int) -> int:
-    bits = table.bits
-    while True:
-        lo, hi, b = table.frac_window(q, bits)
-        scale = 1 << b
-        i_lo = (lo % scale) * m // scale
-        i_hi = (hi % scale) * m // scale if hi < scale else m + 1
-        if i_lo == i_hi:
-            return int(i_lo)
-        if b >= table.cap:
-            raise CapExceeded("orbit point sits on a grid line at the cap")
-        bits = min(2 * bits, table.cap)
+def _cell_index(fe: FormEvaluator, q: int, m: int) -> int:
+    for bits in precision_ladder(fe.bits, fe.cap):
+        s, err, b = fe.frac_window((q,), bits)
+        i = (s - err) * m >> b        # floor: cells are indexed over Z
+        if i == (s + err) * m >> b:
+            return i % m
+    raise CapExceeded("orbit point sits on a grid line at the cap")
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +222,11 @@ def _dist_positive(fe: FormEvaluator, coeffs, cap: int) -> Enclosure:
     witness = tuple(-k for k in coeffs) if coeffs[0] < 0 else tuple(coeffs)
     if fe.dist_is_zero_exact(coeffs):
         raise DependenceError(witness)
-    bits = fe.bits
-    while True:
+    for bits in precision_ladder(fe.bits, cap):
         e = fe.dist_enclosure(coeffs, bits)
         if e.lo > 0:
             return e
-        if bits >= cap:
-            raise DependenceError(witness)
-        bits = min(2 * bits, cap)
+    raise DependenceError(witness)
 
 
 def _etk_shells_1d(fe: FormEvaluator, Hmax: int, cap: int):

@@ -15,14 +15,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import arith
 from .cfrac import omega_schedule, omega_schedule_lemma3
 from .circlesets import (
-    AqFamily,
     CircleSet,
     aq_pair_measure_raw,
     build_Aq,
@@ -37,6 +36,7 @@ from .realnum import (
     RealParam,
     log2_enclosure,
     neg_log2_enclosure,
+    precision_ladder,
     rational_power,
 )
 
@@ -67,7 +67,8 @@ class ApproxFunction:
     Formula families: const c; c/q; c/(q log2 q (log2 log2 q)^2);
     c/(q (log2 q)^2 (log2 log2 q)^(1/2)); c/(q (log2 q)^2); or an explicit
     table (which, unlike the formulas, may carry zero entries for excluded
-    indices)."""
+    indices; an index without an entry, past the last one included, has
+    psi(q) = 0)."""
 
     tag: str
     c: Fraction = Fraction(0)
@@ -127,10 +128,6 @@ class ApproxFunction:
             if q > 10 ** 9:
                 raise ValueError("no valid domain start below 1e9")
 
-    @property
-    def is_monotone(self) -> bool:
-        return self.tag != "table"
-
     def eval(self, q: int, bits: int = 64) -> Enclosure:
         """psi(q) as an enclosure (exact for const/overq/table)."""
         if q < 1:
@@ -139,7 +136,7 @@ class ApproxFunction:
             for qq, v in self.table:
                 if qq == q:
                     return Enclosure.exact(v)
-            raise KeyError(f"table has no entry for q={q}")
+            return Enclosure.exact(0)
         a, b, d = _FAMILY_EXPONENTS[self.tag]
         if self.tag == "const":
             return Enclosure.exact(self.c)
@@ -298,8 +295,7 @@ class FibreContext:
         # schedule omega: compare -log2(dist) against om*log2(q) - extra
         lgq = log2_enclosure(q, 96)
         rhs = Enclosure(lgq.lo * om, lgq.hi * om) - Fraction(extra_pow2)
-        bits = 128
-        while True:
+        for bits in precision_ladder(128, self.cap):
             d = self.dist(q, bits)
             if d.lo <= 0:
                 if self.dist_is_zero(q):
@@ -310,9 +306,7 @@ class FibreContext:
                     return 1      # dist > threshold
                 if nl.lo > rhs.hi:
                     return -1
-            if bits >= self.cap:
-                return None
-            bits = min(2 * bits, self.cap)
+        return None
 
     def psi_prime(self, q: int):
         """(value enclosure, support state).  Zero outside the support."""
@@ -326,14 +320,11 @@ class FibreContext:
             return Enclosure.exact(0), state
         if self.dist_is_zero(q):
             raise DependenceError((q,), "||q beta - g'|| vanishes")
-        bits = 128
-        while True:
+        for bits in precision_ladder(128, self.cap):
             d = self.dist(q, bits)
             if d.lo > 0:
                 return (psi_v / d).quantize(128), state
-            if bits >= self.cap:
-                raise DependenceError((q,), "distance cannot be separated from 0")
-            bits = min(2 * bits, self.cap)
+        raise DependenceError((q,), "distance cannot be separated from 0")
 
     def cell_of(self, q: int) -> Optional[int]:
         """Index l with ||q beta - g'|| in [2^l q^-om, 2^(l+1) q^-om), or
@@ -508,16 +499,13 @@ def _indicator_closed(fe: FormEvaluator, m: int, thr: Enclosure,
                       cap: int) -> Optional[int]:
     """1 iff ||m gamma|| <= thr (closed ball), decided by interval
     separation; None when the enclosures cannot be pulled apart."""
-    bits = fe.bits
-    while True:
+    for bits in precision_ladder(fe.bits, cap):
         d = fe.dist_enclosure((m,), bits)
         if d.hi <= thr.lo:
             return 1
         if d.lo > thr.hi:
             return 0
-        if bits >= cap:
-            return None
-        bits = min(2 * bits, cap)
+    return None
 
 
 def f_moment_sum(beta: RealParam, gamma_prime, omega, Q: int, l: int, K: int,
@@ -828,16 +816,13 @@ class _HitSweep:
                 return False
             return None if not t.is_exact else d < t.lo
         fe = FormEvaluator([self.gamma], q * x, cap=self.cap)
-        bits = 128
-        while True:
+        for bits in precision_ladder(128, self.cap):
             d = fe.dist_enclosure((-1,), bits)
             if d.hi < t.lo:
                 return True
             if d.lo >= t.hi:
                 return False
-            if bits >= self.cap:
-                return None
-            bits = min(2 * bits, self.cap)
+        return None
 
 
 def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
@@ -882,15 +867,17 @@ class McSurvey:
 
 def mc_survey(gamma, pp: PsiPrime, Q: int, samples: int, seed: int,
               direct: bool = False,
-              cap: int = DEFAULT_PRECISION_CAP) -> McSurvey:
+              cap: int = DEFAULT_PRECISION_CAP, first: int = 0) -> McSurvey:
     """Mean hit count over `samples` uniform dyadic x versus the exact
-    expectation sum_q min(1, 2 psi'(q)); deterministic given the seed."""
+    expectation sum_q min(1, 2 psi'(q)); deterministic given the seed.
+    The draws are those of sample indices first, ..., first + samples - 1,
+    so disjoint index ranges split one survey into independent parts."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sweep = _HitSweep(gamma, pp, Q, direct, cap=cap)
     total = 0
     undecided = 0
-    for i in range(samples):
+    for i in range(first, first + samples):
         res = sweep.count_for(counter_sample(seed, i))
         total += res.count
         undecided += res.undecided

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import mpmath
 
@@ -28,7 +28,7 @@ RationalLike = Union[int, Fraction]
 #: precision return UNDECIDED instead of looping forever.
 DEFAULT_PRECISION_CAP = 4096
 
-#: Starting precision for escalation loops.
+#: Starting precision of the ladder in `compare`.
 START_BITS = 64
 
 HALF = Fraction(1, 2)
@@ -38,16 +38,18 @@ class CapExceeded(Exception):
     """Raised when an operation needs more precision than the configured cap."""
 
 
-class DecimalLiteralError(Exception):
-    """Raised when an operation requiring irrationality meets a decimal literal."""
-
-
 class DependenceError(Exception):
     """Raised when a linear form over supposedly independent parameters is 0."""
 
     def __init__(self, witness, message="rational dependence detected"):
-        super().__init__(f"{message}: witness {witness}")
+        # both arguments in args, so the error survives pickling from a
+        # pool worker with its witness intact
+        super().__init__(witness, message)
         self.witness = witness
+        self.message = message
+
+    def __str__(self):
+        return f"{self.message}: witness {self.witness}"
 
 
 class Comparison(Enum):
@@ -185,23 +187,6 @@ class Enclosure:
         if self.is_exact:
             return f"Enclosure({self.lo})"
         return f"Enclosure({float(self.lo):.17g}, {float(self.hi):.17g})"
-
-
-def enclosure_sum(items: Iterable[Enclosure]) -> Enclosure:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for e in items:
-        lo += e.lo
-        hi += e.hi
-    return Enclosure(lo, hi)
-
-
-def enclosure_min(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def enclosure_max(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +481,6 @@ class RealExpr:
         return not self.terms
 
     @property
-    def has_decimal(self) -> bool:
-        return any(p.is_decimal for _, p in self.terms)
-
-    @property
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("expression is not rational")
@@ -548,32 +529,23 @@ class RealExpr:
 
 
 # ---------------------------------------------------------------------------
-# Derived refinable quantities and decision procedures
+# Decision procedures
 # ---------------------------------------------------------------------------
 
-class Refinable:
-    """A real number known only through a bits -> Enclosure oracle."""
-
-    def __init__(self, fn: Callable[[int], Enclosure], exact: Fraction | None = None):
-        self._fn = fn
-        self.exact_value = exact
-
-    @staticmethod
-    def of_exact(value: RationalLike) -> "Refinable":
-        v = Fraction(value)
-        return Refinable(lambda bits: Enclosure.exact(v), exact=v)
-
-    def eval(self, bits: int) -> Enclosure:
-        return self._fn(bits)
-
-
-def _escalation(bits: int, cap: int):
-    b = max(bits, 8)
+def precision_ladder(start: int, cap: int):
+    """The precisions a predicate is tried at until it is decided: `start`
+    (floored at 8 bits), then doubling.  Every level is clamped to `cap`,
+    and the ladder ends with the level that reaches it."""
+    b = max(start, 8)
     while True:
         yield min(b, cap)
         if b >= cap:
             return
         b *= 2
+
+
+def _order(a: Fraction, b: Fraction) -> Comparison:
+    return Comparison.LT if a < b else Comparison.GT if a > b else Comparison.EQ
 
 
 def compare(x: RealExpr, t: RationalLike, cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
@@ -582,13 +554,8 @@ def compare(x: RealExpr, t: RationalLike, cap: int = DEFAULT_PRECISION_CAP) -> C
     reported UNDECIDED."""
     t = Fraction(t)
     if x.is_rational:
-        v = x.rational_value
-        if v < t:
-            return Comparison.LT
-        if v > t:
-            return Comparison.GT
-        return Comparison.EQ
-    for bits in _escalation(START_BITS, cap):
+        return _order(x.rational_value, t)
+    for bits in precision_ladder(START_BITS, cap):
         e = x.eval(bits, cap=cap)
         if e.hi < t:
             return Comparison.LT
@@ -596,21 +563,6 @@ def compare(x: RealExpr, t: RationalLike, cap: int = DEFAULT_PRECISION_CAP) -> C
             return Comparison.GT
         if e.width == 0:
             break
-    return Comparison.UNDECIDED
-
-
-def compare_refinable(x: Refinable, t: RationalLike,
-                      cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
-    t = Fraction(t)
-    if x.exact_value is not None:
-        v = x.exact_value
-        return Comparison.LT if v < t else Comparison.GT if v > t else Comparison.EQ
-    for bits in _escalation(START_BITS, cap):
-        e = x.eval(bits)
-        if e.hi < t:
-            return Comparison.LT
-        if e.lo > t:
-            return Comparison.GT
     return Comparison.UNDECIDED
 
 
@@ -661,7 +613,7 @@ def frac_and_dist(x: RealExpr, bits: int,
         fr = v - z
         return Enclosure.exact(fr), Enclosure.exact(abs(fr))
     e = None
-    for b in _escalation(bits, cap):
+    for b in precision_ladder(bits, cap):
         e = x.eval(b, cap=cap)
         zlo, zhi = _nearest_int_window(e)
         if zlo == zhi:
@@ -672,48 +624,24 @@ def frac_and_dist(x: RealExpr, bits: int,
     return Enclosure(Fraction(-1, 2), HALF), dist
 
 
-def dist_refinable(x: RealExpr, cap: int = DEFAULT_PRECISION_CAP) -> Refinable:
-    """||x|| as a refinable quantity."""
-    if x.is_rational:
-        v = x.rational_value
-        z = math.ceil(v - HALF)
-        return Refinable.of_exact(abs(v - z))
-    return Refinable(lambda bits: _dist_of_interval(x.eval(bits, cap=cap)))
-
-
-def pow_compare(x: Refinable, s: int, threshold: Fraction,
-                cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
-    """Decide x^s <=> threshold for x >= 0, s >= 1 integer.
-
-    Used for memberships of the form ||q*beta - g'|| >= q^(-p/s): raising
-    both sides to the s-th power turns the irrational threshold into the
-    rational `threshold`, keeping the decision exact."""
-    t = Fraction(threshold)
-    if x.exact_value is not None:
-        v = x.exact_value ** s
-        return Comparison.LT if v < t else Comparison.GT if v > t else Comparison.EQ
-    for bits in _escalation(START_BITS, cap):
-        e = x.eval(bits)
-        lo = max(e.lo, Fraction(0))
-        if e.hi ** s < t:
-            return Comparison.LT
-        if lo ** s > t:
-            return Comparison.GT
-    return Comparison.UNDECIDED
-
-
 # ---------------------------------------------------------------------------
-# Scaled-integer fast lane for orbit sweeps
+# Scaled-integer evaluator
 # ---------------------------------------------------------------------------
 
 class FormEvaluator:
-    """Fast rigorous evaluation of ||k1*x1 + ... + kn*xn + c|| over many
+    """Fast rigorous evaluation of k1*x1 + ... + kn*xn + c modulo 1 over many
     integer coefficient vectors.
 
-    Each parameter is pinned once as a scaled integer floor(x * 2^B) from a
-    certified enclosure; a coefficient vector then costs a handful of big-int
-    operations, with a rigorous error window that callers can escalate when a
-    decision is too close to call.
+    Each parameter is pinned once per precision as a scaled integer
+    floor(x * 2^B) plus a spread from a certified enclosure; a coefficient
+    vector then costs a handful of big-int operations, with a rigorous error
+    window that callers escalate along `precision_ladder` when a decision is
+    too close to call.
+
+    Syntactic dependence is decided once, on construction: parameters with
+    the same canonical form share a group and rational parameters only shift
+    the offset, so a form collapses to a rational exactly when the
+    coefficients of every group sum to zero.
     """
 
     def __init__(self, params: Sequence[RealParam], offset: RationalLike = 0,
@@ -721,93 +649,85 @@ class FormEvaluator:
         self.params = tuple(params)
         self.offset = Fraction(offset)
         self.cap = cap
-        self._tables: dict = {}
         self.bits = bits
-        self._pin(bits)
+        self._tables: dict = {}
+        groups: dict = {}
+        self._rational = []
+        for i, p in enumerate(self.params):
+            if p.is_rational:
+                self._rational.append((i, p.value))
+            else:
+                groups.setdefault(p.canonical(), []).append(i)
+        self._groups = list(groups.values())
+        self.pin(bits)
 
-    def _pin(self, bits: int):
-        if bits in self._tables:
-            return
-        scale = 1 << bits
-        pins = []
-        for p in self.params:
-            e = p.enclosure(bits + 4)
-            lo_scaled = math.floor(e.lo * scale)
-            # units of 2^-bits covering [lo, hi]
-            spread = math.ceil(e.hi * scale) - lo_scaled
-            pins.append((lo_scaled, spread))
-        off_lo = math.floor(self.offset * scale)
-        off_err = 1 if self.offset * scale != off_lo else 0
-        self._tables[bits] = (pins, off_lo, off_err)
+    def pin(self, bits: int):
+        """(pins, off_lo, off_err) at scale 2^bits: pins[i] = (lo, spread)
+        with x_i * 2^bits in [lo, lo + spread], and c * 2^bits in
+        [off_lo, off_lo + off_err]."""
+        table = self._tables.get(bits)
+        if table is None:
+            scale = 1 << bits
+            pins = []
+            for p in self.params:
+                e = p.enclosure(bits + 4)
+                lo_scaled = math.floor(e.lo * scale)
+                pins.append((lo_scaled, math.ceil(e.hi * scale) - lo_scaled))
+            off_lo = math.floor(self.offset * scale)
+            off_err = 1 if self.offset * scale != off_lo else 0
+            table = self._tables[bits] = (pins, off_lo, off_err)
+        return table
+
+    def frac_window(self, coeffs: Sequence[int], bits: int | None = None):
+        """(s, err, scale_bits): the signed fractional part of the form,
+        scaled by 2^scale_bits, lies within err of s (modulo 2^scale_bits),
+        with s in (-2^(scale_bits-1), 2^(scale_bits-1)]."""
+        b = self.bits if bits is None else bits
+        pins, acc, err = self.pin(b)
+        for k, (pin, spread) in zip(coeffs, pins):
+            acc += k * pin
+            err += abs(k) * spread
+        scale = 1 << b
+        m = acc % scale
+        return (m if 2 * m <= scale else m - scale), err, b
 
     def dist_window(self, coeffs: Sequence[int], bits: int | None = None):
         """(d_lo, d_hi, scale_bits): rigorous integer window for
         ||sum k_i x_i + c|| scaled by 2^scale_bits."""
-        b = self.bits if bits is None else bits
-        self._pin(b)
-        pins, off_lo, off_err = self._tables[b]
-        scale = 1 << b
-        acc = off_lo
-        err = off_err
-        for k, (pin, spread) in zip(coeffs, pins):
-            acc += k * pin
-            err += abs(k) * spread
-        m = acc % scale
-        d = min(m, scale - m)
+        s, err, b = self.frac_window(coeffs, bits)
+        d = abs(s)
         # distance to nearest integer is 1-Lipschitz in the argument
-        return max(0, d - err), min(scale >> 1, d + err), b
+        return max(0, d - err), min((1 << b) >> 1, d + err), b
 
     def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None) -> Enclosure:
         lo, hi, b = self.dist_window(coeffs, bits)
         scale = 1 << b
         return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
-    def _expr(self, coeffs: Sequence[int]) -> RealExpr:
-        return RealExpr.build(list(zip(coeffs, self.params)), self.offset)
-
-    def dist_refinable(self, coeffs: Sequence[int]) -> Refinable:
-        coeffs = tuple(coeffs)
-        expr = self._expr(coeffs)
-        if expr.is_rational:
-            return dist_refinable(expr, cap=self.cap)
-
-        def fn(bits: int) -> Enclosure:
-            return self.dist_enclosure(coeffs, min(bits, self.cap))
-
-        return Refinable(fn)
+    def _rational_value(self, coeffs: Sequence[int]) -> Optional[Fraction]:
+        """The form's value if it collapses syntactically to a rational."""
+        for group in self._groups:
+            if sum([coeffs[i] for i in group]):
+                return None
+        return self.offset + sum(coeffs[i] * v for i, v in self._rational)
 
     def dist_is_zero_exact(self, coeffs: Sequence[int]) -> bool:
         """True iff the linear form collapses syntactically to an integer."""
-        expr = self._expr(coeffs)
-        return expr.is_rational and expr.rational_value.denominator == 1
+        v = self._rational_value(coeffs)
+        return v is not None and v.denominator == 1
 
     def dist_compare(self, coeffs: Sequence[int], t: RationalLike) -> Comparison:
         """Decide ||form|| <=> t with escalation to the cap."""
-        t = Fraction(t)
-        expr = self._expr(coeffs)
-        if expr.is_rational:
-            v = expr.rational_value
-            d = abs(v - math.ceil(v - HALF))
-            return Comparison.LT if d < t else Comparison.GT if d > t else Comparison.EQ
-        for bits in _escalation(self.bits, self.cap):
-            lo, hi, b = self.dist_window(coeffs, bits)
-            scale = 1 << b
-            if Fraction(hi, scale) < t:
-                return Comparison.LT
-            if Fraction(lo, scale) > t:
-                return Comparison.GT
-        return Comparison.UNDECIDED
+        return self.dist_pow_compare(coeffs, 1, t)
 
     def dist_pow_compare(self, coeffs: Sequence[int], s: int,
-                         threshold: Fraction) -> Comparison:
+                         threshold: RationalLike) -> Comparison:
         """Decide ||form||^s <=> threshold (rational), s >= 1."""
         t = Fraction(threshold)
-        expr = self._expr(coeffs)
-        if expr.is_rational:
-            v = expr.rational_value
-            d = abs(v - math.ceil(v - HALF)) ** s
-            return Comparison.LT if d < t else Comparison.GT if d > t else Comparison.EQ
-        for bits in _escalation(self.bits, self.cap):
+        v = self._rational_value(coeffs)
+        if v is not None:
+            return _order(abs(v - math.ceil(v - HALF)) ** s, t)
+        for bits in precision_ladder(self.bits, self.cap):
             lo, hi, b = self.dist_window(coeffs, bits)
             scale = 1 << b
             if Fraction(hi ** s, scale ** s) < t:
@@ -815,10 +735,3 @@ class FormEvaluator:
             if Fraction(lo ** s, scale ** s) > t:
                 return Comparison.GT
         return Comparison.UNDECIDED
-
-    def require_irrational(self, context: str):
-        for p in self.params:
-            if p.is_decimal:
-                raise DecimalLiteralError(
-                    f"{context}: decimal literal {p} is secretly rational; "
-                    "pass allow_decimal=True to override")

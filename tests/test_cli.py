@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +143,58 @@ def test_gl_census_cli():
     assert rc == 0
     rows = cells(out)
     assert any(r[0] == "gl-census-member" and r[3] == "4" for r in rows)
+
+
+def test_mc_survey_needs_beta():
+    rc, _, err = run_cli("mc-survey", "--psi", "overq:1/4", "--gamma", "sqrt:3",
+                         "--Q", "10", "--samples", "2")
+    assert rc == 1
+    assert "--beta" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma-pair", "--gamma", "sqrt:2", "--beta", "sqrt:8", "--N", "3"),
+    ("etk", "--alpha", "sqrt:2", "--beta", "sqrt:8", "--N", "10", "--H", "3"),
+])
+def test_mathematical_refusal_exit_code(argv, capsys):
+    """2 sqrt2 - sqrt8 = 0 is no syntactic cancellation: it is found at the
+    cap and reported with its witness."""
+    assert main(list(argv)) == 3
+    assert "(2, -1)" in capsys.readouterr().err
+
+
+def test_refusal_from_a_worker_keeps_its_witness():
+    """2*0.5 - 1 cannot be separated from 0 at any precision; the refusal
+    reads the same whether it was raised in a pool worker or not."""
+    args = ("mc-survey", "--psi", "const:1/10", "--gamma", "sqrt:3",
+            "--beta", "dec:0.5@1e-12", "--gamma-prime", "rat:1", "--Q", "4",
+            "--samples", "4")
+    results = [run_cli(*args, "--threads", t) for t in ("1", "2")]
+    assert [rc for rc, _, _ in results] == [3, 3]
+    assert results[0][2] == results[1][2]
+    assert "witness (2,)" in results[0][2]
+
+
+def test_table_gaps_mean_zero(capsys):
+    values = []
+    for psi in ("table:2=1/8,5=1/9", "table:2=1/8,3=0,4=0,5=1/9,6=0"):
+        assert main(["bc-ratio", "--psi", psi, "--gamma", "rat:0", "--Q", "6"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        values.append([row[:1] + row[2:] for row in rows])
+    assert values[0] == values[1]
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mdl ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -13,7 +13,7 @@ from mdl.discrepancy import (
     etk_bound_sweep,
     star_discrepancy_1d,
 )
-from mdl.realnum import DependenceError, RealParam
+from mdl.realnum import CapExceeded, DependenceError, RealParam
 
 F = Fraction
 SQRT2 = math.sqrt(2)
@@ -49,6 +49,18 @@ def test_box_count_identity():
     """S = Q|I| + E holds by construction."""
     r = box_count([RealParam.sqrt(5)], 57, [(F(1, 4), F(2, 3))])
     assert r.count == 57 * r.volume + r.error
+
+
+def test_box_count_at_the_cap():
+    """{q/3} = 1/3 sits on the wall of [1/3, 2/3): the windows straddle it
+    up to the cap, where the exact rational decision takes over; a decimal
+    literal on a wall cannot be decided at all."""
+    r = box_count([RealParam.rational(F(1, 3))], 30, [(F(1, 3), F(2, 3))],
+                  cap=256)
+    assert r.count == 10 and r.undecided == 0
+    quarter = RealParam.decimal("0.25", F(1, 10**12))
+    with pytest.raises(CapExceeded):
+        box_count([quarter], 2, [(F(0), F(1, 2))], cap=256)
 
 
 def test_star_discrepancy_examples(golden):

@@ -350,6 +350,22 @@ def test_mc_survey_harmonic_oracle(sqrt3):
     assert r.undecided == 0
 
 
+def test_mc_survey_parts_add_up(sqrt3):
+    """Disjoint sample-index ranges split one survey into parts."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.sqrt(2), R0, None)
+    whole = mc_survey(sqrt3, pp, 100, 10, seed=5, direct=True)
+    head = mc_survey(sqrt3, pp, 100, 4, seed=5, direct=True)
+    tail = mc_survey(sqrt3, pp, 100, 6, seed=5, direct=True, first=4)
+    assert whole.mean * 10 == head.mean * 4 + tail.mean * 6
+    assert whole.expected == tail.expected
+
+
+def test_table_gaps_are_zero():
+    tab = parse_psi("table:2=1/8,5=1/9")
+    assert tab.eval(3) == tab.eval(4) == tab.eval(9) == Enclosure.exact(0)
+    assert tab.eval(5).lo == F(1, 9)
+
+
 def test_mc_survey_deterministic(sqrt3):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.sqrt(2), R0, None)
     a = mc_survey(sqrt3, pp, 100, 10, seed=5, direct=True)

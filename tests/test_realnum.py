@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdl.realnum import (
     Comparison,
@@ -12,13 +12,12 @@ from mdl.realnum import (
     RealExpr,
     RealParam,
     compare,
-    compare_refinable,
-    dist_refinable,
     frac_and_dist,
     log2_enclosure,
     neg_log2_enclosure,
     nth_root_enclosure,
     parse_param,
+    precision_ladder,
     rational_power,
     sqrt_enclosure,
 )
@@ -158,8 +157,7 @@ def test_rational_dist_identity(x):
 
 
 def test_compare_examples(sqrt2):
-    dr = dist_refinable(RealExpr.of(sqrt2))
-    assert compare_refinable(dr, F(1, 2)) == Comparison.LT
+    assert FormEvaluator([sqrt2]).dist_compare((1,), F(1, 2)) == Comparison.LT
     x = RealExpr.of(RealParam.rational(F(3, 7)), 7, -3)
     assert compare(x, 0) == Comparison.EQ
     # the convergent 665857/470832 lies above sqrt(2): 665857^2 = 2*470832^2+1
@@ -232,3 +230,42 @@ def test_form_evaluator_rational_path():
     fe = FormEvaluator([RealParam.rational(F(1, 3))], 0)
     assert fe.dist_compare((1,), F(1, 3)) == Comparison.EQ
     assert fe.dist_compare((3,), F(1, 10)) == Comparison.LT
+
+
+@pytest.mark.parametrize("start, cap, levels", [
+    (64, 4096, [64, 128, 256, 512, 1024, 2048, 4096]),
+    (128, 1000, [128, 256, 512, 1000]),
+    (512, 256, [256]),
+    (5, 64, [8, 16, 32, 64]),
+])
+def test_precision_ladder(start, cap, levels):
+    assert list(precision_ladder(start, cap)) == levels
+
+
+_PARAM_SETS = (
+    ("sqrt:2", "sqrt:2", "log2:3"),
+    ("sqrt:2", "rat:3/7", "sqrt:2"),
+    ("dec:1.5@1e-9", "rat:-2/5", "dec:1.5@1e-9"),
+)
+
+
+@given(st.sampled_from(_PARAM_SETS), st.tuples(*[st.integers(-2, 2)] * 3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=12))
+@example(_PARAM_SETS[0], (1, -1, 0), F(1))
+@example(_PARAM_SETS[1], (2, 7, -2), F(0))
+@example(_PARAM_SETS[2], (-1, 5, 1), F(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_form_dependence_matches_expr(texts, coeffs, offset):
+    """The evaluator's once-per-set dependence decision agrees with the
+    expression route, which merges terms per coefficient vector."""
+    params = [parse_param(t) for t in texts]
+    fe = FormEvaluator(params, offset)
+    expr = RealExpr.build(list(zip(coeffs, params)), offset)
+    value = fe._rational_value(coeffs)
+    assert (value is not None) == expr.is_rational
+    if expr.is_rational:
+        assert value == expr.rational_value
+        _, d = frac_and_dist(expr, 8)
+        assert fe.dist_compare(coeffs, d.lo) == Comparison.EQ
+    assert fe.dist_is_zero_exact(coeffs) == (
+        expr.is_rational and expr.rational_value.denominator == 1)
