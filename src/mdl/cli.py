@@ -400,7 +400,10 @@ def _mc_chunk(chunk_args):
     gamma, pp, Q, direct, seed, idxs = chunk_args
     s = gallagher.mc_survey(gamma, pp, Q, len(idxs), seed, direct=direct,
                             first=idxs.start)
-    return s.mean * s.samples, s.undecided, s.expected
+    # the expectation does not depend on the draws: the first chunk alone
+    # computes it
+    expected = s.expected if idxs.start == 0 else None
+    return s.mean * s.samples, s.undecided, expected
 
 
 def run_mc_survey(args) -> RunResult:

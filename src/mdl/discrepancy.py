@@ -54,10 +54,12 @@ def _in_interval(fe: FormEvaluator, q: int, a: Fraction, b: Fraction) -> Compari
         s, err, bb = fe.frac_window((q,), bits)
         scale = 1 << bb
         asc, bsc = a * scale, b * scale
-        # the window lives modulo one period: compare it and its shift by one
-        # period against [a, b) and against the complement [b, a + 1)
-        for lo in (s - err, s - err + scale):
-            hi = lo + 2 * err
+        # the pin is a floor and q > 0, so {q x} lies in [u, u + err] modulo
+        # one period: compare it and its shift by one period against [a, b)
+        # and against the complement [b, a + 1)
+        u = s % scale
+        for lo in (u, u + scale):
+            hi = lo + err
             if lo >= asc and hi < bsc:
                 return Comparison.LT
             if lo >= bsc and hi < asc + scale:
@@ -198,7 +200,8 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
 def _cell_index(fe: FormEvaluator, q: int, m: int) -> int:
     for bits in precision_ladder(fe.bits, fe.cap):
         s, err, b = fe.frac_window((q,), bits)
-        i = (s - err) * m >> b        # floor: cells are indexed over Z
+        # the pin is a floor and q > 0: {q x} lies in [s, s + err] modulo one
+        i = s * m >> b                # floor: cells are indexed over Z
         if i == (s + err) * m >> b:
             return i % m
     raise CapExceeded("orbit point sits on a grid line at the cap")

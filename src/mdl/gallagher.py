@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -860,9 +861,18 @@ def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
 class McSurvey:
     samples: int
     mean: Fraction
-    expected: Enclosure
-    deviation: Fraction
     undecided: int
+    sweep: _HitSweep = field(repr=False)
+
+    @cached_property
+    def expected(self) -> Enclosure:
+        """The exact expectation; computed on first use, since it costs more
+        than the sampling for a direct survey."""
+        return self.sweep.expected()
+
+    @property
+    def deviation(self) -> Fraction:
+        return self.mean - self.expected.mid
 
 
 def mc_survey(gamma, pp: PsiPrime, Q: int, samples: int, seed: int,
@@ -881,9 +891,7 @@ def mc_survey(gamma, pp: PsiPrime, Q: int, samples: int, seed: int,
         res = sweep.count_for(counter_sample(seed, i))
         total += res.count
         undecided += res.undecided
-    mean = Fraction(total, samples)
-    expected = sweep.expected()
-    return McSurvey(samples, mean, expected, mean - expected.mid, undecided)
+    return McSurvey(samples, Fraction(total, samples), undecided, sweep)
 
 
 # ---------------------------------------------------------------------------

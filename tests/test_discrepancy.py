@@ -43,6 +43,13 @@ def test_box_count_float_oracle(sqrt2, sqrt3):
                      & (ys >= float(a2)) & (ys < float(b2))))
     assert r2.count == cnt
     assert r2.undecided == 0
+    # a wall above 1/2: {q x} in (1/2, a) must be placed in the complement
+    a3, b3 = F(4, 5), F(9, 10)
+    r3 = box_count([sqrt2], Q, [(a3, b3)])
+    assert r3.count == int(np.sum((xs >= float(a3)) & (xs < float(b3))))
+    assert r3.undecided == 0
+    r4 = box_count([sqrt2], 4, [(a3, b3)])      # {4 sqrt2} = 0.657 is out
+    assert (r4.count, r4.undecided) == (1, 0)   # {2 sqrt2} = 0.828 is in
 
 
 def test_box_count_identity():
@@ -61,6 +68,16 @@ def test_box_count_at_the_cap():
     quarter = RealParam.decimal("0.25", F(1, 10**12))
     with pytest.raises(CapExceeded):
         box_count([quarter], 2, [(F(0), F(1, 2))], cap=256)
+
+
+def test_decimal_near_a_wall():
+    """A decimal literal's enclosure never narrows: a point within it of a
+    wall, but not on it, is decided from the floor pin's one-sided window."""
+    x = RealParam.decimal("0.3000000000015", F(1, 10**12))
+    r = box_count([x], 1, [(F(3, 10), F(1, 2))])
+    assert (r.count, r.undecided) == (1, 0)
+    lo, _ = disc2d_grid(x, RealParam.sqrt(3), 1, 10)
+    assert lo == F(99, 100)     # the point fills one of the 100 cells
 
 
 def test_star_discrepancy_examples(golden):
