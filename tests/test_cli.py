@@ -198,3 +198,76 @@ def test_readme_cli_block_runs(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_config_supplies_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("Q=5\n")
+    assert main(["f-avg", "--config", str(cfg)]) == 0
+    assert cells(capsys.readouterr().out)[0][2] == "5"
+
+
+def test_flag_at_its_default_beats_the_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("H=4\n")
+    assert main(["master-sweep", "--psi", "overq:1/4", "--gamma", "sqrt:2",
+                 "--Q", "6", "--H", "3", "--config", str(cfg)]) == 0
+    params = cells(capsys.readouterr().out)[0][1]
+    assert "H=3" in params.split(";")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("omega --q 4 --c 1", "--precision-bits 64"),
+    ("divisors --q 4", "--precision-bits 64"),
+    ("f-avg --Q 5", "--precision-bits 64"),
+    ("pairs --psi overq:1/4 --gamma sqrt:2 --Q 4", "--precision-bits 64"),
+    ("cf --alpha sqrt:2", "--threads 2"),
+    ("disc --alpha sqrt:2 --Q 50", "--threads 2"),
+    ("bc-ratio --psi const:1/10 --gamma rat:0 --Q 3", "--threads 2"),
+    ("doubly-metric --gamma sqrt:2 --H-prime 3 --N 5 --samples 4", "--threads 2"),
+    ("disc --alpha sqrt:2 --Q 50", "--seed 3"),
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 6", "--seed 3"),
+    ("hits --x 1/3 --gamma sqrt:3 --psi overq:1/4 --beta sqrt:2 --Q 9", "--seed 3"),
+    ("f-avg --Q 5", "--seed 3"),
+])
+def test_unused_common_flag_is_rejected(argv, flag, capsys):
+    """A command takes only the common flags it honours."""
+    assert main(shlex.split(argv)) == 0
+    capsys.readouterr()
+    assert main(shlex.split(f"{argv} {flag}")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+
+
+def test_precision_cap_is_honoured():
+    """8 bits cannot separate the orbit of sqrt 2 from the cell walls."""
+    assert main(["disc", "--alpha", "sqrt:2", "--Q", "50"]) == 0
+    assert main(["disc", "--alpha", "sqrt:2", "--Q", "50",
+                 "--precision-bits", "8"]) == 3
+
+
+def test_etk_sweep_through_the_writer(tmp_path, capsys):
+    argv = ["etk", "--alpha", "sqrt:2", "--N", "20", "--sweep-H", "3"]
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["params", "Q", "H", "exact_disc", "etk_bound", "ratio"]
+    assert [r[2] for r in rows[1:]] == ["1", "2", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [list(d.values()) for d in data] == rows[1:]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_survey_writes_denominators_past_4300_digits(fmt):
+    rc, out, err = run_cli("mc-survey", "--psi", "overq:1/4", "--gamma", "sqrt:3",
+                           "--beta", "sqrt:3", "--Q", "10000", "--samples", "1",
+                           "--direct", "--format", fmt)
+    assert rc == 0, err
+    if fmt == "csv":
+        dens = [row[4] for row in cells(out)]
+    else:
+        dens = [r["value_den"] for r in json.loads(out)]
+    assert max(len(d) for d in dens) > 4300
