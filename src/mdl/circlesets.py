@@ -7,11 +7,17 @@ irrational gamma the arc endpoints are irrational, so a set stores certified
 rational endpoint midpoints together with a slack bound, and every reported
 measure carries rigorous error bars derived from that slack.
 
-Pairwise intersections are computed by a center-difference argument: the
-multiset of circle distances between arc centers of A_q and A_q' is an
-arithmetic progression with gap gcd/(q q') traversed with multiplicity gcd,
-so only the O(Delta/gcd) terms near the overlap window contribute.  The
-generic sweep intersection remains available as the independent slow route.
+Pairwise intersections have one kernel.  `AqFamily` is built once per
+radius table and gamma pin: it looks psi up once per q, pins gamma once,
+classifies each A_q as empty, full, possibly full or a proper arc system,
+and keeps the proper radii as integers.  `aq_pair_measure_raw` then measures
+a pair on one integer grid by a center-difference argument: the multiset of
+circle distances between arc centers of A_q and A_q' is an arithmetic
+progression with gap gcd/(q q') traversed with multiplicity gcd, and an
+overlap is a clipped linear function of the distance, so a pair costs a
+fixed number of big-integer operations.  `gallagher.bc_ratio`, `pair_sum`
+and `master_check` all measure through it.  The generic sweep intersection
+remains available as the independent slow route.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .realnum import (
@@ -201,124 +208,87 @@ def build_Aq(psi_q, gamma, q: int, bits: int = 64) -> CircleSet:
 
 
 # ---------------------------------------------------------------------------
-# Structured pair intersection (windowed, exact)
+# The pair kernel
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+@lru_cache(maxsize=None)
+def _gamma_pin(gamma, bits: int) -> tuple:
+    """(gn, gd, sn, sd): {gamma} = gn/gd within sn/sd, pinned at `bits`."""
+    g, slack = _gamma_grid(gamma, bits)
+    return g.numerator, g.denominator, slack.numerator, slack.denominator
 
 
-def aq_pair_measure_raw(rho: Enclosure, rhop: Enclosure, q: int, qp: int,
-                        g: Fraction, gslack: Fraction):
+@lru_cache(maxsize=None)
+def _gamma_evaluator(gamma: RealParam, cap: int) -> FormEvaluator:
+    """One evaluator, and so one pin per precision, per (gamma, cap)."""
+    return FormEvaluator([gamma], 0, cap=cap)
+
+
+def _radius(psi_q: Enclosure, q: int) -> tuple:
+    """The bounds of psi(q)/q as (lo_num, lo_den, hi_num, hi_den)."""
+    lo, hi = Fraction(psi_q.lo, q), Fraction(psi_q.hi, q)
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
+def _clip_sum(t0: int, s: int, n: int, c: int) -> int:
+    """sum over k = 0..n-1 of min(max(t0 - k s, 0), c), for s > 0."""
+    if n <= 0 or t0 <= 0 or c <= 0:
+        return 0
+    k2 = min(n, -(-t0 // s))                          # terms above 0
+    k1 = min(k2, (t0 - c) // s + 1) if t0 >= c else 0  # terms at c
+    return (c * k1 + (k2 - k1) * t0
+            - s * (k2 * (k2 - 1) - k1 * (k1 - 1)) // 2)
+
+
+def aq_pair_measure_raw(rho: tuple, rhop: tuple, q: int, qp: int,
+                        pin: tuple):
     """Integer core of the pair intersection: returns (lo_num, hi_num, CD)
-    with |A_q intersect A_q'| in [lo_num/CD, hi_num/CD].
+    with |A_q intersect A_q'| in [lo_num/CD, hi_num/CD], for radius bounds
+    rho, rho' given as by `_radius` and gamma pinned as by `_gamma_pin`.
 
     Center differences take the values (g(q'-q) + m*gcd)/(q q'), each with
     multiplicity gcd; a term at circle distance d contributes
     overlap(d) + overlap(1-d), each overlap = max(0, min(2rho, 2rho',
-    rho+rho'-d)).  Both the near and the antipodal window are enumerated (the
-    latter is empty unless rho+rho' > 1/2).  Everything runs on one per-pair
-    integer grid CD; sweeps accumulate the raw numerators directly.
+    rho+rho'-d)).  Folded into [0, 1/2], the distances form two arithmetic
+    progressions, and each overlap is a clipped linear function of d, so
+    both sums have closed forms.  Everything runs on one per-pair integer
+    grid CD that carries gamma's grid and every radius exactly.
     """
+    ln, ld, hn, hd = rho
+    lnp, ldp, hnp, hdp = rhop
+    gn, gd, sn, sd = pin
     r = math.gcd(q, qp)
     qq = q * qp
     nst = qq // r
-
-    gn, gd = g.numerator, g.denominator
-    S = qq * gd                         # delta_m * S = gn(qp-q) + m*r*gd
-    base = gn * (qp - q)
+    S = qq * gd                       # a distance times S is an integer
     step = r * gd
-
-    # one integer grid carrying S and every rational length exactly
-    CD = S
-    for v in (rho.lo, rho.hi, rhop.lo, rhop.hi):
-        CD = _lcm(CD, v.denominator)
+    CD = math.lcm(S, ld, hd, ldp, hdp)
     mul = CD // S
-    tr_lo = 2 * rho.lo.numerator * (CD // rho.lo.denominator)
-    tr_hi = 2 * rho.hi.numerator * (CD // rho.hi.denominator)
-    trp_lo = 2 * rhop.lo.numerator * (CD // rhop.lo.denominator)
-    trp_hi = 2 * rhop.hi.numerator * (CD // rhop.hi.denominator)
-    R_lo_i = (tr_lo + trp_lo) // 2
-    R_hi_i = (tr_hi + trp_hi) // 2
-    if gslack:
-        num = abs(qp - q) * gslack.numerator * CD
-        den = gslack.denominator * qq
-        gerr_i = -(-num // den)      # ceil: error bounds round outward
-    else:
-        gerr_i = 0
-    reach = R_hi_i + gerr_i
+    tr_lo, tr_hi = 2 * ln * (CD // ld), 2 * hn * (CD // hd)
+    trp_lo, trp_hi = 2 * lnp * (CD // ldp), 2 * hnp * (CD // hdp)
+    c_lo, c_hi = min(tr_lo, trp_lo), min(tr_hi, trp_hi)
+    # R >= c, so a distance that the slack pushes below 0 still gives c
+    R_lo, R_hi = (tr_lo + trp_lo) // 2, (tr_hi + trp_hi) // 2
+    # gamma's slack moves every distance by at most gerr (rounded outward)
+    gerr = -(-abs(qp - q) * sn * CD // (sd * qq)) if sn else 0
 
-    # windows in m around d = 0 and (if reachable) d = 1/2
-    W = reach // (step * mul) + 2
-    far = 2 * reach >= CD
-    if 2 * (2 * W + 3) >= nst:
-        mms = range(nst)
-    else:
-        m0 = (-2 * base + step) // (2 * step)   # round(-base/step)
-        mms = range(m0 - W, m0 + W + 1)
-        if far:
-            mh = (S - 2 * base + step) // (2 * step)
-            seen = set(mms)
-            mms = list(mms) + [m for m in range(mh - W, mh + W + 1)
-                               if m not in seen]
-
-    lo_tot = 0
-    hi_tot = 0
-    for m in mms:
-        u = (base + m * step) % S
-        if 2 * u > S:
-            u = S - u
-        d_i = u * mul
-        d_lo = d_i - gerr_i
-        d_hi = d_i + gerr_i
-        if d_lo <= R_hi_i:
-            v = R_lo_i - d_hi
-            if v > 0:
-                if v > tr_lo:
-                    v = tr_lo
-                if v > trp_lo:
-                    v = trp_lo
-                lo_tot += v
-            v = R_hi_i - (d_lo if d_lo > 0 else 0)
-            if v > 0:
-                if v > tr_hi:
-                    v = tr_hi
-                if v > trp_hi:
-                    v = trp_hi
-                hi_tot += v
-        if far:
-            v = R_lo_i - (CD - d_lo)
-            if v > 0:
-                if v > tr_lo:
-                    v = tr_lo
-                if v > trp_lo:
-                    v = trp_lo
-                lo_tot += v
-            v = R_hi_i - (CD - d_hi)
-            if v > 0:
-                if v > tr_hi:
-                    v = tr_hi
-                if v > trp_hi:
-                    v = trp_hi
-                hi_tot += v
+    # the distances S*d: b0 + k*step while 2 d <= S, then step - b0 + j*step
+    b0 = gn * (qp - q) % step
+    n1 = min(nst, (S - 2 * b0) // (2 * step) + 1)
+    sm = step * mul
+    reach = R_hi + gerr
+    lo = hi = 0
+    for a, n in ((b0 * mul, n1), ((step - b0) * mul, nst - n1)):
+        if a < reach:
+            lo += _clip_sum(R_lo - gerr - a, sm, n, c_lo)
+            hi += _clip_sum(reach - a, sm, n, c_hi)
+        if 2 * reach >= CD:           # the antipodal overlap grows with d
+            last = a + (n - 1) * sm
+            lo += _clip_sum(last - (CD - R_lo + gerr), sm, n, c_lo)
+            hi += _clip_sum(last - (CD - reach), sm, n, c_hi)
     # clamp into [0, min(full arc masses, 1)]
-    lo_i = r * lo_tot
-    hi_i = r * hi_tot
     cap_i = min(tr_hi * q, trp_hi * qp, CD)
-    if hi_i > cap_i:
-        hi_i = cap_i
-    if lo_i > cap_i:
-        lo_i = cap_i
-    if lo_i < 0:
-        lo_i = 0
-    return lo_i, hi_i, CD
-
-
-def aq_pair_measure(rho: Enclosure, rhop: Enclosure, q: int, qp: int,
-                    g: Fraction, gslack: Fraction) -> Enclosure:
-    """Rigorous |A_q intersect A_q'|; see aq_pair_measure_raw."""
-    lo_i, hi_i, CD = aq_pair_measure_raw(rho, rhop, q, qp, g, gslack)
-    return Enclosure(Fraction(lo_i, CD), Fraction(hi_i, CD))
+    return min(r * lo, cap_i), min(r * hi, cap_i), CD
 
 
 def _psi_lookup(psi, q: int) -> Enclosure:
@@ -334,19 +304,85 @@ def _psi_lookup(psi, q: int) -> Enclosure:
     return Enclosure.exact(Fraction(v))
 
 
+EMPTY, FULL, MAYBE_FULL = "empty", "full", "maybe-full"
+SHIFT = 192     # outward sums run on the 2^-SHIFT grid
+
+
 class AqFamily:
-    """Shared context for sweeps over many A_q with one gamma."""
+    """The pair kernel for the sets A_q, q <= Q, of one psi and one gamma.
 
-    def __init__(self, psi, gamma, bits: int = 64):
-        self.psi = psi
-        self.g, self.gslack = _gamma_grid(gamma, bits)
+    Built once: psi(q) is looked up once per q, gamma is pinned once at
+    `bits`, and each A_q is classified once as empty (psi(q) = 0), full
+    (psi(q) >= 1/2), possibly full (its enclosure reaches 1/2) or a proper
+    arc system, whose radius bounds are kept as integers for
+    `aq_pair_measure_raw`.  Sums of pair measures are exact Fractions when
+    gamma and every psi(q) are rational, and otherwise integers on the
+    2^-192 grid with each pair rounded outward (`units`, `total`).
+    """
 
-    def radius(self, q: int) -> Enclosure:
-        return _psi_lookup(self.psi, q) * Fraction(1, q)
+    def __init__(self, psi, gamma, Q: int, bits: int = 64):
+        self.pin = _gamma_pin(gamma, bits)
+        self.psi = {q: _psi_lookup(psi, q) for q in range(1, Q + 1)}
+        self.exact = (self.pin[2] == 0
+                      and all(v.is_exact for v in self.psi.values()))
+        one = Fraction(1)
+        self.mass = {q: Enclosure(min(one, 2 * v.lo), min(one, 2 * v.hi))
+                     for q, v in self.psi.items()}
+        self.kind = {q: EMPTY if v.hi == 0 else FULL if 2 * v.lo >= 1
+                     else MAYBE_FULL if 2 * v.hi >= 1 else _radius(v, q)
+                     for q, v in self.psi.items()}
+
+    def pair_raw(self, q: int, qp: int) -> tuple:
+        """|A_q intersect A_q'| in [lo/CD, hi/CD], as (lo, hi, CD)."""
+        a, b = self.kind[q], self.kind[qp]
+        if type(a) is tuple and type(b) is tuple:
+            return aq_pair_measure_raw(a, b, q, qp, self.pin)
+        if a == EMPTY or b == EMPTY:
+            return 0, 0, 1
+        if a == FULL or b == FULL:
+            e = self.mass[qp if a == FULL else q]
+        else:
+            e = Enclosure(Fraction(0), min(Fraction(1), 2 * min(
+                self.psi[q].hi, self.psi[qp].hi)))
+        CD = math.lcm(e.lo.denominator, e.hi.denominator)
+        return (e.lo.numerator * (CD // e.lo.denominator),
+                e.hi.numerator * (CD // e.hi.denominator), CD)
 
     def pair_measure(self, q: int, qp: int) -> Enclosure:
-        return aq_pair_measure(self.radius(q), self.radius(qp), q, qp,
-                               self.g, self.gslack)
+        """|A_q intersect A_q'| as an enclosure."""
+        lo, hi, CD = self.pair_raw(q, qp)
+        return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
+
+    def units(self, e: Enclosure) -> tuple:
+        """A measure as a summand: (lo, lo) in exact mode, else the bounds
+        on the 2^-192 grid rounded outward."""
+        if self.exact:
+            return e.lo, e.lo
+        return ((e.lo.numerator << SHIFT) // e.lo.denominator,
+                -((-e.hi.numerator << SHIFT) // e.hi.denominator))
+
+    def total(self, lo, hi) -> Enclosure:
+        """The enclosure of a sum of `units`."""
+        if self.exact:
+            return Enclosure(Fraction(lo), Fraction(lo))
+        return Enclosure(Fraction(max(lo, 0), 1 << SHIFT),
+                         Fraction(hi, 1 << SHIFT))
+
+    def row(self, q: int) -> tuple:
+        """The sum over q' < q of |A_q intersect A_q'|, in `units`."""
+        lo = hi = 0
+        den = 1                       # exact mode: the sum is lo/den
+        for qp in range(1, q):
+            lo_i, hi_i, CD = self.pair_raw(q, qp)
+            if self.exact:
+                m = math.lcm(den, CD)
+                lo, den = lo * (m // den) + lo_i * (m // CD), m
+            else:
+                lo += (lo_i << SHIFT) // CD
+                hi -= (-hi_i << SHIFT) // CD
+        if self.exact:
+            lo = hi = Fraction(lo, den)   # one reduction per row
+        return lo, hi
 
 
 def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
@@ -358,28 +394,13 @@ def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
     """
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    fam = AqFamily(psi, gamma, bits=bits)
-    radii = {q: fam.radius(q) for q in range(1, Q + 1)}
-    if fam.gslack == 0 and all(radii[q].is_exact for q in radii):
-        total = Fraction(0)
-        for q in range(2, Q + 1):
-            for qp in range(1, q):
-                lo_i, _, CD = aq_pair_measure_raw(radii[q], radii[qp], q, qp,
-                                                  fam.g, fam.gslack)
-                total += Fraction(lo_i, CD)
-        return Enclosure(total, total)
-    shift = 192
-    scale = 1 << shift
-    lo_acc = 0
-    hi_acc = 0
+    fam = AqFamily(psi, gamma, Q, bits=bits)
+    lo = hi = 0
     for q in range(2, Q + 1):
-        rq = radii[q]
-        for qp in range(1, q):
-            lo_i, hi_i, CD = aq_pair_measure_raw(rq, radii[qp], q, qp,
-                                                 fam.g, fam.gslack)
-            lo_acc += (lo_i * scale) // CD
-            hi_acc += -((-hi_i * scale) // CD)
-    return Enclosure(Fraction(max(lo_acc, 0), scale), Fraction(hi_acc, scale))
+        dlo, dhi = fam.row(q)
+        lo += dlo
+        hi += dhi
+    return fam.total(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +459,8 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
     if case == "I":
         m = (qp - q) // r
         if isinstance(gamma, RealParam) and gamma.is_irrational:
-            fe = FormEvaluator([gamma], 0, cap=cap)
-            cmpres = fe.dist_compare([m], Fraction(delta, r))
+            cmpres = _gamma_evaluator(gamma, cap).dist_compare(
+                [m], Fraction(delta, r))
         else:
             gv = gamma.value if isinstance(gamma, RealParam) else Fraction(gamma)
             x = gv * m
@@ -456,8 +477,11 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
     else:
         bound = 4 * (1 + C0 / (2 * H)) * pq * pqp
 
+    rho, rhop = _radius(psi_q, q), _radius(psi_qp, qp)
     for b in precision_ladder(bits, cap):
-        meas = AqFamily(psi, gamma, bits=b).pair_measure(q, qp)
+        lo_i, hi_i, CD = aq_pair_measure_raw(rho, rhop, q, qp,
+                                             _gamma_pin(gamma, b))
+        meas = Enclosure(Fraction(lo_i, CD), Fraction(hi_i, CD))
         if meas.hi <= bound:
             verdict = True
             break

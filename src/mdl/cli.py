@@ -73,6 +73,16 @@ def _parse_range(text) -> list:
     return [int(text)]
 
 
+def _positive_int(text) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 REQUIRED = {"required": True}
 SWITCH = {"action": "store_true"}
 REAL = _grammar(parse_param)
@@ -115,7 +125,7 @@ FLAGS = {
     "samples": {**REQUIRED, "type": int, "help": "number of samples"},
     "H-prime": {**REQUIRED, "help": "height H'"},
     # common flags
-    "precision-bits": {"type": int, "default": DEFAULT_PRECISION_CAP,
+    "precision-bits": {"type": _positive_int, "default": DEFAULT_PRECISION_CAP,
                        "help": "precision cap in bits"},
     "threads": {"type": int, "default": 1, "help": "worker processes"},
     "seed": {"type": int, "default": 2026, "help": "Monte-Carlo seed"},
@@ -178,7 +188,8 @@ def _with_config(argv: list) -> list:
             path = arg.partition("=")[2]
     if path is None or argv[0] not in COMMANDS:
         return argv
-    flags = {f.replace("-", "_"): f for f in COMMANDS[argv[0]].flags}
+    cmd = COMMANDS[argv[0]]
+    flags = {f.replace("-", "_"): f for f in cmd.flags}
     from_file = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -191,11 +202,31 @@ def _with_config(argv: list) -> list:
             key, value = key.strip().replace("-", "_"), value.strip()
             if key not in flags:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            problem = _bad_value({**FLAGS[flags[key]],
+                                  **cmd.overrides.get(flags[key], {})}, value)
+            if problem:
+                raise ConfigError(f"{path}:{lineno}: argument --{flags[key]}: {problem}")
             if FLAGS[flags[key]].get("action") != "store_true":
                 from_file.append(f"--{flags[key]}={value}")
             elif value.lower() in ("1", "true", "yes"):
                 from_file.append(f"--{flags[key]}")
     return argv[:1] + from_file + argv[1:]
+
+
+def _bad_value(spec: dict, value: str):
+    """argparse's complaint about `value` for the flag declared by `spec`,
+    or None: a config-file value is checked where its line is known."""
+    convert = spec.get("type", str)
+    try:
+        value = convert(value)
+    except argparse.ArgumentTypeError as e:
+        return str(e)
+    except (TypeError, ValueError):
+        return f"invalid {convert.__name__} value: {value!r}"
+    choices = spec.get("choices", (value,))
+    if value not in choices:
+        return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+    return None
 
 
 # ---------------------------------------------------------------------------

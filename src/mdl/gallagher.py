@@ -23,8 +23,8 @@ import numpy as np
 from . import arith
 from .cfrac import omega_schedule, omega_schedule_lemma3
 from .circlesets import (
+    AqFamily,
     CircleSet,
-    aq_pair_measure_raw,
     build_Aq,
     union as arc_union,
 )
@@ -603,57 +603,24 @@ def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
     if Q < 2:
         raise ValueError("Q must be >= 2")
     values, undecided = _radius_table(psi_or_pp, Q, cap)
-    gq = gamma if isinstance(gamma, RealParam) else RealParam.rational(Fraction(gamma))
-    if gq.is_rational:
-        g, gslack = gq.value % 1, Fraction(0)
-    else:
-        e = gq.enclosure(bits)
-        g, gslack = e.mid % 1, e.width / 2
-
-    exact_mode = gslack == 0 and all(v.is_exact for v in values.values())
-    shift = 192
-    scale = 1 << shift
-
-    def clamp_measure(v: Enclosure) -> Enclosure:
-        return Enclosure(min(Fraction(1), 2 * v.lo), min(Fraction(1), 2 * v.hi))
-
+    fam = AqFamily(values, gamma, Q, bits=bits)
     mass_list = []
     pair_list = []
-    mass_lo = Fraction(0)
-    mass_hi = Fraction(0)
-    pair_lo_acc = 0
-    pair_hi_acc = 0
-    pair_lo_fr = Fraction(0)
-    full = {q: 2 * values[q].lo >= 1 for q in values}
-    radii = {q: values[q] * Fraction(1, q) for q in values}
-
+    mass_lo = mass_hi = Fraction(0)
+    pair_lo = pair_hi = 0
     mark = checkpoint_every if checkpoint_every > 0 else 1
     for q in range(1, Q + 1):
-        mq = clamp_measure(values[q])
+        mq = fam.mass[q]
         mass_lo += mq.lo
         mass_hi += mq.hi
-        # diagonal |A_q ∩ A_q| = |A_q|
-        if exact_mode:
-            pair_lo_fr += mq.lo
-        else:
-            pair_lo_acc += (mq.lo.numerator * scale) // mq.lo.denominator
-            pair_hi_acc += -((-mq.hi.numerator * scale) // mq.hi.denominator)
-        for qp in range(1, q):
-            inter = _pair_measure_clamped(radii, values, full, q, qp, g, gslack)
-            if exact_mode:
-                pair_lo_fr += 2 * inter.lo
-            else:
-                pair_lo_acc += 2 * ((inter.lo.numerator * scale)
-                                    // inter.lo.denominator)
-                pair_hi_acc += 2 * (-((-inter.hi.numerator * scale)
-                                      // inter.hi.denominator))
+        # the diagonal |A_q ∩ A_q| = |A_q|, and each q' < q twice
+        dlo, dhi = fam.units(mq)
+        rlo, rhi = fam.row(q)
+        pair_lo += dlo + 2 * rlo
+        pair_hi += dhi + 2 * rhi
         if q % mark == 0 or q == Q:
             mass_list.append(Enclosure(mass_lo, mass_hi))
-            if exact_mode:
-                pair_list.append(Enclosure(pair_lo_fr, pair_lo_fr))
-            else:
-                pair_list.append(Enclosure(Fraction(max(pair_lo_acc, 0), scale),
-                                           Fraction(pair_hi_acc, scale)))
+            pair_list.append(fam.total(pair_lo, pair_hi))
     num = mass_list[-1]
     den = pair_list[-1]
     if den.hi <= 0:
@@ -663,24 +630,6 @@ def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
     hi = num_sq.hi / den.lo if den.lo > 0 else Fraction(1)
     ratio = Enclosure(lo, min(hi, Fraction(1)) if lo <= 1 else hi)
     return BCSeries(Q, mass_list, pair_list, ratio, undecided)
-
-
-def _pair_measure_clamped(radii, values, full, q, qp, g, gslack) -> Enclosure:
-    vq, vqp = values[q], values[qp]
-    if vq.hi == 0 or vqp.hi == 0:
-        return Enclosure.exact(0)
-    if full[q] or full[qp]:
-        other = vqp if full[q] else vq
-        m = Enclosure(min(Fraction(1), 2 * other.lo), min(Fraction(1), 2 * other.hi))
-        if full[q] and full[qp]:
-            return Enclosure.exact(1)
-        return m
-    if 2 * vq.hi >= 1 or 2 * vqp.hi >= 1:
-        # possibly-full but not certainly: bracket crudely
-        cap_m = min(Fraction(1), 2 * min(vq.hi, vqp.hi))
-        return Enclosure(Fraction(0), cap_m)
-    lo_i, hi_i, CD = aq_pair_measure_raw(radii[q], radii[qp], q, qp, g, gslack)
-    return Enclosure(Fraction(lo_i, CD), Fraction(hi_i, CD))
 
 
 def union_series(psi_or_pp, gamma, Q0: int, Q: int, bits: int = 64,
@@ -804,6 +753,12 @@ class _HitSweep:
         return HitResult(count, undecided + len(self.undecided_q),
                          list(self.degenerate))
 
+    @cached_property
+    def _gamma_form(self) -> FormEvaluator:
+        """The exact path's evaluator: ||q x - gamma|| is the form -gamma
+        shifted by q x, with gamma pinned once per precision per sweep."""
+        return FormEvaluator([self.gamma], 0, cap=self.cap)
+
     def _exact_hit(self, q: int, x: Fraction) -> Optional[bool]:
         t = self._exact_thresholds.get(q)
         if t is None:
@@ -816,9 +771,8 @@ class _HitSweep:
             if d >= t.hi:
                 return False
             return None if not t.is_exact else d < t.lo
-        fe = FormEvaluator([self.gamma], q * x, cap=self.cap)
         for bits in precision_ladder(128, self.cap):
-            d = fe.dist_enclosure((-1,), bits)
+            d = self._gamma_form.dist_enclosure((-1,), bits, shift=q * x)
             if d.hi < t.lo:
                 return True
             if d.lo >= t.hi:
@@ -935,6 +889,8 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     the syntactic witness (1, -1).  H' must exceed 2 for the union bound to
     converge.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     Hp = Fraction(H_prime)
     if Hp <= 2:
         raise ValueError("H' must be larger than 2")

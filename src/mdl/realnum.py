@@ -678,29 +678,37 @@ class FormEvaluator:
             table = self._tables[bits] = (pins, off_lo, off_err)
         return table
 
-    def frac_window(self, coeffs: Sequence[int], bits: int | None = None):
-        """(s, err, scale_bits): the signed fractional part of the form,
-        scaled by 2^scale_bits, lies within err of s (modulo 2^scale_bits),
-        with s in (-2^(scale_bits-1), 2^(scale_bits-1)]."""
+    def frac_window(self, coeffs: Sequence[int], bits: int | None = None,
+                    shift: RationalLike = 0):
+        """(s, err, scale_bits): the signed fractional part of the form plus
+        `shift`, scaled by 2^scale_bits, lies within err of s (modulo
+        2^scale_bits), with s in (-2^(scale_bits-1), 2^(scale_bits-1)]."""
         b = self.bits if bits is None else bits
         pins, acc, err = self.pin(b)
+        scale = 1 << b
+        if shift:
+            v = shift * scale
+            fl = math.floor(v)
+            acc += fl
+            err += v != fl
         for k, (pin, spread) in zip(coeffs, pins):
             acc += k * pin
             err += abs(k) * spread
-        scale = 1 << b
         m = acc % scale
         return (m if 2 * m <= scale else m - scale), err, b
 
-    def dist_window(self, coeffs: Sequence[int], bits: int | None = None):
+    def dist_window(self, coeffs: Sequence[int], bits: int | None = None,
+                    shift: RationalLike = 0):
         """(d_lo, d_hi, scale_bits): rigorous integer window for
-        ||sum k_i x_i + c|| scaled by 2^scale_bits."""
-        s, err, b = self.frac_window(coeffs, bits)
+        ||sum k_i x_i + c + shift|| scaled by 2^scale_bits."""
+        s, err, b = self.frac_window(coeffs, bits, shift)
         d = abs(s)
         # distance to nearest integer is 1-Lipschitz in the argument
         return max(0, d - err), min((1 << b) >> 1, d + err), b
 
-    def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None) -> Enclosure:
-        lo, hi, b = self.dist_window(coeffs, bits)
+    def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None,
+                       shift: RationalLike = 0) -> Enclosure:
+        lo, hi, b = self.dist_window(coeffs, bits, shift)
         scale = 1 << b
         return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 

@@ -10,7 +10,7 @@ from mdl.circlesets import (
     CircleSet,
     IntersectionReport,
     PsiRangeError,
-    aq_pair_measure,
+    aq_pair_measure_raw,
     build_Aq,
     intersect,
     master_check,
@@ -106,6 +106,15 @@ def test_serialization_round_trip():
     assert CircleSet.from_endpoint_pairs(pairs).arcs == s.arcs
 
 
+def aq_pair_measure(rho, rhop, q, qp, g, gslack):
+    """The kernel on radius bounds rho, rho' and {gamma} = g within gslack."""
+    ints = lambda e: (e.lo.numerator, e.lo.denominator,
+                      e.hi.numerator, e.hi.denominator)
+    pin = (g.numerator, g.denominator, gslack.numerator, gslack.denominator)
+    lo, hi, CD = aq_pair_measure_raw(ints(rho), ints(rhop), q, qp, pin)
+    return Enclosure(F(lo, CD), F(hi, CD))
+
+
 def test_fast_pair_measure_matches_sweep(sqrt2):
     """The windowed center-difference route equals the generic arc sweep
     exactly on rational data, including fat arcs with antipodal overlap."""
@@ -143,7 +152,7 @@ def test_pair_measure_slack_brackets_truth():
 
 def test_intersection_measure_capped():
     rng = random.Random(13)
-    fam = AqFamily(lambda q: F(1, 4 * q), RealParam.sqrt(3))
+    fam = AqFamily(lambda q: F(1, 4 * q), RealParam.sqrt(3), 60)
     for _ in range(60):
         q = rng.randint(2, 60)
         qp = rng.randint(1, q - 1)
@@ -208,7 +217,6 @@ def test_master_check_irrational(sqrt2, golden):
 
 def test_master_zero_indicator_means_empty(sqrt2):
     """When the indicator vanishes in case I, the intersection is empty."""
-    fam = AqFamily(lambda q: F(1, 4 * q), sqrt2)
     found = 0
     for q in range(2, 60):
         for qp in range(1, q):

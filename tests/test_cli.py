@@ -271,3 +271,30 @@ def test_mc_survey_writes_denominators_past_4300_digits(fmt):
     else:
         dens = [r["value_den"] for r in json.loads(out)]
     assert max(len(d) for d in dens) > 4300
+
+
+@pytest.mark.parametrize("bits", ["-5", "0"])
+def test_precision_bits_must_be_positive(bits, capsys):
+    assert main(["disc", "--alpha", "sqrt:2", "--Q", "5",
+                 "--precision-bits", bits]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: argument --precision-bits: expected a positive integer, got '{bits}'" in err
+
+
+def test_doubly_metric_without_samples_is_a_config_error(capsys):
+    assert main(["doubly-metric", "--gamma", "sqrt:2", "--H-prime", "3",
+                 "--N", "5", "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: samples must be >= 1" in captured.err
+
+
+def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    argv = ["pairs", "--psi", "overq:1/4", "--gamma", "sqrt:2", "--config", str(cfg)]
+    cfg.write_text("# pair sum\nQ=abc\n")
+    assert main(argv) == 1
+    assert f"{cfg}:2: argument --Q: invalid int value: 'abc'" in capsys.readouterr().err
+    cfg.write_text("Q=4\nformat=xml\n")
+    assert main(argv) == 1
+    assert f"{cfg}:2: argument --format: invalid choice: 'xml'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mdl.gallagher import (
     ApproxFunction,
     FibreContext,
+    HitResult,
     NotADivisor,
     PsiPrime,
     SupportState,
@@ -414,3 +416,31 @@ def test_doubly_metric_witnesses_verify(sqrt2):
         h = max(abs(k1), abs(k2))
         assert dist <= h**-3 + 1e-12
         assert k1 != 0 and k2 != 0 and 2 <= h <= 8
+
+
+@pytest.mark.parametrize("x,fibred,direct", [
+    (F(1, 3), 0, 1), (F(2, 7), 4, 2), (F(5, 11), 14, 5)])
+def test_exact_hit_pins_gamma_once(monkeypatch, sqrt2, sqrt3, x, fibred, direct):
+    """A non-dyadic sample takes the exact per-q path for every q; gamma is
+    pinned once per precision level, not once per q, and the counts are
+    those the per-q pinning gave."""
+    calls = Counter()
+    enclosure = RealParam.enclosure
+
+    def counted(self, bits):
+        if self == sqrt3:
+            calls[bits] += 1
+        return enclosure(self, bits)
+
+    monkeypatch.setattr(RealParam, "enclosure", counted)
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
+    for is_direct, count in ((False, fibred), (True, direct)):
+        calls.clear()
+        assert hit_count(x, sqrt3, pp, 300, direct=is_direct) == \
+            HitResult(count, 0, [])
+        assert calls and max(calls.values()) == 1
+
+
+def test_doubly_metric_needs_a_sample(sqrt2):
+    with pytest.raises(ValueError, match="samples"):
+        doubly_metric_sample(sqrt2, 3, 5, 0, seed=1)

@@ -1,0 +1,161 @@
+"""The pair kernel (`AqFamily`, `aq_pair_measure_raw`) against the
+independent arc sweep, and the records it feeds pinned byte for byte."""
+
+import hashlib
+import json
+import math
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdl import circlesets, gallagher
+from mdl.circlesets import (
+    AqFamily,
+    CircleSet,
+    build_Aq,
+    intersect,
+    master_check,
+    pair_sum,
+)
+from mdl.gallagher import ApproxFunction, PsiPrime
+from mdl.realnum import Enclosure, RealParam
+
+F = Fraction
+GOLDEN = Path(__file__).parent / "data" / "pair_kernel_golden.json"
+
+
+def _sets(table, g):
+    return {q: build_Aq(v, g, q) if v else CircleSet.empty()
+            for q, v in table.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 49), min_size=2, max_size=14),
+       st.sampled_from([1, 2, 3, 16, 97]), st.data())
+def test_family_matches_sweep(ks, gden, data):
+    """Rational gamma: every pair and every row equals the arc sweep
+    exactly, fat arcs (psi up to 49/100, antipodal overlap) and empty
+    sets (psi = 0) included."""
+    g = F(data.draw(st.integers(0, gden - 1)), gden)
+    table = {q: F(k, 100) for q, k in enumerate(ks, start=1)}
+    fam = AqFamily(table, g, len(ks))
+    assert fam.exact
+    sets = _sets(table, g)
+    for q in range(2, len(ks) + 1):
+        want = [intersect(sets[q], sets[qp]).measure() for qp in range(1, q)]
+        for qp, w in enumerate(want, start=1):
+            assert fam.pair_measure(q, qp) == Enclosure(w, w), (q, qp)
+        assert fam.row(q) == (sum(want), sum(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 49), min_size=2, max_size=12),
+       st.integers(0, 2**30 - 1), st.integers(6, 40))
+def test_dyadic_pin_encloses_truth(ks, k, B):
+    """gamma pinned on the 2^-B grid: each pair enclosure and the outward
+    row sum contain the measures at the true gamma."""
+    gtrue = F(k, 2**30)
+    mid = F(2 * math.floor(gtrue * 2**B) + 1, 2**(B + 1))
+    gamma = RealParam.decimal(str(mid), F(1, 2**(B + 1)))
+    table = {q: F(v, 100) for q, v in enumerate(ks, start=1)}
+    fam = AqFamily(table, gamma, len(ks))
+    assert not fam.exact
+    sets = _sets(table, gtrue)
+    lo = hi = 0
+    truth = F(0)
+    for q in range(2, len(ks) + 1):
+        for qp in range(1, q):
+            t = intersect(sets[q], sets[qp]).measure()
+            assert fam.pair_measure(q, qp).contains(t), (q, qp)
+            truth += t
+        dlo, dhi = fam.row(q)
+        lo += dlo
+        hi += dhi
+    assert fam.total(lo, hi).contains(truth)
+
+
+@pytest.mark.parametrize("gamma", [F(2, 7), RealParam.sqrt(2)])
+def test_pair_sum_is_the_sum_of_pair_measures(gamma):
+    psi = ApproxFunction.over_q(F(1, 3)).eval
+    Q = 30
+    fam = AqFamily(psi, gamma, Q)
+    ms = [fam.pair_measure(q, qp) for q in range(2, Q + 1) for qp in range(1, q)]
+    lo, hi = sum(m.lo for m in ms), sum(m.hi for m in ms)
+    total = pair_sum(psi, gamma, Q)
+    if fam.exact:
+        assert total == Enclosure(lo, hi) and lo == hi
+    else:
+        # each pair is rounded outward onto the 2^-192 grid
+        assert total.lo <= lo and hi <= total.hi
+        assert total.width - (hi - lo) <= len(ms) * F(2, 2**192)
+
+
+def test_pair_sum_of_full_sets(sqrt2):
+    """psi(q) >= 1/2 makes A_q the whole circle: each pair measures 1."""
+    assert pair_sum(lambda q: F(3, 5), sqrt2, 5) == Enclosure.exact(10)
+    assert pair_sum(lambda q: F(1, 2), F(0), 5) == Enclosure.exact(10)
+
+
+def test_master_check_pins_gamma_once_per_precision(monkeypatch, sqrt2):
+    circlesets._gamma_pin.cache_clear()
+    circlesets._gamma_evaluator.cache_clear()
+    calls = Counter()
+    enclosure = RealParam.enclosure
+
+    def counted(self, bits):
+        calls[bits] += 1
+        return enclosure(self, bits)
+
+    monkeypatch.setattr(RealParam, "enclosure", counted)
+    for q in range(2, 30):
+        for qp in range(1, q):
+            master_check(lambda n: F(1, 4 * n), sqrt2, q, qp, H=3, C0=100)
+    assert calls and max(calls.values()) == 1
+
+
+def _enc(e):
+    return [str(e.lo), str(e.hi)]
+
+
+def _series(s):
+    lists = [_enc(e) for e in s.mass] + [_enc(e) for e in s.pair_mass]
+    return {"ratio": _enc(s.ratio), "mass": _enc(s.final_mass),
+            "pair_mass": _enc(s.final_pair_mass), "undecided": s.undecided,
+            "checkpoints_sha256":
+                hashlib.sha256(json.dumps(lists).encode()).hexdigest()}
+
+
+def test_records_match_the_golden_values(sqrt2, sqrt3):
+    """bc_ratio (outward, exact, fibred, with full and empty sets),
+    pair_sum and master_check reports, as computed before the kernel took
+    integer radii: every Fraction, outward enclosures included."""
+    R0 = RealParam.rational(0)
+    psi = ApproxFunction.over_q(F(1, 4))
+    table = ApproxFunction.from_table({1: F(49, 100), 2: F(0), 3: F(1, 3),
+                                       5: F(1, 7), 7: F(49, 100)})
+    got = {
+        "bc_outward_sqrt3_60": _series(gallagher.bc_ratio(psi, sqrt3, 60)),
+        "bc_fibred_sqrt2_120": _series(gallagher.bc_ratio(
+            PsiPrime(psi, sqrt3, R0, F(1, 2)), sqrt2, 120)),
+        "bc_exact_third_60": _series(gallagher.bc_ratio(psi, F(1, 3), 60)),
+        "bc_exact_const_fat_40": _series(gallagher.bc_ratio(
+            ApproxFunction.const(F(2, 5)), F(1, 7), 40)),
+        "bc_unfibred_full_sqrt2_40": _series(gallagher.bc_ratio(
+            PsiPrime(psi, sqrt3, R0, None), sqrt2, 40)),
+        "bc_table_gaps_sqrt2_9": _series(gallagher.bc_ratio(table, sqrt2, 9)),
+        "pair_sum_sqrt2_25": _enc(pair_sum(psi.eval, sqrt2, 25)),
+        "pair_sum_third_25": _enc(pair_sum(psi.eval, F(1, 3), 25)),
+    }
+    reps = []
+    for gamma in (sqrt2, RealParam.rational(F(1, 3))):
+        for q in range(2, 21):
+            for qp in range(1, q):
+                r = master_check(psi.eval, gamma, q, qp, H=3, C0=100)
+                reps.append([r.q, r.qp, r.gcd, str(r.delta), r.case,
+                             r.indicator, _enc(r.measure), str(r.bound),
+                             r.verdict, str(r.min_C0)])
+    got["master_q20_sha256"] = hashlib.sha256(json.dumps(reps).encode()).hexdigest()
+    assert got == json.loads(GOLDEN.read_text())
