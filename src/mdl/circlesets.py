@@ -30,7 +30,6 @@ from typing import Optional, Union
 
 from .realnum import (
     DEFAULT_PRECISION_CAP,
-    Comparison,
     Enclosure,
     FormEvaluator,
     RealParam,
@@ -219,9 +218,10 @@ def _gamma_pin(gamma, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _gamma_evaluator(gamma: RealParam, cap: int) -> FormEvaluator:
+def _gamma_evaluator(gamma, cap: int) -> FormEvaluator:
     """One evaluator, and so one pin per precision, per (gamma, cap)."""
-    return FormEvaluator([gamma], 0, cap=cap)
+    g = gamma if isinstance(gamma, RealParam) else RealParam.rational(gamma)
+    return FormEvaluator([g], 0, cap=cap)
 
 
 def _radius(psi_q: Enclosure, q: int) -> tuple:
@@ -457,22 +457,13 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
 
     indicator = None
     if case == "I":
-        m = (qp - q) // r
-        if isinstance(gamma, RealParam) and gamma.is_irrational:
-            cmpres = _gamma_evaluator(gamma, cap).dist_compare(
-                [m], Fraction(delta, r))
-        else:
-            gv = gamma.value if isinstance(gamma, RealParam) else Fraction(gamma)
-            x = gv * m
-            dist = abs(x - round(x))
-            cmpres = (Comparison.LT if dist < Fraction(delta, r)
-                      else Comparison.GT if dist > Fraction(delta, r)
-                      else Comparison.EQ)
-        if cmpres == Comparison.UNDECIDED:
+        inside = _gamma_evaluator(gamma, cap).dist_below(
+            ((qp - q) // r,), Enclosure.exact(Fraction(delta, r)), closed=True)
+        if inside is None:
             return IntersectionReport(q, qp, r, delta, case, None,
                                       Enclosure(Fraction(0), Fraction(1)),
                                       Fraction(0), None)
-        indicator = 1 if cmpres in (Comparison.LT, Comparison.EQ) else 0
+        indicator = int(inside)
         bound = (2 * (2 * H + 1) * min(pq / q, pqp / qp) * r) * indicator
     else:
         bound = 4 * (1 + C0 / (2 * H)) * pq * pqp

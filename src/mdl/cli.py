@@ -69,6 +69,8 @@ def _parse_range(text) -> list:
     """'7' or '2..40' (inclusive)."""
     if ".." in text:
         a, _, b = text.partition("..")
+        if int(b) < int(a):
+            raise ValueError(f"empty range {text!r}")
         return list(range(int(a), int(b) + 1))
     return [int(text)]
 
@@ -127,7 +129,7 @@ FLAGS = {
     # common flags
     "precision-bits": {"type": _positive_int, "default": DEFAULT_PRECISION_CAP,
                        "help": "precision cap in bits"},
-    "threads": {"type": int, "default": 1, "help": "worker processes"},
+    "threads": {"type": _positive_int, "default": 1, "help": "worker processes"},
     "seed": {"type": int, "default": 2026, "help": "Monte-Carlo seed"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "config": {"help": "file of key=value lines; command-line flags win"},

@@ -25,6 +25,7 @@ from .cfrac import omega_schedule, omega_schedule_lemma3
 from .circlesets import (
     AqFamily,
     CircleSet,
+    _gamma_evaluator,
     build_Aq,
     union as arc_union,
 )
@@ -35,6 +36,9 @@ from .realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    ball_lane,
+    lane_array,
+    lane_threshold,
     log2_enclosure,
     neg_log2_enclosure,
     precision_ladder,
@@ -115,6 +119,10 @@ class ApproxFunction:
         """Smallest index where the formula is defined and psi < 1/2."""
         if self.tag == "table":
             return self.table[0][0] if self.table else 1
+        if self.tag == "const":
+            if self.c < HALF:
+                return 1
+            raise ValueError(f"psi = const:{self.c} never drops below 1/2")
         a, b, d = _FAMILY_EXPONENTS[self.tag]
         q = 1
         if b or d:
@@ -454,9 +462,7 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
     if k < 0 or l < 0:
         raise ValueError("k and l must be >= 0")
     ctx = FibreContext(pp, cap=cap)
-    gexpr_fe = None
-    if isinstance(gamma, RealParam) and gamma.is_irrational:
-        gexpr_fe = FormEvaluator([gamma], 0, cap=cap)
+    gamma_fe = _gamma_evaluator(gamma, cap)
     lo_band = -((-q) // (1 << (k + 1)))    # ceil(q / 2^(k+1))
     hi_band = q // (1 << k)
     psq, st_q = ctx.psi_prime(q)
@@ -475,38 +481,14 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
             continue
         pspq, _ = ctx.psi_prime(qp)
         delta = pspq * q + psq * qp
-        thr = delta * Fraction(1, r)
-        m = (qp - q) // r
-        if gexpr_fe is not None:
-            ind = _indicator_closed(gexpr_fe, m, thr, cap)
-        else:
-            gv = gamma.value if isinstance(gamma, RealParam) else Fraction(gamma)
-            x = gv * m
-            dist = abs(x - round(x))
-            if dist <= thr.lo:
-                ind = 1
-            elif dist > thr.hi:
-                ind = 0
-            else:
-                ind = None   # lands inside the threshold's own error bar
+        # None: the distance lands inside the threshold's own error bar
+        ind = gamma_fe.dist_below(((qp - q) // r,), delta * Fraction(1, r),
+                                  closed=True)
         if ind is None:
             undecided += 1
         elif ind:
             members.append(qp)
     return SklrResult(len(members), members, undecided)
-
-
-def _indicator_closed(fe: FormEvaluator, m: int, thr: Enclosure,
-                      cap: int) -> Optional[int]:
-    """1 iff ||m gamma|| <= thr (closed ball), decided by interval
-    separation; None when the enclosures cannot be pulled apart."""
-    for bits in precision_ladder(fe.bits, cap):
-        d = fe.dist_enclosure((m,), bits)
-        if d.hi <= thr.lo:
-            return 1
-        if d.lo > thr.hi:
-            return 0
-    return None
 
 
 def f_moment_sum(beta: RealParam, gamma_prime, omega, Q: int, l: int, K: int,
@@ -624,7 +606,7 @@ def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
     num = mass_list[-1]
     den = pair_list[-1]
     if den.hi <= 0:
-        raise ZeroDivisionError("all psi values are zero")
+        raise ValueError("all psi values are zero")
     num_sq = Enclosure(num.lo ** 2, num.hi ** 2)
     lo = num_sq.lo / den.hi
     hi = num_sq.hi / den.lo if den.lo > 0 else Fraction(1)
@@ -673,24 +655,22 @@ class HitResult:
 
 class _HitSweep:
     """Precomputed per-q thresholds for counting q <= Q with
-    ||q x - gamma|| < psi'(q), vectorized over dyadic samples x = k/2^64."""
+    ||q x - gamma|| < psi'(q), vectorized over dyadic samples x = k/2^64.
+
+    gamma is pinned once per sweep by one evaluator: its 2^64 pin feeds the
+    lane, and its ladder decides the entries that straddle a wall."""
 
     def __init__(self, gamma, pp: PsiPrime, Q: int, direct: bool,
                  cap: int = DEFAULT_PRECISION_CAP):
-        self.cap = cap
+        if Q < 1:
+            raise ValueError("Q must be >= 1")
         self.Q = Q
         gq = gamma if isinstance(gamma, RealParam) \
             else RealParam.rational(Fraction(gamma))
-        self.gamma = gq
-        ge = gq.enclosure(80) if not gq.is_rational else None
-        if ge is None:
-            gv = gq.value % 1
-            self.G = (gv.numerator * _U64) // gv.denominator
-            self.gwidth = 0 if gv.denominator & (gv.denominator - 1) == 0 \
-                and gv.denominator <= _U64 else 1
-        else:
-            self.G = math.floor(ge.lo * _U64)
-            self.gwidth = math.ceil(ge.hi * _U64) - self.G
+        self.fe = FormEvaluator([gq], 0, cap=cap)   # pinned anew per sweep
+        (G, gwidth), = self.fe.pin(64)[0]
+        # gamma enters once, not per q: (q x - gamma) 2^64 = q k - G - theta
+        self.offset = lane_array([-G])
         self.undecided_q = []
         self.degenerate = []
         thr_lo = np.zeros(Q + 1, dtype=np.uint64)
@@ -714,14 +694,12 @@ class _HitSweep:
             if t.hi == 0:
                 continue
             self._exact_thresholds[q] = t
-            thr_lo[q] = min(_U64 - 1, (t.lo.numerator * _U64) // t.lo.denominator)
-            thr_hi[q] = min(_U64 - 1, -((-t.hi.numerator * _U64)
-                                        // t.hi.denominator))
+            thr_lo[q], thr_hi[q] = lane_threshold(t)
         self.thr_lo = thr_lo
         self.thr_hi = thr_hi
         self.qs = np.arange(Q + 1, dtype=np.uint64)
-        self.margin = np.zeros(Q + 1, dtype=np.uint64)
-        self.margin[1:] = self.gwidth + 1
+        # q without a threshold get no margin, so the lane never flags them
+        self.margin = np.where(thr_hi > 0, np.uint64(gwidth + 1), np.uint64(0))
 
     def expected(self) -> Enclosure:
         lo = Fraction(0)
@@ -734,18 +712,13 @@ class _HitSweep:
         return Enclosure(lo, hi)
 
     def count_for(self, k: int) -> HitResult:
-        with np.errstate(over="ignore"):
-            # gamma enters once, not per q: (q x - gamma) 2^64 = q k - G - theta
-            M = self.qs * np.uint64(k % _U64) - np.uint64(self.G % _U64)
-            dmin = np.minimum(M, -M)  # uint64 wraparound: min(M, 2^64 - M)
-        sure = (dmin + self.margin < self.thr_lo) & (self.thr_lo > 0)
-        maybe = (dmin < self.thr_hi + self.margin) & (self.thr_hi > 0) & ~sure
-        count = int(np.sum(sure[1:]))
+        sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
+                                   self.thr_lo, self.thr_hi, closed=False)
+        count = int(np.count_nonzero(sure))
         undecided = 0
         x = Fraction(k, _U64)
-        for q in np.nonzero(maybe[1:])[0] + 1:
-            q = int(q)
-            res = self._exact_hit(q, x)
+        for q in np.nonzero(maybe)[0]:
+            res = self._exact_hit(int(q), x)
             if res is None:
                 undecided += 1
             elif res:
@@ -753,31 +726,12 @@ class _HitSweep:
         return HitResult(count, undecided + len(self.undecided_q),
                          list(self.degenerate))
 
-    @cached_property
-    def _gamma_form(self) -> FormEvaluator:
-        """The exact path's evaluator: ||q x - gamma|| is the form -gamma
-        shifted by q x, with gamma pinned once per precision per sweep."""
-        return FormEvaluator([self.gamma], 0, cap=self.cap)
-
     def _exact_hit(self, q: int, x: Fraction) -> Optional[bool]:
+        """||q x - gamma|| < psi'(q), as the form -gamma shifted by q x."""
         t = self._exact_thresholds.get(q)
         if t is None:
             return False
-        if self.gamma.is_rational:
-            v = q * x - self.gamma.value
-            d = abs(v - round(v))
-            if d < t.lo:
-                return True
-            if d >= t.hi:
-                return False
-            return None if not t.is_exact else d < t.lo
-        for bits in precision_ladder(128, self.cap):
-            d = self._gamma_form.dist_enclosure((-1,), bits, shift=q * x)
-            if d.hi < t.lo:
-                return True
-            if d.lo >= t.hi:
-                return False
-        return None
+        return self.fe.dist_below((-1,), t, closed=False, shift=q * x)
 
 
 def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
@@ -879,15 +833,12 @@ def doubly_metric_union_bound(N: int, H_prime: Fraction) -> Enclosure:
 
 
 def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
-                         seed: int, force_beta: Optional[RealParam] = None,
+                         seed: int,
                          cap: int = DEFAULT_PRECISION_CAP) -> DoublyMetricResult:
     """Fraction of sampled beta admitting a pair (k1, k2), k1 k2 != 0 and
     2 <= max(|k1|, |k2|) <= N, with ||k1 gamma + k2 beta|| <=
     max(|k1|,|k2|)^(-H'); the almost-sure complement of joint Diophantinity.
-
-    A forced beta that coincides with gamma is reported as a failure through
-    the syntactic witness (1, -1).  H' must exceed 2 for the union bound to
-    converge.
+    H' must exceed 2 for the union bound to converge.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -899,85 +850,47 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     Hp = int(Hp)
     if not gamma.is_irrational:
         raise ValueError("gamma must be irrational")
-    ge = gamma.enclosure(96)
-    scale_bits = 64
+    fe = FormEvaluator([gamma], 0, cap=cap)
+    (g_lo, g_spread), = fe.pin(64)[0]
     pairs = [(k1, k2) for k2 in range(1, N + 1)
              for k1 in list(range(-N, 0)) + list(range(1, N + 1))
              if max(abs(k1), k2) >= 2]
-    k1s = np.array([p[0] for p in pairs], dtype=np.int64)
-    k2s = np.array([p[1] for p in pairs], dtype=np.uint64)
-    # k1*gamma scaled to 2^64, with one window per pair
-    g_lo = math.floor(ge.lo * _U64)
-    g_spread = math.ceil(ge.hi * _U64) - g_lo
-    with np.errstate(over="ignore"):
-        K1G = (k1s.astype(np.uint64) * np.uint64(g_lo % _U64))
-    marg = (np.abs(k1s).astype(np.uint64) * np.uint64(g_spread)
-            + np.uint64(2))
-    heights = np.maximum(np.abs(k1s), k2s.astype(np.int64)).astype(object)
-    thr = np.array([min(_U64 - 1, _U64 // int(h) ** Hp) for h in heights],
-                   dtype=np.uint64)
-    thr_hi = thr + np.uint64(1)
+    # k1 gamma + k2 beta scaled to 2^64 is within |k1| g_spread + 2 of
+    # k1 g_lo + k2 k, with beta = k / 2^64
+    K1G = lane_array([k1 * g_lo for k1, _ in pairs])
+    k2s = lane_array([k2 for _, k2 in pairs])
+    marg = lane_array([abs(k1) * g_spread + 2 for k1, _ in pairs])
+    balls = [Enclosure.exact(Fraction(1, max(-k1, k1, k2) ** Hp))
+             for k1, k2 in pairs]
+    thr_lo, thr_hi = map(lane_array, zip(*map(lane_threshold, balls)))
 
-    fe = None
     failures = 0
     witnesses = {}
     for i in range(samples):
-        if force_beta is not None:
-            beta = force_beta
-            if fe is None:
-                fe = FormEvaluator([gamma, beta], 0, cap=cap)
-            if fe.dist_is_zero_exact((1, -1)):
-                failures += 1
-                witnesses[i] = (1, -1)
-                continue
-            be = beta.enclosure(96)
-            k = math.floor(((be.lo + be.hi) / 2 % 1) * _U64)
-            b_spread = 2
-        else:
-            k = counter_sample(seed, i)
-            b_spread = 0
-        with np.errstate(over="ignore"):
-            M = K1G + k2s * np.uint64(k)
-        dmin = np.minimum(M, -M)
-        tot_marg = marg + k2s * np.uint64(b_spread)
-        sure = dmin + tot_marg <= thr
-        maybe = (dmin <= thr_hi + tot_marg) & ~sure
-        fail = bool(np.any(sure))
+        k = counter_sample(seed, i)
+        sure, maybe, dmin = ball_lane(K1G, k2s, k, marg, thr_lo, thr_hi,
+                                      closed=True)
         witness = None
-        if fail:
+        if np.any(sure):
             idx = np.nonzero(sure)[0]
             # worst witness: smallest dist/threshold ratio
             ratios = dmin[idx].astype(np.float64) / \
-                np.maximum(thr[idx].astype(np.float64), 1.0)
+                np.maximum(thr_lo[idx].astype(np.float64), 1.0)
             j = int(idx[int(np.argmin(ratios))])
-            witness = (int(k1s[j]), int(k2s[j]))
-        elif np.any(maybe):
-            x = Fraction(k, _U64) if force_beta is None else None
+            witness = pairs[j]
+        else:
+            x = Fraction(k, _U64)
             for j in np.nonzero(maybe)[0]:
-                k1, k2 = int(k1s[j]), int(k2s[j])
-                h = max(abs(k1), k2)
-                t = Fraction(1, h ** Hp)
-                dec = _doubly_exact(gamma, force_beta, x, k1, k2, t, cap)
-                if dec:
-                    fail = True
+                k1, k2 = pairs[j]
+                if fe.dist_below((k1,), balls[j], closed=True, shift=k2 * x):
                     witness = (k1, k2)
                     break
-        if fail:
+        if witness is not None:
             failures += 1
             witnesses[i] = witness
     frac = Fraction(failures, samples)
     return DoublyMetricResult(samples, failures, frac, witnesses,
                               doubly_metric_union_bound(N, Hp))
-
-
-def _doubly_exact(gamma, force_beta, x, k1, k2, thr, cap) -> bool:
-    if force_beta is not None:
-        fe = FormEvaluator([gamma, force_beta], 0, cap=cap)
-        c = fe.dist_compare((k1, k2), thr)
-    else:
-        fe = FormEvaluator([gamma], k2 * x, cap=cap)
-        c = fe.dist_compare((k1,), thr)
-    return c in (Comparison.LT, Comparison.EQ)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ Supported parameter kinds: exact rationals, square roots of non-square
 integers, base-2 logarithms of integers that are not powers of two, the
 named constants e / pi / golden, and decimal literals with a declared
 uncertainty radius (never treated as exact).
+
+`FormEvaluator` pins parameters as scaled integers and decides distances to
+the nearest integer along one precision ladder; `ball_lane` decides many
+such distances at once on the 2^-64 grid and leaves only the entries that
+straddle a wall to `FormEvaluator.dist_below`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 
@@ -59,9 +65,10 @@ class Comparison(Enum):
     UNDECIDED = "UNDECIDED"
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of an mpmath float (binary rational) to Fraction."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+def _mpf_to_fraction(raw) -> Fraction:
+    """Exact conversion of an mpmath raw float tuple (sign, man, exp, bc)
+    to Fraction; no rounding to the global precision happens."""
+    sign, man, exp, _ = raw
     if man == 0:
         return Fraction(0)
     val = Fraction(man, 1)
@@ -301,8 +308,8 @@ def _const_enclosure(name: str, bits: int) -> Enclosure:
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = bits + 12
-        val = mpmath.iv.e if name == "e" else mpmath.iv.pi
-        return Enclosure(_mpf_to_fraction(val.a), _mpf_to_fraction(val.b))
+        lo, hi = (mpmath.iv.e if name == "e" else mpmath.iv.pi)._mpi_
+        return Enclosure(_mpf_to_fraction(lo), _mpf_to_fraction(hi))
     finally:
         mpmath.iv.prec = old
 
@@ -719,6 +726,24 @@ class FormEvaluator:
                 return None
         return self.offset + sum(coeffs[i] * v for i, v in self._rational)
 
+    def dist_below(self, coeffs: Sequence[int], t: Enclosure, closed: bool,
+                   shift: RationalLike = 0) -> Optional[bool]:
+        """Decide ||form + shift|| < t, or <= t when `closed`, for a
+        threshold known as the enclosure t: True, False, or None when the
+        distance cannot be separated from t (a rational form is decided
+        exactly, so None there means t itself straddles the distance)."""
+        v = self._rational_value(coeffs)
+        if v is not None:
+            v += shift
+            d = abs(v - math.ceil(v - HALF))
+            return _ball_verdict(d, d, 1, t, closed)
+        for bits in precision_ladder(self.bits, self.cap):
+            lo, hi, b = self.dist_window(coeffs, bits, shift)
+            verdict = _ball_verdict(lo, hi, 1 << b, t, closed)
+            if verdict is not None:
+                return verdict
+        return None
+
     def dist_is_zero_exact(self, coeffs: Sequence[int]) -> bool:
         """True iff the linear form collapses syntactically to an integer."""
         v = self._rational_value(coeffs)
@@ -743,3 +768,56 @@ class FormEvaluator:
             if Fraction(lo ** s, scale ** s) > t:
                 return Comparison.GT
         return Comparison.UNDECIDED
+
+
+def _ball_verdict(lo, hi, scale: int, t: Enclosure, closed: bool) -> Optional[bool]:
+    """Is a distance in [lo, hi]/scale below t (at most t when closed)?"""
+    below = hi <= t.lo * scale if closed else hi < t.lo * scale
+    if below:
+        return True
+    above = lo > t.hi * scale if closed else lo >= t.hi * scale
+    return False if above else None
+
+
+# ---------------------------------------------------------------------------
+# The certified uint64 lane
+# ---------------------------------------------------------------------------
+
+_U64 = 1 << 64
+#: Thresholds are clamped here: 3/4 exceeds every distance (at most 1/2) by
+#: more than any margin, and leaves room to add a margin without wrapping.
+_LANE_CLAMP = 3 << 62
+
+
+def lane_threshold(t: Enclosure) -> tuple:
+    """(floor(t.lo 2^64), ceil(t.hi 2^64)), clamped for `ball_lane`."""
+    return (min(_LANE_CLAMP, t.lo.numerator * _U64 // t.lo.denominator),
+            min(_LANE_CLAMP, -(-t.hi.numerator * _U64 // t.hi.denominator)))
+
+
+def lane_array(values) -> np.ndarray:
+    """Python integers reduced mod 2^64 into a uint64 lane operand."""
+    return np.array([v % _U64 for v in values], dtype=np.uint64)
+
+
+def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi, closed: bool):
+    """Decide ||x_i|| < t_i (<= t_i when `closed`) for many entries at once
+    on the 2^-64 grid, where x_i 2^64 is within margin_i of
+    offset_i + mult_i k (mod 2^64) and t_i 2^64 lies in [thr_lo_i, thr_hi_i]
+    (from `lane_threshold`).  The arrays are uint64 and broadcast.
+
+    Returns (sure, maybe, d): `sure` entries are certainly inside the ball;
+    `maybe` entries straddle a wall and need an exact decision; every other
+    entry is certainly outside.  d is the scaled distance of the pinned
+    value.  Margins must stay below 2^62.
+    """
+    with np.errstate(over="ignore"):
+        M = offset + mult * np.uint64(k % _U64)
+    d = np.minimum(M, -M)      # uint64 wraparound: min(M, 2^64 - M)
+    if closed:
+        sure = d + margin <= thr_lo
+        maybe = (d <= thr_hi + margin) & ~sure
+    else:
+        sure = d + margin < thr_lo
+        maybe = (d < thr_hi + margin) & ~sure
+    return sure, maybe, d

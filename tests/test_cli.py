@@ -298,3 +298,37 @@ def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
     cfg.write_text("Q=4\nformat=xml\n")
     assert main(argv) == 1
     assert f"{cfg}:2: argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("bc-ratio --psi const:3/5 --gamma rat:0 --Q 4",
+     "psi = const:3/5 never drops below 1/2"),
+    ("bc-ratio --psi table:5=1/9 --gamma rat:0 --Q 3", "all psi values are zero"),
+    ("mc-survey --psi overq:1/4 --gamma sqrt:3 --beta sqrt:2 --Q 0 --samples 3",
+     "Q must be >= 1"),
+    ("hits --psi overq:1/4 --gamma sqrt:3 --beta sqrt:2 --Q 0 --x 1/3",
+     "Q must be >= 1"),
+    ("omega --q 5..2 --c 1", "argument --q: empty range '5..2'"),
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 6 --threads -3",
+     "argument --threads: expected a positive integer, got '-3'"),
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 6 --threads 0",
+     "argument --threads: expected a positive integer, got '0'"),
+])
+def test_unusable_input_is_a_config_error(argv, message, capsys):
+    assert main(shlex.split(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+
+
+def test_const_half_pairs_keeps_its_output(capsys):
+    assert main(shlex.split("pairs --psi const:1/2 --gamma rat:0 --Q 3")) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "pair-sum,psi=const:1/2;gamma=rat:0,3,3,1,0,1,0"
+
+
+def test_cf_of_pi(capsys):
+    assert main(shlex.split("cf --alpha const:pi --terms 30")) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    quotients = [int(r[3]) for r in rows if r[0] == "cf-quotient"]
+    assert quotients[:5] == [3, 7, 15, 1, 292] and len(quotients) == 31

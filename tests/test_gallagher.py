@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdl.gallagher import (
     ApproxFunction,
@@ -24,9 +25,16 @@ from mdl.gallagher import (
     psi_prime,
     sklr_sum,
     union_series,
+    _HitSweep,
 )
 from mdl.arith import F_of
-from mdl.realnum import DependenceError, Enclosure, RealParam
+from mdl.realnum import (
+    DependenceError,
+    Enclosure,
+    FormEvaluator,
+    RealParam,
+    parse_param,
+)
 
 F = Fraction
 R0 = RealParam.rational(0)
@@ -60,6 +68,10 @@ def test_psi_families():
 def test_psi_domain_start():
     assert ApproxFunction.mono2_shape(F(1)).q0 >= 3
     assert ApproxFunction.ev_shape(F(1)).q0 >= 3
+    assert ApproxFunction.const(F(2, 5)).q0 == 1
+    for c in (F(1, 2), F(3, 5), F(7)):
+        with pytest.raises(ValueError, match="never drops below 1/2"):
+            ApproxFunction.const(c).q0
     with pytest.raises(ValueError):
         ApproxFunction.over_q(F(1, 2)).eval_checked(1)
 
@@ -238,6 +250,11 @@ def test_f_moment_k1_cross_module(sqrt2):
 # Borel-Cantelli machinery
 # ---------------------------------------------------------------------------
 
+def test_bc_ratio_of_zero_psi_is_a_value_error():
+    with pytest.raises(ValueError, match="all psi values are zero"):
+        bc_ratio(parse_psi("table:5=1/9"), F(0), 3)
+
+
 def test_bc_ratio_example():
     series = bc_ratio(ApproxFunction.const(F(1, 10)), F(0), 3)
     assert series.ratio == Enclosure.exact(F(27, 80))
@@ -379,12 +396,6 @@ def test_mc_survey_deterministic(sqrt3):
 # doubly metric sampling
 # ---------------------------------------------------------------------------
 
-def test_doubly_metric_forced_dependence(sqrt2):
-    r = doubly_metric_sample(sqrt2, 3, 10, 4, seed=3, force_beta=sqrt2)
-    assert r.fraction == 1
-    assert all(w == (1, -1) for w in r.witnesses.values())
-
-
 def test_doubly_metric_monotone_in_Hprime(sqrt2):
     base = doubly_metric_sample(sqrt2, 3, 12, 40, seed=11)
     for hp in (4, 6, 9):
@@ -444,3 +455,75 @@ def test_exact_hit_pins_gamma_once(monkeypatch, sqrt2, sqrt3, x, fibred, direct)
 def test_doubly_metric_needs_a_sample(sqrt2):
     with pytest.raises(ValueError, match="samples"):
         doubly_metric_sample(sqrt2, 3, 5, 0, seed=1)
+
+
+def test_hit_sweep_needs_a_height(sqrt2, sqrt3):
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
+    for Q in (0, -3):
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            mc_survey(sqrt3, pp, Q, 3, seed=1)
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            hit_count(F(1, 3), sqrt3, pp, Q)
+
+
+# ---------------------------------------------------------------------------
+# each uint64 lane against its exact path
+# ---------------------------------------------------------------------------
+
+_SWEEPS = {}
+_LANE_GAMMAS = ("rat:1/4", "rat:3/8", "rat:1/3", "rat:-2/7",
+                "sqrt:2", "sqrt:3", "const:golden", "log2:3")
+
+
+def _sweep(gamma, direct, c):
+    """Sweeps are built once per (gamma, direct, c) across examples."""
+    key = (gamma, direct, c)
+    if key not in _SWEEPS:
+        pp = PsiPrime(ApproxFunction.over_q(c), RealParam.sqrt(2), R0, None)
+        _SWEEPS[key] = _HitSweep(parse_param(gamma), pp, 60, direct)
+    return _SWEEPS[key]
+
+
+@given(st.sampled_from(_LANE_GAMMAS), st.booleans(),
+       st.sampled_from((F(1, 4), F(1, 2), F(3, 4))),
+       st.integers(0, 2**64 - 1))
+# q = 4 sits exactly on the wall: ||4 * 5/64 - 1/4|| = 1/16 = psi(4)
+@example("rat:1/4", True, F(1, 4), 5 << 58)
+@example("rat:1/4", False, F(1, 4), 5 << 58)
+@example("rat:1/3", True, F(1, 2), 0)
+# the pin floor(2^64/3) puts q = 1 on the grid wall 2^62, truly inside 1/4
+@example("rat:1/3", True, F(1, 4), (2**64 - 1) // 3 + 2**62)
+@settings(max_examples=80, deadline=None)
+def test_count_for_agrees_with_the_exact_path(gamma, direct, c, k):
+    """The lane's count is the exact per-q decision summed over q <= Q, for
+    dyadic and non-dyadic rational and irrational gamma; fibred thresholds
+    psi'(q) reach past 1/2."""
+    sweep = _sweep(gamma, direct, c)
+    x = F(k, 2**64)
+    exact = [sweep._exact_hit(q, x) for q in range(1, sweep.Q + 1)]
+    res = sweep.count_for(k)
+    assert res.count == exact.count(True)
+    assert res.undecided == exact.count(None) + len(sweep.undecided_q)
+    if not direct:
+        assert max(t.lo for t in sweep._exact_thresholds.values()) > F(1, 2)
+
+
+@given(st.sampled_from(("sqrt:2", "sqrt:3", "const:golden", "log2:3")),
+       st.sampled_from((3, 4)), st.integers(2, 6), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_doubly_metric_agrees_with_the_exact_path(gamma, Hp, N, seed):
+    """A sample fails exactly when some pair (k1, k2) puts k1 gamma + k2 beta
+    in the closed ball, decided pair by pair with beta as a parameter."""
+    g = parse_param(gamma)
+    r = doubly_metric_sample(g, Hp, N, 8, seed)
+    pairs = [(k1, k2) for k1 in range(-N, N + 1) for k2 in range(1, N + 1)
+             if k1 and max(abs(k1), k2) >= 2]
+    for i in range(8):
+        beta = RealParam.rational(F(counter_sample(seed, i), 2**64))
+        fe = FormEvaluator([g, beta])
+        inside = [p for p in pairs if fe.dist_below(
+            p, Enclosure.exact(F(1, max(abs(p[0]), p[1]) ** Hp)), closed=True)]
+        assert (i in r.witnesses) == bool(inside)
+        if inside:
+            assert r.witnesses[i] in inside
+    assert r.failures == len(r.witnesses)

@@ -97,6 +97,25 @@ def test_param_validation():
         RealParam.decimal("1.5", 0)
 
 
+@pytest.mark.parametrize("name", ["pi", "e"])
+@pytest.mark.parametrize("prec", [20, 53, 300])
+def test_const_enclosure_contains_the_truth(name, prec):
+    """The pi and e enclosures are exact images of mpmath's interval
+    endpoints, whatever the global mpmath precision."""
+    old = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 4000
+        sign, man, exp, _ = (+getattr(mpmath, name))._mpf_
+        truth = F(man) * F(2) ** exp
+        mpmath.mp.prec = prec
+        for bits in (64, 128, 512, 2048):
+            e = RealParam.const(name).enclosure(bits)
+            assert e.lo < truth < e.hi
+            assert e.width <= F(1, 2**bits)
+    finally:
+        mpmath.mp.prec = old
+
+
 def test_param_grammar_round_trip():
     for text in ("sqrt:2", "log2:3", "rat:3/7", "const:golden",
                  "dec:1.4142135@1e-7", "const:e", "const:pi"):
@@ -232,6 +251,20 @@ def test_form_evaluator_rational_path():
     assert fe.dist_compare((3,), F(1, 10)) == Comparison.LT
 
 
+def test_dist_below_on_the_wall():
+    """A rational form at distance exactly t is inside the closed ball and
+    outside the open one; a threshold bar around it decides nothing."""
+    fe = FormEvaluator([RealParam.rational(F(1, 3))], 0)
+    t = Enclosure.exact(F(1, 3))
+    assert fe.dist_below((1,), t, closed=True) is True
+    assert fe.dist_below((1,), t, closed=False) is False
+    assert fe.dist_below((2,), t, closed=False, shift=F(2, 3)) is False
+    assert fe.dist_below((1,), Enclosure(F(1, 4), F(1, 2)), closed=True) is None
+    irr = FormEvaluator([RealParam.sqrt(2)])
+    assert irr.dist_below((1,), Enclosure.exact(F(41, 100)), closed=False) is False
+    assert irr.dist_below((1,), Enclosure.exact(F(42, 100)), closed=True) is True
+
+
 @pytest.mark.parametrize("start, cap, levels", [
     (64, 4096, [64, 128, 256, 512, 1024, 2048, 4096]),
     (128, 1000, [128, 256, 512, 1000]),
@@ -269,3 +302,27 @@ def test_form_dependence_matches_expr(texts, coeffs, offset):
         assert fe.dist_compare(coeffs, d.lo) == Comparison.EQ
     assert fe.dist_is_zero_exact(coeffs) == (
         expr.is_rational and expr.rational_value.denominator == 1)
+
+
+@given(st.sampled_from((("sqrt:2", "rat:3/7", "sqrt:2"),
+                        ("const:golden", "rat:-5/3", "const:golden"),
+                        ("dec:1.5@1e-9", "rat:1/6", "dec:1.5@1e-9"))),
+       st.tuples(*[st.integers(-3, 3)] * 2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=20),
+       st.fractions(min_value=-2, max_value=2, max_denominator=16))
+@settings(max_examples=100, deadline=None)
+def test_dist_below_collapsed_form_on_the_wall(texts, coeffs, offset, shift):
+    """A form that collapses to a rational (the first and third parameter
+    cancel) is decided exactly, also exactly on the wall."""
+    a, b = coeffs
+    fe = FormEvaluator([parse_param(t) for t in texts], offset)
+    v = fe._rational_value((a, b, -a))
+    assert v is not None
+    v += shift
+    d = abs(v - round(v))
+    for t, closed, want in ((d, True, True), (d, False, False),
+                            (d + F(1, 97), False, True),
+                            (d - F(1, 97), True, False)):
+        if t >= 0:
+            assert fe.dist_below((a, b, -a), Enclosure.exact(t), closed,
+                                 shift=shift) is want
