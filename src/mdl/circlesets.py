@@ -31,8 +31,8 @@ from typing import Optional, Union
 from .realnum import (
     DEFAULT_PRECISION_CAP,
     Enclosure,
-    FormEvaluator,
     RealParam,
+    param_evaluator,
     precision_ladder,
 )
 
@@ -215,13 +215,6 @@ def _gamma_pin(gamma, bits: int) -> tuple:
     """(gn, gd, sn, sd): {gamma} = gn/gd within sn/sd, pinned at `bits`."""
     g, slack = _gamma_grid(gamma, bits)
     return g.numerator, g.denominator, slack.numerator, slack.denominator
-
-
-@lru_cache(maxsize=None)
-def _gamma_evaluator(gamma, cap: int) -> FormEvaluator:
-    """One evaluator, and so one pin per precision, per (gamma, cap)."""
-    g = gamma if isinstance(gamma, RealParam) else RealParam.rational(gamma)
-    return FormEvaluator([g], 0, cap=cap)
 
 
 def _radius(psi_q: Enclosure, q: int) -> tuple:
@@ -457,7 +450,7 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
 
     indicator = None
     if case == "I":
-        inside = _gamma_evaluator(gamma, cap).dist_below(
+        inside = param_evaluator(gamma, cap).dist_below(
             ((qp - q) // r,), Enclosure.exact(Fraction(delta, r)), closed=True)
         if inside is None:
             return IntersectionReport(q, qp, r, delta, case, None,

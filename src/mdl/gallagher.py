@@ -25,7 +25,6 @@ from .cfrac import omega_schedule, omega_schedule_lemma3
 from .circlesets import (
     AqFamily,
     CircleSet,
-    _gamma_evaluator,
     build_Aq,
     union as arc_union,
 )
@@ -38,9 +37,11 @@ from .realnum import (
     RealParam,
     ball_lane,
     lane_array,
+    lane_margin,
     lane_threshold,
     log2_enclosure,
     neg_log2_enclosure,
+    param_evaluator,
     precision_ladder,
     rational_power,
 )
@@ -462,7 +463,7 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
     if k < 0 or l < 0:
         raise ValueError("k and l must be >= 0")
     ctx = FibreContext(pp, cap=cap)
-    gamma_fe = _gamma_evaluator(gamma, cap)
+    gamma_fe = param_evaluator(gamma, cap)
     lo_band = -((-q) // (1 << (k + 1)))    # ceil(q / 2^(k+1))
     hi_band = q // (1 << k)
     psq, st_q = ctx.psi_prime(q)
@@ -665,9 +666,7 @@ class _HitSweep:
         if Q < 1:
             raise ValueError("Q must be >= 1")
         self.Q = Q
-        gq = gamma if isinstance(gamma, RealParam) \
-            else RealParam.rational(Fraction(gamma))
-        self.fe = FormEvaluator([gq], 0, cap=cap)   # pinned anew per sweep
+        self.fe = param_evaluator(gamma, cap)
         (G, gwidth), = self.fe.pin(64)[0]
         # gamma enters once, not per q: (q x - gamma) 2^64 = q k - G - theta
         self.offset = lane_array([-G])
@@ -699,7 +698,9 @@ class _HitSweep:
         self.thr_hi = thr_hi
         self.qs = np.arange(Q + 1, dtype=np.uint64)
         # q without a threshold get no margin, so the lane never flags them
-        self.margin = np.where(thr_hi > 0, np.uint64(gwidth + 1), np.uint64(0))
+        margin = lane_margin([gwidth + 1])
+        self.margin = None if margin is None else \
+            np.where(thr_hi > 0, margin, np.uint64(0))
 
     def expected(self) -> Enclosure:
         lo = Fraction(0)
@@ -713,7 +714,7 @@ class _HitSweep:
 
     def count_for(self, k: int) -> HitResult:
         sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
-                                   self.thr_lo, self.thr_hi, closed=False)
+                                   self.thr_lo, self.thr_hi)
         count = int(np.count_nonzero(sure))
         undecided = 0
         x = Fraction(k, _U64)
@@ -850,7 +851,7 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     Hp = int(Hp)
     if not gamma.is_irrational:
         raise ValueError("gamma must be irrational")
-    fe = FormEvaluator([gamma], 0, cap=cap)
+    fe = param_evaluator(gamma, cap)
     (g_lo, g_spread), = fe.pin(64)[0]
     pairs = [(k1, k2) for k2 in range(1, N + 1)
              for k1 in list(range(-N, 0)) + list(range(1, N + 1))
@@ -859,17 +860,18 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     # k1 g_lo + k2 k, with beta = k / 2^64
     K1G = lane_array([k1 * g_lo for k1, _ in pairs])
     k2s = lane_array([k2 for _, k2 in pairs])
-    marg = lane_array([abs(k1) * g_spread + 2 for k1, _ in pairs])
+    marg = lane_margin([abs(k1) * g_spread + 2 for k1, _ in pairs])
     balls = [Enclosure.exact(Fraction(1, max(-k1, k1, k2) ** Hp))
              for k1, k2 in pairs]
-    thr_lo, thr_hi = map(lane_array, zip(*map(lane_threshold, balls)))
+    thr = [lane_threshold(t) for t in balls]
+    thr_lo = lane_array([lo for lo, _ in thr])
+    thr_hi = lane_array([hi for _, hi in thr])
 
     failures = 0
     witnesses = {}
     for i in range(samples):
         k = counter_sample(seed, i)
-        sure, maybe, dmin = ball_lane(K1G, k2s, k, marg, thr_lo, thr_hi,
-                                      closed=True)
+        sure, maybe, dmin = ball_lane(K1G, k2s, k, marg, thr_lo, thr_hi)
         witness = None
         if np.any(sure):
             idx = np.nonzero(sure)[0]

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -726,57 +727,68 @@ class FormEvaluator:
                 return None
         return self.offset + sum(coeffs[i] * v for i, v in self._rational)
 
+    def _dist_decide(self, coeffs: Sequence[int], shift: RationalLike, verdict):
+        """The first non-None verdict(lo, hi, scale) on a window
+        [lo, hi]/scale of ||form + shift||: exact for a form that collapses
+        to a rational, else along `precision_ladder`; None at the cap."""
+        v = self._rational_value(coeffs)
+        if v is not None:
+            v += shift
+            d = abs(v - math.ceil(v - HALF))
+            return verdict(d, d, 1)
+        for bits in precision_ladder(self.bits, self.cap):
+            lo, hi, b = self.dist_window(coeffs, bits, shift)
+            answer = verdict(lo, hi, 1 << b)
+            if answer is not None:
+                return answer
+        return None
+
     def dist_below(self, coeffs: Sequence[int], t: Enclosure, closed: bool,
                    shift: RationalLike = 0) -> Optional[bool]:
         """Decide ||form + shift|| < t, or <= t when `closed`, for a
         threshold known as the enclosure t: True, False, or None when the
         distance cannot be separated from t (a rational form is decided
         exactly, so None there means t itself straddles the distance)."""
-        v = self._rational_value(coeffs)
-        if v is not None:
-            v += shift
-            d = abs(v - math.ceil(v - HALF))
-            return _ball_verdict(d, d, 1, t, closed)
-        for bits in precision_ladder(self.bits, self.cap):
-            lo, hi, b = self.dist_window(coeffs, bits, shift)
-            verdict = _ball_verdict(lo, hi, 1 << b, t, closed)
-            if verdict is not None:
-                return verdict
-        return None
+        return self._dist_decide(coeffs, shift, partial(_ball_verdict, t, closed))
 
     def dist_is_zero_exact(self, coeffs: Sequence[int]) -> bool:
         """True iff the linear form collapses syntactically to an integer."""
         v = self._rational_value(coeffs)
         return v is not None and v.denominator == 1
 
-    def dist_compare(self, coeffs: Sequence[int], t: RationalLike) -> Comparison:
-        """Decide ||form|| <=> t with escalation to the cap."""
-        return self.dist_pow_compare(coeffs, 1, t)
-
     def dist_pow_compare(self, coeffs: Sequence[int], s: int,
                          threshold: RationalLike) -> Comparison:
         """Decide ||form||^s <=> threshold (rational), s >= 1."""
         t = Fraction(threshold)
-        v = self._rational_value(coeffs)
-        if v is not None:
-            return _order(abs(v - math.ceil(v - HALF)) ** s, t)
-        for bits in precision_ladder(self.bits, self.cap):
-            lo, hi, b = self.dist_window(coeffs, bits)
-            scale = 1 << b
-            if Fraction(hi ** s, scale ** s) < t:
+
+        def verdict(lo, hi, scale):
+            ts = t * scale ** s
+            if hi ** s < ts:
                 return Comparison.LT
-            if Fraction(lo ** s, scale ** s) > t:
+            if lo ** s > ts:
                 return Comparison.GT
-        return Comparison.UNDECIDED
+            return Comparison.EQ if lo == hi else None
+
+        answer = self._dist_decide(coeffs, 0, verdict)
+        return Comparison.UNDECIDED if answer is None else answer
 
 
-def _ball_verdict(lo, hi, scale: int, t: Enclosure, closed: bool) -> Optional[bool]:
-    """Is a distance in [lo, hi]/scale below t (at most t when closed)?"""
-    below = hi <= t.lo * scale if closed else hi < t.lo * scale
-    if below:
+@lru_cache(maxsize=None)
+def param_evaluator(param, cap: int = DEFAULT_PRECISION_CAP) -> FormEvaluator:
+    """One evaluator of the single parameter `param` (a RealParam or a
+    rational), and so one pin per precision, per (param, cap)."""
+    p = param if isinstance(param, RealParam) else RealParam.rational(param)
+    return FormEvaluator([p], 0, cap=cap)
+
+
+def _ball_verdict(t: Enclosure, closed: bool, lo, hi, scale: int) -> Optional[bool]:
+    """Is a distance in [lo, hi]/scale below t (at most t when closed)?
+    Cross-multiplied, so an integer window builds no Fraction."""
+    below = hi * t.lo.denominator - t.lo.numerator * scale
+    if below < 0 or (closed and below == 0):
         return True
-    above = lo > t.hi * scale if closed else lo >= t.hi * scale
-    return False if above else None
+    above = lo * t.hi.denominator - t.hi.numerator * scale
+    return False if above > 0 or (above == 0 and not closed) else None
 
 
 # ---------------------------------------------------------------------------
@@ -800,24 +812,32 @@ def lane_array(values) -> np.ndarray:
     return np.array([v % _U64 for v in values], dtype=np.uint64)
 
 
-def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi, closed: bool):
-    """Decide ||x_i|| < t_i (<= t_i when `closed`) for many entries at once
-    on the 2^-64 grid, where x_i 2^64 is within margin_i of
-    offset_i + mult_i k (mod 2^64) and t_i 2^64 lies in [thr_lo_i, thr_hi_i]
-    (from `lane_threshold`).  The arrays are uint64 and broadcast.
+def lane_margin(values: list) -> Optional[np.ndarray]:
+    """Non-negative margins as a uint64 lane operand, or None when one
+    reaches 2^62: below that neither d + margin (d <= 2^63) nor
+    threshold + margin wraps, and a pin that wide certifies nothing."""
+    if any(v >> 62 for v in values):
+        return None
+    return np.array(values, dtype=np.uint64)
 
-    Returns (sure, maybe, d): `sure` entries are certainly inside the ball;
-    `maybe` entries straddle a wall and need an exact decision; every other
-    entry is certainly outside.  d is the scaled distance of the pinned
-    value.  Margins must stay below 2^62.
+
+def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi):
+    """Decide ||x_i|| against t_i for many entries at once on the 2^-64
+    grid, where x_i 2^64 is within margin_i - 1 of offset_i + mult_i k
+    (mod 2^64) and t_i 2^64 lies in [thr_lo_i, thr_hi_i] (from
+    `lane_threshold`).  The arrays are uint64 and broadcast; the margins
+    come from `lane_margin`, and None there makes every entry `maybe`.
+
+    Returns (sure, maybe, d): `sure` entries are certainly strictly inside
+    the ball, `maybe` entries need an exact decision, and every other entry
+    is certainly strictly outside, so the lane serves the open and the
+    closed ball alike.  d is the scaled distance of the pinned value.
     """
     with np.errstate(over="ignore"):
         M = offset + mult * np.uint64(k % _U64)
     d = np.minimum(M, -M)      # uint64 wraparound: min(M, 2^64 - M)
-    if closed:
-        sure = d + margin <= thr_lo
-        maybe = (d <= thr_hi + margin) & ~sure
-    else:
-        sure = d + margin < thr_lo
-        maybe = (d < thr_hi + margin) & ~sure
+    if margin is None:
+        return np.zeros(d.shape, bool), np.ones(d.shape, bool), d
+    sure = d + margin < thr_lo
+    maybe = (d < thr_hi + margin) & ~sure
     return sure, maybe, d

@@ -327,6 +327,14 @@ def test_const_half_pairs_keeps_its_output(capsys):
         "pair-sum,psi=const:1/2;gamma=rat:0,3,3,1,0,1,0"
 
 
+def test_doubly_metric_without_pairs_keeps_its_output(capsys):
+    argv = "doubly-metric --gamma sqrt:2 --H-prime 3 --N 1 --samples 3"
+    assert main(shlex.split(argv)) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "doubly-metric-fraction,gamma=sqrt:2;H'=3;N=1;seed=2026,3,0,1,0,1,0",
+        "doubly-metric-union-bound,gamma=sqrt:2;H'=3;N=1;seed=2026,1,4,1,0,1,0"]
+
+
 def test_cf_of_pi(capsys):
     assert main(shlex.split("cf --alpha const:pi --terms 30")) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]

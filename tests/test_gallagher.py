@@ -33,6 +33,7 @@ from mdl.realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    param_evaluator,
     parse_param,
 )
 
@@ -447,6 +448,7 @@ def test_exact_hit_pins_gamma_once(monkeypatch, sqrt2, sqrt3, x, fibred, direct)
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
     for is_direct, count in ((False, fibred), (True, direct)):
         calls.clear()
+        param_evaluator.cache_clear()
         assert hit_count(x, sqrt3, pp, 300, direct=is_direct) == \
             HitResult(count, 0, [])
         assert calls and max(calls.values()) == 1
@@ -464,6 +466,13 @@ def test_hit_sweep_needs_a_height(sqrt2, sqrt3):
             mc_survey(sqrt3, pp, Q, 3, seed=1)
         with pytest.raises(ValueError, match="Q must be >= 1"):
             hit_count(F(1, 3), sqrt3, pp, Q)
+
+
+def test_doubly_metric_without_pairs(sqrt2):
+    """N < 2 leaves no pair (k1, k2) to test, so no sample fails."""
+    r = doubly_metric_sample(sqrt2, 3, 1, 3, seed=1)
+    assert (r.failures, r.fraction, r.witnesses) == (0, 0, {})
+    assert r.union_bound == Enclosure.exact(4)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +518,7 @@ def test_count_for_agrees_with_the_exact_path(gamma, direct, c, k):
 
 
 @given(st.sampled_from(("sqrt:2", "sqrt:3", "const:golden", "log2:3")),
-       st.sampled_from((3, 4)), st.integers(2, 6), st.integers(0, 2**16))
+       st.sampled_from((3, 4)), st.integers(1, 6), st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
 def test_doubly_metric_agrees_with_the_exact_path(gamma, Hp, N, seed):
     """A sample fails exactly when some pair (k1, k2) puts k1 gamma + k2 beta
@@ -527,3 +536,36 @@ def test_doubly_metric_agrees_with_the_exact_path(gamma, Hp, N, seed):
         if inside:
             assert r.witnesses[i] in inside
     assert r.failures == len(r.witnesses)
+
+
+@pytest.mark.parametrize("gamma", ["dec:0.3@0.3", "dec:0.1@0.26"])
+def test_wide_gamma_takes_the_exact_path(gamma, sqrt2):
+    """A gamma whose 2^-64 pin spreads over 1/4 certifies nothing in the
+    lane, so every q is decided exactly and no margin wraps."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
+    g = parse_param(gamma)
+    for direct in (False, True):
+        sweep = _HitSweep(g, pp, 40, direct)
+        assert sweep.margin is None
+        for x in (F(5, 8), F(12345, 2**20)):
+            exact = [sweep._exact_hit(q, x) for q in range(1, 41)]
+            res = hit_count(x, g, pp, 40, direct=direct)
+            assert res.count == exact.count(True)
+            assert res.undecided == exact.count(None) + len(sweep.undecided_q)
+
+
+def test_count_for_sends_a_loose_pin_near_the_wall_to_the_exact_path(sqrt2):
+    """With a pin spread of about 2^35, a pinned distance one unit under the
+    threshold cannot be certified inside: the lane leaves it to the exact
+    decision, which finds it undecided."""
+    g = parse_param("dec:0.3@1e-9")
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
+    sweep = _HitSweep(g, pp, 8, direct=True)
+    (G, spread), = sweep.fe.pin(64)[0]
+    assert spread > 2**30
+    # ||x - gamma|| pinned one unit under psi(1) on the 2^-64 grid
+    k = (G - int(sweep.thr_lo[1]) + 1) % 2**64
+    exact = [sweep._exact_hit(q, F(k, 2**64)) for q in range(1, 9)]
+    assert exact[0] is None
+    res = sweep.count_for(k)
+    assert (res.count, res.undecided) == (exact.count(True), exact.count(None))

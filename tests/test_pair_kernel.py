@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdl import circlesets, gallagher
+from mdl import circlesets, gallagher, realnum
 from mdl.circlesets import (
     AqFamily,
     CircleSet,
@@ -101,7 +101,7 @@ def test_pair_sum_of_full_sets(sqrt2):
 
 def test_master_check_pins_gamma_once_per_precision(monkeypatch, sqrt2):
     circlesets._gamma_pin.cache_clear()
-    circlesets._gamma_evaluator.cache_clear()
+    realnum.param_evaluator.cache_clear()
     calls = Counter()
     enclosure = RealParam.enclosure
 

@@ -11,8 +11,11 @@ from mdl.realnum import (
     FormEvaluator,
     RealExpr,
     RealParam,
+    ball_lane,
     compare,
     frac_and_dist,
+    lane_array,
+    lane_margin,
     log2_enclosure,
     neg_log2_enclosure,
     nth_root_enclosure,
@@ -176,7 +179,7 @@ def test_rational_dist_identity(x):
 
 
 def test_compare_examples(sqrt2):
-    assert FormEvaluator([sqrt2]).dist_compare((1,), F(1, 2)) == Comparison.LT
+    assert FormEvaluator([sqrt2]).dist_pow_compare((1,), 1, F(1, 2)) == Comparison.LT
     x = RealExpr.of(RealParam.rational(F(3, 7)), 7, -3)
     assert compare(x, 0) == Comparison.EQ
     # the convergent 665857/470832 lies above sqrt(2): 665857^2 = 2*470832^2+1
@@ -238,8 +241,8 @@ def test_form_evaluator_agrees_with_exprs(sqrt2, sqrt3):
 
 def test_form_evaluator_compare(sqrt2):
     fe = FormEvaluator([sqrt2], 0)
-    assert fe.dist_compare((4,), F(1, 4)) == Comparison.GT
-    assert fe.dist_compare((2,), F(1, 2)) == Comparison.LT
+    assert fe.dist_pow_compare((4,), 1, F(1, 4)) == Comparison.GT
+    assert fe.dist_pow_compare((2,), 1, F(1, 2)) == Comparison.LT
     assert fe.dist_is_zero_exact((0,))
     # ||4 sqrt2||^4 = (4 sqrt2 - 6)^4 against 1/4
     assert fe.dist_pow_compare((4,), 4, F(1, 4)) == Comparison.LT
@@ -247,8 +250,8 @@ def test_form_evaluator_compare(sqrt2):
 
 def test_form_evaluator_rational_path():
     fe = FormEvaluator([RealParam.rational(F(1, 3))], 0)
-    assert fe.dist_compare((1,), F(1, 3)) == Comparison.EQ
-    assert fe.dist_compare((3,), F(1, 10)) == Comparison.LT
+    assert fe.dist_pow_compare((1,), 1, F(1, 3)) == Comparison.EQ
+    assert fe.dist_pow_compare((3,), 1, F(1, 10)) == Comparison.LT
 
 
 def test_dist_below_on_the_wall():
@@ -263,6 +266,18 @@ def test_dist_below_on_the_wall():
     irr = FormEvaluator([RealParam.sqrt(2)])
     assert irr.dist_below((1,), Enclosure.exact(F(41, 100)), closed=False) is False
     assert irr.dist_below((1,), Enclosure.exact(F(42, 100)), closed=True) is True
+
+
+def test_lane_margin_stops_below_a_wrap():
+    """A margin of 2^62 or more could wrap d + margin past 2^64; the lane
+    then certifies nothing and sends every entry to the exact decision."""
+    assert lane_margin([0, 2**62 - 1]).tolist() == [0, 2**62 - 1]
+    assert lane_margin([5, 2**62]) is None
+    assert lane_margin([2**70]) is None
+    thr = lane_array([2**63, 2**63])
+    sure, maybe, _ = ball_lane(lane_array([0]), lane_array([1, 2]), 3, None,
+                               thr, thr)
+    assert not sure.any() and maybe.all()
 
 
 @pytest.mark.parametrize("start, cap, levels", [
@@ -299,7 +314,7 @@ def test_form_dependence_matches_expr(texts, coeffs, offset):
     if expr.is_rational:
         assert value == expr.rational_value
         _, d = frac_and_dist(expr, 8)
-        assert fe.dist_compare(coeffs, d.lo) == Comparison.EQ
+        assert fe.dist_pow_compare(coeffs, 1, d.lo) == Comparison.EQ
     assert fe.dist_is_zero_exact(coeffs) == (
         expr.is_rational and expr.rational_value.denominator == 1)
 
