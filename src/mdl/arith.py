@@ -19,8 +19,13 @@ import numpy as np
 from .realnum import Enclosure, log2_enclosure
 
 #: Factorization below this bound uses the smallest-prime-factor sieve;
-#: beyond it Pollard-rho-class factorization (sympy) takes over.
+#: beyond it Pollard-Brent splitting with a Miller-Rabin primality test.
 DEFAULT_SIEVE_BOUND = 10 ** 7
+
+#: Miller-Rabin on the first 13 prime bases decides primality exactly below
+#: _MR_BOUND (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 class _Sieve:
@@ -47,22 +52,75 @@ _SIEVE = _Sieve()
 
 
 def factorize(q: int, sieve_bound: int = DEFAULT_SIEVE_BOUND) -> dict:
-    """Prime factorization {p: e} via sieve, or Pollard-rho-class beyond it."""
+    """Prime factorization {p: e}, primes ascending: via the sieve up to
+    `sieve_bound`, beyond it by trial division and Pollard-Brent splitting.
+    Every factor found is proved prime, which the Miller-Rabin test does
+    below 3.3e24; a larger cofactor without a small factor raises
+    ValueError."""
     if q < 1:
         raise ValueError("factorize needs q >= 1")
-    if q == 1:
-        return {}
+    out: dict = {}
     if q <= sieve_bound:
         _SIEVE.ensure(q)
-        out: dict = {}
         spf = _SIEVE.spf
         while q > 1:
             p = int(spf[q])
             out[p] = out.get(p, 0) + 1
             q //= p
         return out
-    from sympy import factorint  # heavy import, only for oversized q
-    return {int(p): int(e) for p, e in factorint(q).items()}
+    for p in _MR_BASES:
+        while q % p == 0:
+            out[p] = out.get(p, 0) + 1
+            q //= p
+    stack = [q] if q > 1 else []
+    while stack:
+        n = stack.pop()
+        if _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            d = _brent_factor(n)
+            stack += [d, n // d]
+    return dict(sorted(out.items()))
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n > 41 without a factor in _MR_BASES."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify the primality of {n}: "
+                         f"factorize is exact below {_MR_BOUND}")
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    power-of-two cycle detection (Brent, BIT 1980)."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor of {n} found")
 
 
 def divisors_of(q: int, sieve_bound: int = DEFAULT_SIEVE_BOUND) -> list:

@@ -21,6 +21,7 @@ from .realnum import (
     RealParam,
     log2_enclosure,
     neg_log2_enclosure,
+    normalize_witness,
     precision_ladder,
 )
 
@@ -132,13 +133,6 @@ class SigmaEntry:
     value: Enclosure
     witness: tuple  # (n,) for a single parameter, (k1, k2) for a pair
 
-    def verify(self, evaluator: FormEvaluator) -> bool:
-        """Re-evaluate the witness and check it reproduces the exponent."""
-        dist = evaluator.dist_enclosure(self.witness)
-        height = max(abs(k) for k in self.witness)
-        expo = _exponent_enclosure(dist, height)
-        return expo.overlaps(self.value)
-
 
 def _exponent_enclosure(dist: Enclosure, height: int, bits: int = 96) -> Enclosure:
     """-log2(dist) / log2(height) with outward rounding."""
@@ -151,18 +145,13 @@ def _exponent_enclosure(dist: Enclosure, height: int, bits: int = 96) -> Enclosu
 
 def _best_candidate(cands, fe: FormEvaluator, cap: int):
     """Max of exponent candidates with a float prefilter and rigorous
-    confirmation; ties broken by lexicographic witness."""
+    confirmation; ties broken by lexicographic witness.  Candidates still
+    tied at the cap return the hull of their enclosures, which holds the
+    maximum whichever of them attains it."""
     scored = []
-    for coeffs in cands:
-        lo, hi, b = fe.dist_window(coeffs)
-        if lo <= 0:
-            for bits in precision_ladder(512, cap):
-                lo, hi, b = fe.dist_window(coeffs, bits=bits)
-                if lo > 0:
-                    break
-            else:
-                # also catches non-syntactic dependences such as 2*sqrt2 - sqrt8
-                raise DependenceError(_normalize_witness(coeffs))
+    # DependenceError also catches non-syntactic dependences such as
+    # 2*sqrt2 - sqrt8, whose distance never separates from 0
+    for coeffs, (_, hi, b) in zip(cands, fe.positive_windows(cands)):
         height = max(abs(k) for k in coeffs)
         approx = -(math.log2(hi) - b) / math.log2(height)
         scored.append((approx, coeffs))
@@ -170,6 +159,7 @@ def _best_candidate(cands, fe: FormEvaluator, cap: int):
     best = scored[0]
     # rigorously confirm the winner against close runners-up
     best_enc = _exponent_enclosure(fe.dist_enclosure(best[1]), max(map(abs, best[1])))
+    tied = None     # hull of the enclosures of candidates tied at the cap
     for approx, coeffs in scored[1:]:
         if approx < best[0] - 1e-6:
             break
@@ -182,13 +172,17 @@ def _best_candidate(cands, fe: FormEvaluator, cap: int):
                 break
             if other.lo > cur.hi:
                 best = (approx, coeffs)
-                best_enc = other
+                best_enc = other if tied is None else _hull(tied, other)
                 break
         else:  # numerically tied at the cap; keep lexicographic winner
+            tied = best_enc = _hull(best_enc, other)
             if coeffs < best[1]:
                 best = (approx, coeffs)
-                best_enc = other
     return best_enc, best[1]
+
+
+def _hull(a: Enclosure, b: Enclosure) -> Enclosure:
+    return Enclosure(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def sigma_single(gamma: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP,
@@ -233,7 +227,7 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
     for k2 in range(1, N + 1):
         for k1 in range(-N, N + 1):
             if fe.dist_is_zero_exact((k1, k2)):
-                raise DependenceError(_normalize_witness((k1, k2)))
+                raise DependenceError(normalize_witness((k1, k2)))
     cands = []
     # (k1,k2) and (-k1,-k2) share a distance: scan k2 > 0 plus the k2 = 0 axis
     for k2 in range(1, N + 1):
@@ -243,14 +237,7 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
     for k1 in range(2, N + 1):
         cands.append((k1, 0))
     enc, witness = _best_candidate(cands, fe, cap)
-    return SigmaEntry(N, enc, _normalize_witness(witness))
-
-
-def _normalize_witness(witness):
-    """Sign-normalize to k1 > 0, or k1 == 0 with k2 > 0."""
-    if witness[0] < 0 or (witness[0] == 0 and witness[-1] < 0):
-        return tuple(-k for k in witness)
-    return tuple(witness)
+    return SigmaEntry(N, enc, normalize_witness(witness))
 
 
 # ---------------------------------------------------------------------------

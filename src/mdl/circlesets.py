@@ -34,6 +34,7 @@ from .realnum import (
     RealParam,
     param_evaluator,
     precision_ladder,
+    round_outward,
 )
 
 RationalLike = Union[int, Fraction]
@@ -125,17 +126,6 @@ class CircleSet:
             out.append([a.numerator, a.denominator])
             out.append([b.numerator, b.denominator])
         return out
-
-    @staticmethod
-    def from_endpoint_pairs(pairs, slack: RationalLike = 0) -> "CircleSet":
-        if len(pairs) % 2 != 0:
-            raise ValueError("endpoint list must pair up")
-        arcs = []
-        for i in range(0, len(pairs), 2):
-            a = Fraction(pairs[i][0], pairs[i][1])
-            b = Fraction(pairs[i + 1][0], pairs[i + 1][1])
-            arcs.append((a, b))
-        return CircleSet.from_arcs(arcs, slack)
 
 
 def intersect(s: CircleSet, t: CircleSet) -> CircleSet:
@@ -341,18 +331,13 @@ class AqFamily:
         return (e.lo.numerator * (CD // e.lo.denominator),
                 e.hi.numerator * (CD // e.hi.denominator), CD)
 
-    def pair_measure(self, q: int, qp: int) -> Enclosure:
-        """|A_q intersect A_q'| as an enclosure."""
-        lo, hi, CD = self.pair_raw(q, qp)
-        return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
-
     def units(self, e: Enclosure) -> tuple:
         """A measure as a summand: (lo, lo) in exact mode, else the bounds
         on the 2^-192 grid rounded outward."""
         if self.exact:
             return e.lo, e.lo
-        return ((e.lo.numerator << SHIFT) // e.lo.denominator,
-                -((-e.hi.numerator << SHIFT) // e.hi.denominator))
+        return round_outward(e.lo.numerator, e.lo.denominator,
+                             e.hi.numerator, e.hi.denominator, SHIFT)
 
     def total(self, lo, hi) -> Enclosure:
         """The enclosure of a sum of `units`."""

@@ -18,13 +18,13 @@ from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
     Comparison,
-    DependenceError,
     Enclosure,
     FormEvaluator,
     RealParam,
     log2_enclosure,
     precision_ladder,
     rational_power,
+    round_outward,
 )
 
 RationalLike = Union[int, Fraction]
@@ -221,49 +221,38 @@ class EtkBound:
     implied_constant: Optional[Enclosure] = None
 
 
-def _dist_positive(fe: FormEvaluator, coeffs, cap: int) -> Enclosure:
-    witness = tuple(-k for k in coeffs) if coeffs[0] < 0 else tuple(coeffs)
-    if fe.dist_is_zero_exact(coeffs):
-        raise DependenceError(witness)
-    for bits in precision_ladder(fe.bits, cap):
-        e = fe.dist_enclosure(coeffs, bits)
-        if e.lo > 0:
-            return e
-    raise DependenceError(witness)
+#: Shell sums and the bound run on the 2^-SHELL_BITS grid, rounded outward.
+SHELL_BITS = 96
 
 
-def _etk_shells_1d(fe: FormEvaluator, Hmax: int, cap: int):
+def _etk_shells_1d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h contribution (both signs k = +-h) to
-    sum 2/(|k|+1) * 2/||k alpha||, as outward-rounded enclosures."""
-    shells = []
-    for h in range(1, Hmax + 1):
-        d = _dist_positive(fe, (h,), cap)
-        term = Fraction(8, h + 1) * d.reciprocal()
-        shells.append(term.quantize(96))
-    return shells
+    sum 2/(|k|+1) * 2/||k alpha||, as outward-rounded integer pairs on the
+    2^-SHELL_BITS grid."""
+    hs = range(1, Hmax + 1)
+    windows = fe.positive_windows([(h,) for h in hs])
+    return [round_outward(8 << b, (h + 1) * hi, 8 << b, (h + 1) * lo, SHELL_BITS)
+            for h, (lo, hi, b) in zip(hs, windows)]
 
 
-def _etk_shells_2d(fe: FormEvaluator, Hmax: int, cap: int):
+def _etk_shells_2d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h: pairs with max(|k1|,|k2|) = h of
-    4/((|k1|+1)(|k2|+1)) * 2/||k1 a + k2 b||, signs folded (factor 2)."""
-    shift = 96
-    scale = 1 << shift
+    4/((|k1|+1)(|k2|+1)) * 2/||k1 a + k2 b||, signs folded (factor 2), as
+    integer pairs on the 2^-SHELL_BITS grid, each term rounded outward."""
     shells = []
     for h in range(1, Hmax + 1):
-        lo_acc = 0
-        hi_acc = 0
+        # each (k1,k2) stands for the sign pair {(k1,k2), (-k1,-k2)}
         pairs = [(k1, h) for k1 in range(-h, h + 1)]
         pairs += [(h, k2) for k2 in range(-h + 1, h)]
-        for k1, k2 in pairs:
-            d = _dist_positive(fe, (k1, k2), cap)
-            # each (k1,k2) stands for the sign pair {(k1,k2), (-k1,-k2)}
-            w = Fraction(16, (abs(k1) + 1) * (abs(k2) + 1))
-            lo_acc += (w.numerator * d.hi.denominator * scale) // \
-                (w.denominator * d.hi.numerator)
-            num = w.numerator * d.lo.denominator * scale
-            den = w.denominator * d.lo.numerator
-            hi_acc += -(-num // den)
-        shells.append(Enclosure(Fraction(lo_acc, scale), Fraction(hi_acc, scale)))
+        lo_acc = hi_acc = 0
+        for (k1, k2), (lo, hi, b) in zip(pairs, fe.positive_windows(pairs)):
+            # 16 / (w ||form||) with ||form|| in [lo, hi] / 2^b, rounded
+            # outward as `round_outward` does, inline in this hot loop
+            w = (abs(k1) + 1) * (abs(k2) + 1)
+            num = 16 << (b + SHELL_BITS)
+            lo_acc += num // (w * hi)
+            hi_acc -= -num // (w * lo)
+        shells.append((lo_acc, hi_acc))
     return shells
 
 
@@ -286,16 +275,17 @@ def etk_bound_sweep(params: Sequence[RealParam], N: int, Hmax: int,
     if N < 1 or Hmax < 1:
         raise ValueError("N and H must be >= 1")
     fe = FormEvaluator(params, 0, cap=cap)
-    if len(params) == 1:
-        shells = _etk_shells_1d(fe, Hmax, cap)
-    else:
-        shells = _etk_shells_2d(fe, Hmax, cap)
+    shells = (_etk_shells_1d if len(params) == 1 else _etk_shells_2d)(fe, Hmax)
+    terms = [Enclosure.dyadic(lo, hi, SHELL_BITS) for lo, hi in shells]
     out = []
-    acc = Enclosure.exact(0)
-    for H in range(1, Hmax + 1):
-        acc = (acc + shells[H - 1]).quantize(96)
-        total = (Fraction(9 * N, H) + acc * Fraction(9, 1))
-        out.append(EtkBound(N, H, total, tuple(shells[:H])))
+    acc_lo = acc_hi = 0
+    for H, (lo, hi) in enumerate(shells, start=1):
+        # shells sit on the 2^-SHELL_BITS grid, so their sum is exact there
+        acc_lo += lo
+        acc_hi += hi
+        total = Enclosure.dyadic(9 * acc_lo, 9 * acc_hi, SHELL_BITS) \
+            + Fraction(9 * N, H)
+        out.append(EtkBound(N, H, total, tuple(terms[:H])))
     return out
 
 

@@ -36,20 +36,25 @@ from .realnum import (
     FormEvaluator,
     RealParam,
     ball_lane,
+    exact_sum,
     lane_array,
     lane_margin,
     lane_threshold,
     log2_enclosure,
+    log2_scaled,
     neg_log2_enclosure,
     param_evaluator,
     precision_ladder,
     rational_power,
+    round_outward,
 )
 
 RationalLike = Union[int, Fraction]
 
 HALF = Fraction(1, 2)
 _U64 = 1 << 64
+#: psi family values are rounded outward onto the 2^-PSI_BITS grid.
+PSI_BITS = 96
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +159,42 @@ class ApproxFunction:
             return Enclosure.exact(self.c / q)
         if q < (3 if d else 2):
             raise ValueError(f"psi family {self.tag} undefined at q={q}")
-        lg = log2_enclosure(q, bits)
-        den = Enclosure.exact(Fraction(q ** a))
-        den = den * lg.power(int(b)) if b else den
+        # the denominator q^a lg^b llg^d lies in [den_lo, den_hi] / 2^e
+        lg_lo, lg_hi, w = log2_scaled(q, bits)
+        den_lo, den_hi, e = q ** a * lg_lo ** b, q ** a * lg_hi ** b, w * b
         if d:
-            llg = neg_log2_enclosure(Enclosure(1 / lg.hi, 1 / lg.lo), bits)
-            if llg.lo <= 0:
+            # llg = log2 lg from log2 of the reduced bounds of lg, as
+            # neg_log2_enclosure takes it of 1/lg
+            ll_lo = _log2_dyadic(lg_lo, w, bits, 0)
+            ll_hi = _log2_dyadic(lg_hi, w, bits, 1)
+            if ll_lo <= 0:
                 raise ValueError(f"psi family {self.tag} undefined at q={q}")
-            if d == Fraction(1, 2):
-                llg_pow = rational_power(llg, 1, 2, bits=bits)
-            else:
-                llg_pow = llg.power(int(d))
-            den = den * llg_pow
-        return (Enclosure.exact(self.c) / den).quantize(96)
-
-    def eval_checked(self, q: int, bits: int = 64) -> Enclosure:
-        v = self.eval(q, bits)
-        if not v.hi < HALF:
-            raise ValueError(f"psi({q}) = {v} reaches 1/2; domain starts at {self.q0}")
-        return v
+            if d == HALF:
+                # sqrt(llg) on the 2^-bits grid, as rational_power takes it
+                ll_lo = math.isqrt((ll_lo << 2 * bits) >> w)
+                ll_hi = math.isqrt((ll_hi << 2 * bits) >> w) + 1
+                w, d = bits, 1
+            den_lo *= ll_lo ** d
+            den_hi *= ll_hi ** d
+            e += w * d
+        cn, cd = self.c.numerator, self.c.denominator
+        return Enclosure.dyadic(*round_outward(
+            cn << e, cd * den_hi, cn << e, cd * den_lo, PSI_BITS), PSI_BITS)
 
     def canonical(self) -> str:
         if self.tag == "table":
             items = ",".join(f"{q}={v}" for q, v in self.table)
             return f"table:{items}"
         return f"{self.tag}:{self.c}"
+
+
+def _log2_dyadic(x: int, w: int, bits: int, upper: int) -> int:
+    """A bound on log2(x / 2^w), on the 2^-(bits+19) grid of `log2_scaled`:
+    the lower one for upper=0, else the upper one.  The dyadic x / 2^w is
+    reduced first, so its power-of-two denominator is taken off exactly."""
+    t = min((x & -x).bit_length() - 1, w)
+    scaled = log2_scaled(x >> t, bits)
+    return scaled[upper] - ((w - t) << scaled[2])
 
 
 def parse_psi(text: str) -> ApproxFunction:
@@ -330,10 +346,14 @@ class FibreContext:
             return Enclosure.exact(0), state
         if self.dist_is_zero(q):
             raise DependenceError((q,), "||q beta - g'|| vanishes")
+        lo, hi = psi_v.lo, psi_v.hi
         for bits in precision_ladder(128, self.cap):
-            d = self.dist(q, bits)
-            if d.lo > 0:
-                return (psi_v / d).quantize(128), state
+            d_lo, d_hi, b = self.fe.dist_window(self._coeffs(q), bits)
+            if d_lo > 0:
+                # psi / ||q beta - g'||, rounded outward once at 2^-128
+                return Enclosure.dyadic(*round_outward(
+                    lo.numerator << b, lo.denominator * d_hi,
+                    hi.numerator << b, hi.denominator * d_lo, 128), 128), state
         raise DependenceError((q,), "distance cannot be separated from 0")
 
     def cell_of(self, q: int) -> Optional[int]:
@@ -381,20 +401,17 @@ def divergence_sum(pp: PsiPrime, Q: int,
     memberships are excluded from the sum and counted separately."""
     ctx = FibreContext(pp, cap=cap)
     q0 = pp.psi.q0
-    lo = Fraction(0)
-    hi = Fraction(0)
-    contributing = 0
+    terms = []
     undecided = 0
     for q in range(max(1, q0), Q + 1):
         v, state = ctx.psi_prime(q)
         if state == SupportState.UNDECIDED:
             undecided += 1
-            continue
-        if v.hi > 0:
-            contributing += 1
-            lo += v.lo
-            hi += v.hi
-    return DivergenceResult(Q, Enclosure(lo, hi), contributing, undecided)
+        elif v.hi > 0:
+            terms.append(v)
+    total = Enclosure(exact_sum([v.lo for v in terms]),
+                      exact_sum([v.hi for v in terms]))
+    return DivergenceResult(Q, total, len(terms), undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +671,11 @@ class HitResult:
     #                     trivially satisfied; flagged, still counted)
 
 
+def _measure(t: Fraction):
+    """min(1, 2 t): the measure of a ball of radius t on the circle."""
+    return 1 if t >= HALF else 2 * t
+
+
 class _HitSweep:
     """Precomputed per-q thresholds for counting q <= Q with
     ||q x - gamma|| < psi'(q), vectorized over dyadic samples x = k/2^64.
@@ -703,14 +725,19 @@ class _HitSweep:
             np.where(thr_hi > 0, margin, np.uint64(0))
 
     def expected(self) -> Enclosure:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for q, t in self._exact_thresholds.items():
-            lo += min(Fraction(1), 2 * t.lo)
-            hi += min(Fraction(1), 2 * t.hi)
-        for _ in self.undecided_q:
-            hi += Fraction(1)   # undecided support: contribution in [0, 1]
-        return Enclosure(lo, hi)
+        """sum over q of min(1, 2 t_q) for the thresholds t_q; an undecided
+        support contributes [0, 1]."""
+        lo_terms = []
+        hi_terms = []
+        for t in self._exact_thresholds.values():
+            m = _measure(t.lo)
+            lo_terms.append(m)
+            # an exact threshold builds its term once, for both ends
+            hi_terms.append(m if t.is_exact else _measure(t.hi))
+        lo = exact_sum(lo_terms)
+        # list equality tries identity first: shared terms compare for free
+        hi = lo if lo_terms == hi_terms else exact_sum(hi_terms)
+        return Enclosure(lo, hi + len(self.undecided_q))
 
     def count_for(self, k: int) -> HitResult:
         sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
@@ -821,16 +848,13 @@ def doubly_metric_union_bound(N: int, H_prime: Fraction) -> Enclosure:
     Hp = Fraction(H_prime)
     if Hp.denominator == 1:
         e = int(Hp) - 1
-        v = sum(Fraction(4, k ** e) for k in range(1, N + 1))
-        return Enclosure.exact(v)
-    lo = Fraction(0)
-    hi = Fraction(0)
+        return Enclosure.exact(exact_sum([Fraction(4, k ** e)
+                                          for k in range(1, N + 1)]))
     p, s = (Hp - 1).numerator, (Hp - 1).denominator
-    for k in range(1, N + 1):
-        t = rational_power(Enclosure.exact(Fraction(k)), p, s, bits=48)
-        lo += 4 / t.hi
-        hi += 4 / t.lo
-    return Enclosure(lo, hi)
+    ts = [rational_power(Enclosure.exact(Fraction(k)), p, s, bits=48)
+          for k in range(1, N + 1)]
+    return Enclosure(exact_sum([4 / t.hi for t in ts]),
+                     exact_sum([4 / t.lo for t in ts]))
 
 
 def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,

@@ -11,10 +11,19 @@ integers, base-2 logarithms of integers that are not powers of two, the
 named constants e / pi / golden, and decimal literals with a declared
 uncertainty radius (never treated as exact).
 
-`FormEvaluator` pins parameters as scaled integers and decides distances to
-the nearest integer along one precision ladder; `ball_lane` decides many
-such distances at once on the 2^-64 grid and leaves only the entries that
-straddle a wall to `FormEvaluator.dist_below`.
+Hot loops run on integer windows, not on `Fraction`s: a window is a pair
+of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
+
+- `log2_scaled` is the integer core of `log2_enclosure`.
+- `round_outward` rounds num 2^k / den outward to ints, and
+  `Enclosure.dyadic` turns such a pair back into an enclosure.
+- `FormEvaluator` pins parameters as scaled integers and decides distances
+  to the nearest integer along one precision ladder; `dist_window` gives
+  one integer window and `positive_windows` the windows, certified
+  positive, of many coefficient vectors at once.
+- `ball_lane` decides many distances at once on the 2^-64 grid and leaves
+  only the entries that straddle a wall to `FormEvaluator.dist_below`.
+- `exact_sum` adds many rationals exactly by a pairwise tree.
 """
 
 from __future__ import annotations
@@ -100,6 +109,12 @@ class Enclosure:
         v = Fraction(value)
         return Enclosure(v, v)
 
+    @staticmethod
+    def dyadic(lo: int, hi: int, bits: int) -> "Enclosure":
+        """[lo, hi] / 2^bits."""
+        scale = 1 << bits
+        return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -173,10 +188,10 @@ class Enclosure:
         Keeps denominators bounded in long accumulations without losing
         rigor: the result contains the original interval.
         """
-        scale = 1 << bits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(math.ceil(self.hi * scale), scale)
-        return Enclosure(lo, hi)
+        lo, hi = self.lo, self.hi
+        return Enclosure.dyadic(*round_outward(
+            lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits),
+            bits)
 
     def compare(self, t: RationalLike) -> Comparison:
         t = Fraction(t)
@@ -201,6 +216,29 @@ class Enclosure:
 # Low-level rigorous kernels (integer arithmetic only)
 # ---------------------------------------------------------------------------
 
+def round_outward(lo_num: int, lo_den: int, hi_num: int, hi_den: int,
+                  k: int) -> tuple:
+    """(floor(lo_num 2^k / lo_den), ceil(hi_num 2^k / hi_den)) for positive
+    denominators: bounds lo <= hi scaled onto the 2^-k grid, rounded
+    outward.  The fractions need not be reduced."""
+    return (lo_num << k) // lo_den, -((-hi_num << k) // hi_den)
+
+
+def exact_sum(terms) -> Fraction:
+    """The exact sum of rationals, added in a pairwise tree.
+
+    Each partial sum carries a denominator close to the lcm of its own
+    terms only, so the big operations are few and balanced: binary
+    splitting (Haible & Papanikolaou, ANTS 1998).  A left-to-right sum
+    drags the full-size denominator through every addition."""
+    level = list(terms)
+    while len(level) > 1:
+        paired = [a + b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return Fraction(level[0]) if level else Fraction(0)
+
 def sqrt_enclosure(n: int, bits: int) -> Enclosure:
     """Enclosure of sqrt(n) with width <= 2^-bits, via integer isqrt."""
     scale = 1 << bits
@@ -224,8 +262,9 @@ def _log2_frac_floor(x0: int, work: int, nbits: int) -> int:
     return frac
 
 
-def log2_enclosure(n: int, bits: int) -> Enclosure:
-    """Enclosure of log2(n) with width <= 2^-bits, n >= 1, integers only.
+def log2_scaled(n: int, bits: int) -> tuple:
+    """(lo, hi, w) with log2(n) in [lo, hi] / 2^w and (hi - lo) / 2^w <=
+    2^-bits, for n >= 1; w = bits + 19.  Integers only.
 
     Splits log2(n) = k + log2(m) with m = n/2^k in [1, 2) and extracts the
     fractional bits by repeated squaring of scaled integers, truncating
@@ -234,17 +273,24 @@ def log2_enclosure(n: int, bits: int) -> Enclosure:
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
-    if n & (n - 1) == 0:
-        return Enclosure.exact(n.bit_length() - 1)
     k = n.bit_length() - 1
     nb = bits + 3
     work = nb + 16
+    if n & (n - 1) == 0:
+        return k << work, k << work, work
     x0 = (n << work) >> k          # floor(m * 2^work), m = n / 2^k in (1, 2)
-    lo = Fraction(_log2_frac_floor(x0, work, nb), 1 << nb)
-    # truncation loses at most 2^(1-work) relatively per squaring step
-    pad = Fraction(4 * nb, 1 << work) + Fraction(2, 1 << nb)
-    hi = Fraction(_log2_frac_floor(x0 + 1, work, nb), 1 << nb) + pad
-    return Enclosure(Fraction(k) + lo, Fraction(k) + min(hi, Fraction(1)))
+    lo = _log2_frac_floor(x0, work, nb) << 16
+    # truncation loses at most 2^(1-work) relatively per squaring step, so
+    # pad by 4 nb 2^-work + 2^(1-nb), and never past k + 1
+    hi = min(((_log2_frac_floor(x0 + 1, work, nb) + 2) << 16) + 4 * nb,
+             1 << work)
+    return (k << work) + lo, (k << work) + hi, work
+
+
+def log2_enclosure(n: int, bits: int) -> Enclosure:
+    """Enclosure of log2(n) with width <= 2^-bits, n >= 1 (see
+    `log2_scaled`)."""
+    return Enclosure.dyadic(*log2_scaled(n, bits))
 
 
 def nth_root_enclosure(x: Fraction, s: int, bits: int) -> Enclosure:
@@ -716,9 +762,41 @@ class FormEvaluator:
 
     def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None,
                        shift: RationalLike = 0) -> Enclosure:
-        lo, hi, b = self.dist_window(coeffs, bits, shift)
+        return Enclosure.dyadic(*self.dist_window(coeffs, bits, shift))
+
+    def positive_windows(self, vectors: Sequence[Sequence[int]]):
+        """Yield, for each coefficient vector in order, a window (lo, hi, b)
+        with 0 < lo <= ||form|| 2^b <= hi.
+
+        The table pinned at `self.bits` separates almost every vector from
+        0 in one tight loop; only the vectors it cannot separate are checked
+        for syntactic dependence and climb `precision_ladder`.
+        DependenceError names the first vector (sign-normalized) whose
+        distance is exactly 0 or cannot be separated from 0 at the cap."""
+        b = self.bits
+        pins, off, off_err = self.pin(b)
         scale = 1 << b
-        return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+        half = scale >> 1
+        for coeffs in vectors:
+            acc, err = off, off_err
+            for k, (pin, spread) in zip(coeffs, pins):
+                acc += k * pin
+                err += abs(k) * spread
+            d = acc % scale
+            if d > half:
+                d = scale - d
+            if d > err:
+                yield d - err, min(half, d + err), b
+            else:
+                yield self._positive_window(coeffs)
+
+    def _positive_window(self, coeffs: Sequence[int]) -> tuple:
+        if not self.dist_is_zero_exact(coeffs):
+            for bits in precision_ladder(self.bits, self.cap):
+                window = self.dist_window(coeffs, bits)
+                if window[0] > 0:
+                    return window
+        raise DependenceError(normalize_witness(coeffs))
 
     def _rational_value(self, coeffs: Sequence[int]) -> Optional[Fraction]:
         """The form's value if it collapses syntactically to a rational."""
@@ -760,17 +838,27 @@ class FormEvaluator:
                          threshold: RationalLike) -> Comparison:
         """Decide ||form||^s <=> threshold (rational), s >= 1."""
         t = Fraction(threshold)
+        tn, td = t.numerator, t.denominator
 
         def verdict(lo, hi, scale):
-            ts = t * scale ** s
-            if hi ** s < ts:
+            # cross-multiplied: (hi/scale)^s < t  <=>  hi^s td < tn scale^s
+            ts = tn * scale ** s
+            if hi ** s * td < ts:
                 return Comparison.LT
-            if lo ** s > ts:
+            if lo ** s * td > ts:
                 return Comparison.GT
             return Comparison.EQ if lo == hi else None
 
         answer = self._dist_decide(coeffs, 0, verdict)
         return Comparison.UNDECIDED if answer is None else answer
+
+
+def normalize_witness(coeffs: Sequence[int]) -> tuple:
+    """Sign-normalize to k1 > 0, or k1 == 0 with the last k > 0: a vector
+    and its negative give the same distance."""
+    if coeffs[0] < 0 or (coeffs[0] == 0 and coeffs[-1] < 0):
+        return tuple(-k for k in coeffs)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -803,8 +891,9 @@ _LANE_CLAMP = 3 << 62
 
 def lane_threshold(t: Enclosure) -> tuple:
     """(floor(t.lo 2^64), ceil(t.hi 2^64)), clamped for `ball_lane`."""
-    return (min(_LANE_CLAMP, t.lo.numerator * _U64 // t.lo.denominator),
-            min(_LANE_CLAMP, -(-t.hi.numerator * _U64 // t.hi.denominator)))
+    lo, hi = round_outward(t.lo.numerator, t.lo.denominator,
+                           t.hi.numerator, t.hi.denominator, 64)
+    return min(_LANE_CLAMP, lo), min(_LANE_CLAMP, hi)
 
 
 def lane_array(values) -> np.ndarray:

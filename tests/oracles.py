@@ -1,0 +1,187 @@
+"""Test-side helpers: checks that only the tests call, and the `Fraction`
+reference route of the integer-window kernels.
+
+The reference functions build, normalise and compare a `Fraction` per
+term, as the library did before its hot loops ran on integer windows.
+They are slow and independent of that rewrite, so the tests hold the
+library to them value for value."""
+
+import math
+from fractions import Fraction
+
+from mdl.cfrac import _exponent_enclosure
+from mdl.circlesets import CircleSet
+from mdl.gallagher import _FAMILY_EXPONENTS, HALF
+from mdl.realnum import (
+    DependenceError,
+    Enclosure,
+    _log2_frac_floor,
+    precision_ladder,
+    rational_power,
+)
+
+
+# ---------------------------------------------------------------------------
+# Checks that only the tests call
+# ---------------------------------------------------------------------------
+
+def eval_checked(psi, q: int, bits: int = 64) -> Enclosure:
+    """psi(q), or ValueError when it reaches 1/2."""
+    v = psi.eval(q, bits)
+    if not v.hi < HALF:
+        raise ValueError(f"psi({q}) = {v} reaches 1/2; domain starts at {psi.q0}")
+    return v
+
+
+def from_endpoint_pairs(pairs, slack=0) -> CircleSet:
+    """The inverse of `CircleSet.to_endpoint_pairs`."""
+    if len(pairs) % 2 != 0:
+        raise ValueError("endpoint list must pair up")
+    arcs = []
+    for i in range(0, len(pairs), 2):
+        a = Fraction(pairs[i][0], pairs[i][1])
+        b = Fraction(pairs[i + 1][0], pairs[i + 1][1])
+        arcs.append((a, b))
+    return CircleSet.from_arcs(arcs, slack)
+
+
+def witness_verifies(entry, evaluator) -> bool:
+    """Re-evaluate a SigmaEntry's witness and check it reproduces the
+    exponent."""
+    dist = evaluator.dist_enclosure(entry.witness)
+    height = max(abs(k) for k in entry.witness)
+    expo = _exponent_enclosure(dist, height)
+    return expo.overlaps(entry.value)
+
+
+def pair_measure(fam, q: int, qp: int) -> Enclosure:
+    """|A_q intersect A_q'| of an AqFamily as an enclosure."""
+    lo, hi, CD = fam.pair_raw(q, qp)
+    return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference route
+# ---------------------------------------------------------------------------
+
+def log2_fraction(n: int, bits: int) -> Enclosure:
+    """log2(n) from the same digit extraction, padded in Fractions."""
+    if n & (n - 1) == 0:
+        return Enclosure.exact(n.bit_length() - 1)
+    k = n.bit_length() - 1
+    nb = bits + 3
+    work = nb + 16
+    x0 = (n << work) >> k
+    lo = Fraction(_log2_frac_floor(x0, work, nb), 1 << nb)
+    pad = Fraction(4 * nb, 1 << work) + Fraction(2, 1 << nb)
+    hi = Fraction(_log2_frac_floor(x0 + 1, work, nb), 1 << nb) + pad
+    return Enclosure(Fraction(k) + lo, Fraction(k) + min(hi, Fraction(1)))
+
+
+def dist_positive(fe, coeffs, cap: int) -> Enclosure:
+    """||form|| as an enclosure with a positive lower end, by the ladder."""
+    witness = tuple(-k for k in coeffs) if coeffs[0] < 0 else tuple(coeffs)
+    if fe.dist_is_zero_exact(coeffs):
+        raise DependenceError(witness)
+    for bits in precision_ladder(fe.bits, cap):
+        e = fe.dist_enclosure(coeffs, bits)
+        if e.lo > 0:
+            return e
+    raise DependenceError(witness)
+
+
+def etk_shells_1d(fe, Hmax: int, cap: int) -> list:
+    shells = []
+    for h in range(1, Hmax + 1):
+        d = dist_positive(fe, (h,), cap)
+        term = Fraction(8, h + 1) * d.reciprocal()
+        shells.append(term.quantize(96))
+    return shells
+
+
+def etk_shells_2d(fe, Hmax: int, cap: int) -> list:
+    scale = 1 << 96
+    shells = []
+    for h in range(1, Hmax + 1):
+        lo_acc = 0
+        hi_acc = 0
+        pairs = [(k1, h) for k1 in range(-h, h + 1)]
+        pairs += [(h, k2) for k2 in range(-h + 1, h)]
+        for k1, k2 in pairs:
+            d = dist_positive(fe, (k1, k2), cap)
+            w = Fraction(16, (abs(k1) + 1) * (abs(k2) + 1))
+            lo_acc += (w.numerator * d.hi.denominator * scale) // \
+                (w.denominator * d.hi.numerator)
+            num = w.numerator * d.lo.denominator * scale
+            den = w.denominator * d.lo.numerator
+            hi_acc += -(-num // den)
+        shells.append(Enclosure(Fraction(lo_acc, scale), Fraction(hi_acc, scale)))
+    return shells
+
+
+def etk_bounds(shells, N: int) -> list:
+    """The bound enclosures 9N(1/H + shell sum) for H = 1, 2, ..."""
+    out = []
+    acc = Enclosure.exact(0)
+    for H, shell in enumerate(shells, start=1):
+        acc = (acc + shell).quantize(96)
+        out.append(Fraction(9 * N, H) + acc * Fraction(9, 1))
+    return out
+
+
+def neg_log2_fraction(x: Enclosure, bits: int) -> Enclosure:
+    """-log2 of a positive rational interval from log2 of num and den."""
+    def neg_log2(fr: Fraction, round_up: bool) -> Fraction:
+        lq = log2_fraction(fr.denominator, bits)
+        lp = log2_fraction(fr.numerator, bits)
+        return lq.hi - lp.lo if round_up else lq.lo - lp.hi
+
+    return Enclosure(neg_log2(x.hi, False), neg_log2(x.lo, True))
+
+
+def psi_eval(psi, q: int, bits: int = 64) -> Enclosure:
+    """psi(q) by Enclosure arithmetic, quantized once for the formula
+    families that take logarithms."""
+    if psi.tag not in ("ev", "mono2", "log2sq"):
+        return psi.eval(q, bits)
+    a, b, d = _FAMILY_EXPONENTS[psi.tag]
+    lg = log2_fraction(q, bits)
+    den = Enclosure.exact(Fraction(q ** a))
+    den = den * lg.power(int(b)) if b else den
+    if d:
+        llg = neg_log2_fraction(Enclosure(1 / lg.hi, 1 / lg.lo), bits)
+        if llg.lo <= 0:
+            raise ValueError(f"psi family {psi.tag} undefined at q={q}")
+        if d == Fraction(1, 2):
+            llg_pow = rational_power(llg, 1, 2, bits=bits)
+        else:
+            llg_pow = llg.power(int(d))
+        den = den * llg_pow
+    return (Enclosure.exact(psi.c) / den).quantize(96)
+
+
+def psi_prime_value(ctx, q: int) -> Enclosure:
+    """psi'(q) on the support, by Enclosure division at each rung."""
+    psi_v = psi_eval(ctx.pp.psi, q)
+    for bits in precision_ladder(128, ctx.cap):
+        d = ctx.dist(q, bits)
+        if d.lo > 0:
+            return (psi_v / d).quantize(128)
+    raise DependenceError((q,), "distance cannot be separated from 0")
+
+
+def floor_ceil(lo: Fraction, hi: Fraction, k: int) -> tuple:
+    """floor(lo 2^k) and ceil(hi 2^k) by Fraction arithmetic."""
+    return math.floor(lo * 2 ** k), math.ceil(hi * 2 ** k)
+
+
+def expected_fraction(sweep) -> Enclosure:
+    """_HitSweep.expected as a left-to-right Fraction sum."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for t in sweep._exact_thresholds.values():
+        lo += min(Fraction(1), 2 * t.lo)
+        hi += min(Fraction(1), 2 * t.hi)
+    for _ in sweep.undecided_q:
+        hi += Fraction(1)
+    return Enclosure(lo, hi)

@@ -45,6 +45,36 @@ def test_factorize_paths():
     assert math.prod(p**e for p, e in f.items()) == big
 
 
+def test_factorize_beyond_the_sieve_agrees_with_the_sieve():
+    for q in range(1, 2 * 10**5 + 1):
+        assert factorize(q, sieve_bound=1) == factorize(q), q
+
+
+P61 = 2**61 - 1     # a Mersenne prime
+
+
+@pytest.mark.parametrize("q, want", [
+    (P61, {P61: 1}),
+    (3 * P61, {3: 1, P61: 1}),
+    (999983 * 1000003, {999983: 1, 1000003: 1}),
+    (999979 * 999983, {999979: 1, 999983: 1}),
+    (1000003 * 1000033, {1000003: 1, 1000033: 1}),
+    (1000003**2, {1000003: 2}),
+    (65537**4, {65537: 4}),
+    (2**40 * 43**3, {2: 40, 43: 3}),
+    (10**12, {2: 12, 5: 12}),
+])
+def test_factorize_large(q, want):
+    assert q > 10**7
+    assert factorize(q) == want
+    assert list(factorize(q)) == sorted(want)
+
+
+def test_factorize_refuses_an_uncertified_prime():
+    with pytest.raises(ValueError, match="cannot certify"):
+        factorize(2**89 - 1)       # a prime past the deterministic range
+
+
 def test_F_examples():
     assert F_of(2).contains(F(1, 2)) and F_of(2).width <= F(1, 2**32)
     # oracle: direct mpmath summation at high precision

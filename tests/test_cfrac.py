@@ -6,6 +6,7 @@ import pytest
 
 from mdl.cfrac import (
     CFExpansion,
+    _best_candidate,
     expand,
     min_dist,
     omega_schedule,
@@ -14,6 +15,7 @@ from mdl.cfrac import (
     sigma_single,
 )
 from mdl.realnum import DependenceError, FormEvaluator, RealParam
+from oracles import witness_verifies
 
 F = Fraction
 
@@ -140,7 +142,7 @@ def test_sigma_pair_dominates_single(sqrt2, sqrt3):
 def test_sigma_pair_witness_verifies(sqrt2, sqrt3):
     entry = sigma_pair(sqrt2, sqrt3, 12)
     fe = FormEvaluator([sqrt2, sqrt3], 0)
-    assert entry.verify(fe)
+    assert witness_verifies(entry, fe)
 
 
 def test_scaling_of_witnesses(sqrt2, sqrt3):
@@ -189,3 +191,21 @@ def test_cf_invariant_determinant(sqrt2, golden):
             assert p1 * q0 - p0 * q1 == (-1) ** (k - 1)
             assert math.gcd(p1, q1) == 1
             assert q1 > q0 or k == 1
+
+
+def test_cap_tie_returns_the_hull(sqrt2, sqrt3):
+    """The exponents of (-12, 35) and (-1, 26) differ by about 2e-8, so at
+    a 31-bit cap they stay tied.  The lexicographic winner (-12, 35) is the
+    smaller one: its own enclosure misses the maximum, the hull holds
+    both."""
+    fe = FormEvaluator([sqrt2, sqrt3], 0)
+    enc, witness = _best_candidate([(-12, 35), (-1, 26)], fe, 31)
+    assert witness == (-12, 35)
+    with mpmath.workdps(60):
+        lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+        hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+        for k1, k2 in ((-12, 35), (-1, 26)):
+            v = k1 * mpmath.sqrt(2) + k2 * mpmath.sqrt(3)
+            expo = -mpmath.log(abs(v - mpmath.nint(v)), 2) \
+                / mpmath.log(max(-k1, k2), 2)
+            assert lo <= expo <= hi

@@ -19,6 +19,7 @@ from mdl.circlesets import (
     _canonicalize,
 )
 from mdl.realnum import Enclosure, RealParam
+from oracles import from_endpoint_pairs, pair_measure
 
 F = Fraction
 
@@ -103,7 +104,7 @@ def test_serialization_round_trip():
     s = build_Aq(F(1, 10), F(0), 3)
     pairs = s.to_endpoint_pairs()
     assert all(len(p) == 2 for p in pairs)
-    assert CircleSet.from_endpoint_pairs(pairs).arcs == s.arcs
+    assert from_endpoint_pairs(pairs).arcs == s.arcs
 
 
 def aq_pair_measure(rho, rhop, q, qp, g, gslack):
@@ -156,7 +157,7 @@ def test_intersection_measure_capped():
     for _ in range(60):
         q = rng.randint(2, 60)
         qp = rng.randint(1, q - 1)
-        e = fam.pair_measure(q, qp)
+        e = pair_measure(fam, q, qp)
         assert e.hi <= min(F(1, 2 * q), F(1, 2 * qp))  # min(2psi, 2psi')
 
 

@@ -36,6 +36,7 @@ from mdl.realnum import (
     param_evaluator,
     parse_param,
 )
+from oracles import eval_checked
 
 F = Fraction
 R0 = RealParam.rational(0)
@@ -74,7 +75,7 @@ def test_psi_domain_start():
         with pytest.raises(ValueError, match="never drops below 1/2"):
             ApproxFunction.const(c).q0
     with pytest.raises(ValueError):
-        ApproxFunction.over_q(F(1, 2)).eval_checked(1)
+        eval_checked(ApproxFunction.over_q(F(1, 2)), 1)
 
 
 def test_parse_psi_round_trip():

@@ -1,0 +1,129 @@
+"""ETK shells, psi families and expectation sums pinned byte for byte in
+data/shell_golden.json, as computed when each of them still built a
+`Fraction` per term.
+
+After an intended change to these values, rewrite the file from the
+current code with
+
+    PYTHONPATH=src python tests/test_shell_golden.py
+
+and say in the change log which entries moved and why."""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from mdl import discrepancy, gallagher
+from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime
+from mdl.realnum import RealParam, parse_param
+
+F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "data" / "shell_golden.json"
+
+ETK_1D = (("sqrt:2",), ("const:golden",), ("log2:3",))
+ETK_2D = (("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"))
+ETK_N, ETK_1D_H, ETK_2D_H = 1000, 300, 30
+FAMILIES = (("ev", F(1)), ("mono2", F(1)), ("log2sq", F(1, 2)))
+PSI_TOP = 3000
+LARGE_Q = (10**6 - 1, 10**6, 10**6 + 1, 2**40 - 1, 2**40, 2**40 + 1)
+
+
+def _enc(e):
+    return [str(e.lo), str(e.hi)]
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _etk(params, H):
+    sweep = discrepancy.etk_bound_sweep([parse_param(p) for p in params],
+                                        ETK_N, H)
+    return {"bounds_sha256": _digest([_enc(b.bound) for b in sweep]),
+            "shells_sha256": _digest([_enc(s) for s in sweep[-1].shell_terms]),
+            "last_bound": _enc(sweep[-1].bound),
+            "last_shell": _enc(sweep[-1].shell_terms[-1])}
+
+
+def _psi(tag, c):
+    psi = ApproxFunction._formula(tag, c)
+    q0 = psi.q0
+    return {"q0": q0,
+            "range_sha256": _digest([_enc(psi.eval(q))
+                                     for q in range(q0, PSI_TOP + 1)]),
+            "large": {str(q): _enc(psi.eval(q)) for q in LARGE_Q}}
+
+
+SQRT3 = RealParam.sqrt(3)
+R0 = RealParam.rational(0)
+SWEEPS = {
+    "direct_overq_2000": (PsiPrime(ApproxFunction.over_q(F(1, 4)), SQRT3, R0,
+                                   None), 2000, True),
+    "direct_mono2_2000": (PsiPrime(ApproxFunction.mono2_shape(F(1)), SQRT3,
+                                   R0, None), 2000, True),
+    "fibred_log2sq_1500": (PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)),
+                                    SQRT3, R0, F(1, 4)), 1500, False),
+}
+
+
+def _sweep(pp, Q, direct):
+    e = gallagher._HitSweep(SQRT3, pp, Q, direct).expected()
+    return {"expected_sha256": _digest(_enc(e)),
+            "expected_float": [float(e.lo), float(e.hi)]}
+
+
+def _psi_prime():
+    """psi' along one fibre, without and with a rational shift."""
+    rows = {}
+    for gp in (R0, RealParam.rational(F(1, 3)), RealParam.sqrt(2)):
+        pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), SQRT3, gp, F(1, 4))
+        ctx = FibreContext(pp)
+        vals = []
+        for q in range(pp.psi.q0, 1201):
+            v, state = ctx.psi_prime(q)
+            vals.append(_enc(v) + [state])
+        rows[gp.canonical()] = _digest(vals)
+        rows[gp.canonical() + ":divergence"] = _enc(
+            gallagher.divergence_sum(pp, 1200).total)
+    return rows
+
+
+def compute():
+    out = {}
+    for params in ETK_1D:
+        out["etk:" + ";".join(params)] = _etk(params, ETK_1D_H)
+    for params in ETK_2D:
+        out["etk:" + ";".join(params)] = _etk(params, ETK_2D_H)
+    for tag, c in FAMILIES:
+        out[f"psi:{tag}:{c}"] = _psi(tag, c)
+    for name, (pp, Q, direct) in SWEEPS.items():
+        out["sweep:" + name] = _sweep(pp, Q, direct)
+    out["psi_prime"] = _psi_prime()
+    out["union_bound:50:3"] = _enc(gallagher.doubly_metric_union_bound(50, 3))
+    out["union_bound:30:5/2"] = _enc(
+        gallagher.doubly_metric_union_bound(30, F(5, 2)))
+    return out
+
+
+WANT = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+@pytest.fixture(scope="module")
+def got():
+    return compute()
+
+
+@pytest.mark.parametrize("key", sorted(WANT))
+def test_matches_the_golden_value(got, key):
+    assert got[key] == WANT[key]
+
+
+def test_golden_file_covers_every_entry(got):
+    assert set(WANT) == set(got)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
