@@ -18,6 +18,12 @@ overlap is a clipped linear function of the distance, so a pair costs a
 fixed number of big-integer operations.  `gallagher.bc_ratio`, `pair_sum`
 and `master_check` all measure through it.  The generic sweep intersection
 remains available as the independent slow route.
+
+`master_check` stays on integers too: it reads psi(q) and psi(q') as
+numerator/denominator pairs, decides the case, the bound and each ladder
+rung's verdict by cross-multiplying, and its `IntersectionReport` builds
+delta, the bound, the measure and the minimal C0 as Fractions only when
+they are read.
 """
 
 from __future__ import annotations
@@ -207,10 +213,17 @@ def _gamma_pin(gamma, bits: int) -> tuple:
     return g.numerator, g.denominator, slack.numerator, slack.denominator
 
 
+def _over(x: Fraction, q: int) -> tuple:
+    """x/q as a reduced (num, den) pair: x is reduced, so gcd(num, q) is
+    the only common factor."""
+    n = x.numerator
+    g = math.gcd(n, q)
+    return n // g, x.denominator * (q // g)
+
+
 def _radius(psi_q: Enclosure, q: int) -> tuple:
-    """The bounds of psi(q)/q as (lo_num, lo_den, hi_num, hi_den)."""
-    lo, hi = Fraction(psi_q.lo, q), Fraction(psi_q.hi, q)
-    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    """The bounds of psi(q)/q as reduced (lo_num, lo_den, hi_num, hi_den)."""
+    return _over(psi_q.lo, q) + _over(psi_q.hi, q)
 
 
 def _clip_sum(t0: int, s: int, n: int, c: int) -> int:
@@ -387,16 +400,36 @@ def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
 
 @dataclass
 class IntersectionReport:
+    """One pair checked against the two-case bound.  The rational fields
+    are kept as integer pairs and built as Fractions when read."""
+
     q: int
     qp: int
     gcd: int
-    delta: Fraction                 # q psi(q') + q' psi(q)
     case: str                       # "I" (Delta < H gcd) or "II"
     indicator: Optional[int]        # case I only; None when undecided
-    measure: Enclosure
-    bound: Fraction
     verdict: Optional[bool]         # None when undecided at the cap
-    min_C0: Optional[Fraction] = None  # case II: smallest constant that works
+    delta_raw: tuple                # q psi(q') + q' psi(q) as (num, den)
+    measure_raw: tuple              # (lo, hi, CD): the measure in [lo, hi]/CD
+    bound_raw: tuple                # (num, den)
+    min_C0_raw: Optional[tuple] = None  # case II: smallest constant that works
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(*self.delta_raw)
+
+    @property
+    def measure(self) -> Enclosure:
+        lo, hi, CD = self.measure_raw
+        return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(*self.bound_raw)
+
+    @property
+    def min_C0(self) -> Optional[Fraction]:
+        return None if self.min_C0_raw is None else Fraction(*self.min_C0_raw)
 
     @property
     def holds(self) -> bool:
@@ -412,58 +445,67 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
     times the indicator of {gamma (q'-q)/gcd} landing in the closed ball of
     radius Delta/gcd.  Case II: bound = 4(1 + C0/(2H)) psi(q) psi(q').
     The indicator is decided rigorously; precision escalates until the
-    measure bars clear the bound or the cap is hit.
+    measure bars clear the bound or the cap is hit.  The case, the bound
+    and the verdict are decided on cross-multiplied integers.
     """
     if not (1 <= qp < q):
         raise ValueError("need 1 <= q' < q")
-    if H < 3:
+    if not isinstance(H, int) or H < 3:
         raise ValueError("H must be an integer >= 3")
     C0 = Fraction(C0)
-    if C0 <= 1:
+    cn, cd = C0.numerator, C0.denominator
+    if cn <= cd:
         raise ValueError("C0 must exceed 1")
     psi_q = _psi_lookup(psi, q)
     psi_qp = _psi_lookup(psi, qp)
     for v in (psi_q, psi_qp):
-        if not (v.lo > 0 and v.hi < Fraction(1, 2)):
+        # 0 < lo and hi < 1/2, on the numerators and denominators
+        if not (v.lo.numerator > 0 and 2 * v.hi.numerator < v.hi.denominator):
             raise PsiRangeError(f"psi value {v} not inside (0, 1/2)")
     if not (psi_q.is_exact and psi_qp.is_exact):
         raise ValueError("the two-case bound check needs rational psi values")
-    pq, pqp = psi_q.lo, psi_qp.lo
+    # psi(q) = pn/pd and psi(q') = pnp/pdp, both reduced
+    pn, pd = psi_q.lo.numerator, psi_q.lo.denominator
+    pnp, pdp = psi_qp.lo.numerator, psi_qp.lo.denominator
     r = math.gcd(q, qp)
-    delta = q * pqp + qp * pq
-    case = "I" if delta < H * r else "II"
+    dn, dd = q * pnp * pd + qp * pn * pdp, pd * pdp     # delta = dn/dd
 
-    indicator = None
-    if case == "I":
+    if dn < H * r * dd:
+        case = "I"
+        t = Fraction(dn, dd * r)
         inside = param_evaluator(gamma, cap).dist_below(
-            ((qp - q) // r,), Enclosure.exact(Fraction(delta, r)), closed=True)
+            ((qp - q) // r,), Enclosure(t, t), closed=True)
         if inside is None:
-            return IntersectionReport(q, qp, r, delta, case, None,
-                                      Enclosure(Fraction(0), Fraction(1)),
-                                      Fraction(0), None)
+            return IntersectionReport(q, qp, r, case, None, None, (dn, dd),
+                                      (0, 1, 1), (0, 1))
         indicator = int(inside)
-        bound = (2 * (2 * H + 1) * min(pq / q, pqp / qp) * r) * indicator
+        # min(psi(q)/q, psi(q')/q') by cross-multiplying
+        if pn * qp * pdp <= pnp * q * pd:
+            bn, bd = pn, q * pd
+        else:
+            bn, bd = pnp, qp * pdp
+        bn *= 2 * (2 * H + 1) * r * indicator
     else:
-        bound = 4 * (1 + C0 / (2 * H)) * pq * pqp
+        case, indicator = "II", None
+        bn, bd = 4 * (2 * H * cd + cn) * pn * pnp, 2 * H * cd * pd * pdp
 
     rho, rhop = _radius(psi_q, q), _radius(psi_qp, qp)
+    verdict = None
     for b in precision_ladder(bits, cap):
         lo_i, hi_i, CD = aq_pair_measure_raw(rho, rhop, q, qp,
                                              _gamma_pin(gamma, b))
-        meas = Enclosure(Fraction(lo_i, CD), Fraction(hi_i, CD))
-        if meas.hi <= bound:
+        if hi_i * bd <= bn * CD:
             verdict = True
             break
-        if meas.lo > bound:
+        if lo_i * bd > bn * CD:
             verdict = False
             break
-    else:
-        verdict = None
 
     min_C0 = None
     if case == "II":
-        base = 4 * pq * pqp
-        required = 2 * H * (meas.hi / base - 1)
-        min_C0 = max(Fraction(1), required)
-    return IntersectionReport(q, qp, r, delta, case, indicator, meas,
-                              bound, verdict, min_C0)
+        # max(1, 2H (hi/CD - b)/b) for b = 4 psi(q) psi(q'), times pd pdp CD
+        base = 4 * pn * pnp * CD
+        need = 2 * H * (hi_i * pd * pdp - base)
+        min_C0 = (need, base) if need > base else (1, 1)
+    return IntersectionReport(q, qp, r, case, indicator, verdict, (dn, dd),
+                              (lo_i, hi_i, CD), (bn, bd), min_C0)

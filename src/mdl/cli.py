@@ -353,12 +353,12 @@ def _master_chunk(chunk_args):
         for qp in range(1, q):
             rep = circlesets.master_check(psi.eval, gamma, q, qp, H=H, C0=C0, cap=cap)
             counts["pairs"] += 1
-            if rep.verdict is None or (rep.indicator is None and rep.case == "I"):
+            if rep.verdict is None:
                 counts["undecided"] += 1
                 continue
             counts[rep.case] += 1
             counts["violations"] += rep.verdict is False
-            if rep.case == "II" and rep.min_C0 is not None:
+            if rep.case == "II":
                 min_C0 = max(min_C0, rep.min_C0)
     return counts, min_C0
 
@@ -366,9 +366,17 @@ def _master_chunk(chunk_args):
 @command("master-sweep", "two-case intersection bound sweep",
          "psi", "gamma", "Q", "H", "C0", CAP, THREADS)
 def run_master_sweep(args) -> RunResult:
-    chunks = _chunked(list(range(2, args.Q + 1)), args.threads)
-    work = [(args.psi, args.gamma, ch, args.H, args.C0, args.precision_bits)
-            for ch in chunks]
+    if args.Q < 2:
+        raise ConfigError("Q must be >= 2")
+    if not args.psi.is_rational:
+        raise ConfigError(f"psi family {args.psi.tag} is not rational: the "
+                          "two-case bound needs rational psi values "
+                          "(const, overq or table)")
+    # q = 2+i, 2+i+n, ...: row q holds q-1 pairs, so strided q values
+    # balance the workers where contiguous ranges do not
+    workers = min(args.threads, args.Q - 1)
+    work = [(args.psi, args.gamma, range(2 + i, args.Q + 1, workers), args.H,
+             args.C0, args.precision_bits) for i in range(workers)]
     parts = _pmap(_master_chunk, work, args.threads)
     n = sum((counts for counts, _ in parts), Counter())
     params = (f"psi={args.psi.canonical()};gamma={args.gamma.canonical()};"

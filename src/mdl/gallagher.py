@@ -55,6 +55,8 @@ HALF = Fraction(1, 2)
 _U64 = 1 << 64
 #: psi family values are rounded outward onto the 2^-PSI_BITS grid.
 PSI_BITS = 96
+#: psi' values are rounded outward onto the 2^-PSI_PRIME_BITS grid.
+PSI_PRIME_BITS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,11 @@ class ApproxFunction:
             q += 1
             if q > 10 ** 9:
                 raise ValueError("no valid domain start below 1e9")
+
+    @property
+    def is_rational(self) -> bool:
+        """Whether every value is an exact rational (const, overq, table)."""
+        return self.tag in ("const", "overq", "table")
 
     def eval(self, q: int, bits: int = 64) -> Enclosure:
         """psi(q) as an enclosure (exact for const/overq/table)."""
@@ -353,7 +360,8 @@ class FibreContext:
                 # psi / ||q beta - g'||, rounded outward once at 2^-128
                 return Enclosure.dyadic(*round_outward(
                     lo.numerator << b, lo.denominator * d_hi,
-                    hi.numerator << b, hi.denominator * d_lo, 128), 128), state
+                    hi.numerator << b, hi.denominator * d_lo,
+                    PSI_PRIME_BITS), PSI_PRIME_BITS), state
         raise DependenceError((q,), "distance cannot be separated from 0")
 
     def cell_of(self, q: int) -> Optional[int]:
@@ -727,6 +735,16 @@ class _HitSweep:
     def expected(self) -> Enclosure:
         """sum over q of min(1, 2 t_q) for the thresholds t_q; an undecided
         support contributes [0, 1]."""
+        ts = self._exact_thresholds.values()
+        one = 1 << PSI_PRIME_BITS
+        if all(one % e.denominator == 0 for t in ts for e in (t.lo, t.hi)):
+            # every end lies on the 2^-128 grid of psi' (or is an integer):
+            # sum the terms on that grid as ints and reduce once
+            def term(e):
+                return min(one, 2 * e.numerator * (one // e.denominator))
+            lo = sum(term(t.lo) for t in ts)
+            hi = sum(term(t.hi) for t in ts) + len(self.undecided_q) * one
+            return Enclosure(Fraction(lo, one), Fraction(hi, one))
         lo_terms = []
         hi_terms = []
         for t in self._exact_thresholds.values():

@@ -7,15 +7,24 @@ They are slow and independent of that rewrite, so the tests hold the
 library to them value for value."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from mdl.cfrac import _exponent_enclosure
-from mdl.circlesets import CircleSet
+from mdl.circlesets import (
+    CircleSet,
+    PsiRangeError,
+    _gamma_pin,
+    _psi_lookup,
+    aq_pair_measure_raw,
+)
 from mdl.gallagher import _FAMILY_EXPONENTS, HALF
 from mdl.realnum import (
+    DEFAULT_PRECISION_CAP,
     DependenceError,
     Enclosure,
     _log2_frac_floor,
+    param_evaluator,
     precision_ladder,
     rational_power,
 )
@@ -185,3 +194,71 @@ def expected_fraction(sweep) -> Enclosure:
     for _ in sweep.undecided_q:
         hi += Fraction(1)
     return Enclosure(lo, hi)
+
+
+FractionReport = namedtuple(
+    "FractionReport",
+    "q qp gcd delta case indicator measure bound verdict min_C0")
+
+
+def master_check_fraction(psi, gamma, q: int, qp: int, H: int = 3, C0=2,
+                          bits: int = 64, cap: int = DEFAULT_PRECISION_CAP):
+    """circlesets.master_check with a Fraction for delta, the bound, each
+    radius, each rung's measure and min C0."""
+    if not (1 <= qp < q):
+        raise ValueError("need 1 <= q' < q")
+    if H < 3:
+        raise ValueError("H must be an integer >= 3")
+    C0 = Fraction(C0)
+    if C0 <= 1:
+        raise ValueError("C0 must exceed 1")
+    psi_q = _psi_lookup(psi, q)
+    psi_qp = _psi_lookup(psi, qp)
+    for v in (psi_q, psi_qp):
+        if not (v.lo > 0 and v.hi < Fraction(1, 2)):
+            raise PsiRangeError(f"psi value {v} not inside (0, 1/2)")
+    if not (psi_q.is_exact and psi_qp.is_exact):
+        raise ValueError("the two-case bound check needs rational psi values")
+    pq, pqp = psi_q.lo, psi_qp.lo
+    r = math.gcd(q, qp)
+    delta = q * pqp + qp * pq
+    case = "I" if delta < H * r else "II"
+
+    indicator = None
+    if case == "I":
+        inside = param_evaluator(gamma, cap).dist_below(
+            ((qp - q) // r,), Enclosure.exact(Fraction(delta, r)), closed=True)
+        if inside is None:
+            return FractionReport(q, qp, r, delta, case, None,
+                                  Enclosure(Fraction(0), Fraction(1)),
+                                  Fraction(0), None, None)
+        indicator = int(inside)
+        bound = (2 * (2 * H + 1) * min(pq / q, pqp / qp) * r) * indicator
+    else:
+        bound = 4 * (1 + C0 / (2 * H)) * pq * pqp
+
+    def radius(p, n):
+        lo, hi = Fraction(p.lo, n), Fraction(p.hi, n)
+        return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+    rho, rhop = radius(psi_q, q), radius(psi_qp, qp)
+    for b in precision_ladder(bits, cap):
+        lo_i, hi_i, CD = aq_pair_measure_raw(rho, rhop, q, qp,
+                                             _gamma_pin(gamma, b))
+        meas = Enclosure(Fraction(lo_i, CD), Fraction(hi_i, CD))
+        if meas.hi <= bound:
+            verdict = True
+            break
+        if meas.lo > bound:
+            verdict = False
+            break
+    else:
+        verdict = None
+
+    min_C0 = None
+    if case == "II":
+        base = 4 * pq * pqp
+        required = 2 * H * (meas.hi / base - 1)
+        min_C0 = max(Fraction(1), required)
+    return FractionReport(q, qp, r, delta, case, indicator, meas,
+                          bound, verdict, min_C0)

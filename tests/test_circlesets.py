@@ -207,6 +207,14 @@ def test_master_check_validation(sqrt2):
         master_check(lambda q: F(1, 10), F(0), 3, 2, H=3, C0=1)
 
 
+@pytest.mark.parametrize("H", [3.5, F(7, 2), 3.0, F(10)])
+def test_master_check_rejects_a_non_integer_H(H, sqrt2):
+    """A float H would make the bound a float and the verdict a float
+    comparison; only an int H is accepted."""
+    with pytest.raises(ValueError, match="H must be an integer >= 3"):
+        master_check(lambda q: F(1, 4 * q), sqrt2, 5, 3, H=H, C0=100)
+
+
 def test_master_check_irrational(sqrt2, golden):
     """Bound verdicts hold on a small sweep with irrational shifts."""
     for gamma in (sqrt2, golden):

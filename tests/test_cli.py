@@ -121,6 +121,18 @@ def test_threads_do_not_change_output():
     assert out1 == out2
 
 
+def test_master_sweep_records_do_not_depend_on_threads():
+    """Worker i takes q = 2+i, 2+i+n, ...: the counts add up and min C0 is
+    a maximum, so any split gives the same records."""
+    args = ("master-sweep", "--psi", "const:2/5", "--gamma", "const:golden",
+            "--Q", "16", "--H", "10", "--C0", "3/2")
+    outs = [run_cli(*args, "--threads", t) for t in ("1", "2", "3")]
+    assert [rc for rc, _, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1] == outs[2][1]
+    rows = {r[0]: r for r in cells(outs[0][1])}
+    assert int(rows["master-case-II"][3]) > 0
+
+
 def test_master_sweep_small():
     rc, out, _ = run_cli("master-sweep", "--psi", "overq:1/4",
                          "--gamma", "sqrt:2", "--Q", "40", "--H", "3",
@@ -313,6 +325,10 @@ def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
      "argument --threads: expected a positive integer, got '-3'"),
     ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 6 --threads 0",
      "argument --threads: expected a positive integer, got '0'"),
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 1", "Q must be >= 2"),
+    ("master-sweep --psi log2sq:1/2 --gamma sqrt:2 --Q 6",
+     "psi family log2sq is not rational: the two-case bound needs rational "
+     "psi values"),
 ])
 def test_unusable_input_is_a_config_error(argv, message, capsys):
     assert main(shlex.split(argv)) == 1

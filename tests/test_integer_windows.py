@@ -142,6 +142,18 @@ def test_expected_matches_the_fraction_sum(psi, omega, direct):
     assert sweep.expected() == oracles.expected_fraction(sweep)
 
 
+def test_expected_on_the_psi_prime_grid():
+    """Fibred thresholds lie on the 2^-128 grid and degenerate ones are 1,
+    so the sum runs on ints: it equals the Fraction sum, undecided
+    supports included."""
+    pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), parse_param("rat:1/3"),
+                  parse_param("rat:0"), F(1, 4))
+    sweep = _HitSweep(parse_param("sqrt:3"), pp, 400, False)
+    assert sweep.degenerate
+    sweep.undecided_q = [401]
+    assert sweep.expected() == oracles.expected_fraction(sweep)
+
+
 def test_expected_counts_an_undecided_support_as_one():
     sqrt3 = parse_param("sqrt:3")
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt3, parse_param("rat:0"), None)

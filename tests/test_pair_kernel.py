@@ -22,7 +22,7 @@ from mdl.circlesets import (
 )
 from mdl.gallagher import ApproxFunction, PsiPrime
 from mdl.realnum import Enclosure, RealParam
-from oracles import pair_measure
+from oracles import master_check_fraction, pair_measure
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "pair_kernel_golden.json"
@@ -117,6 +117,61 @@ def test_master_check_pins_gamma_once_per_precision(monkeypatch, sqrt2):
     assert calls and max(calls.values()) == 1
 
 
+REPORT_FIELDS = ("q", "qp", "gcd", "delta", "case", "indicator", "measure",
+                 "bound", "verdict", "min_C0")
+#: a decimal pinned only to 1/100: its case-I indicator is often undecided
+WIDE_DEC = RealParam.decimal("0.4142", F(1, 100))
+MASTER_GAMMAS = (RealParam.rational(0), RealParam.rational(F(1, 3)),
+                 RealParam.sqrt(2), RealParam.const("golden"), WIDE_DEC)
+
+
+def _fields(rep):
+    """Every report field with its type: a Fraction and an equal int differ."""
+    return [(f, type(getattr(rep, f)), getattr(rep, f)) for f in REPORT_FIELDS]
+
+
+@st.composite
+def _below_half(draw):
+    """A rational in (0, 1/2)."""
+    d = draw(st.integers(3, 400))
+    return F(draw(st.integers(1, (d - 1) // 2)), d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_master_check_matches_the_fraction_oracle(data):
+    """Every report field equals the Fraction reference: psi const, overq
+    or a table, the five shifts, H in 3..12 and any rational C0 > 1."""
+    q = data.draw(st.integers(2, 80))
+    qp = data.draw(st.integers(1, q - 1))
+    kind = data.draw(st.sampled_from((ApproxFunction.const,
+                                      ApproxFunction.over_q, "table")))
+    if kind == "table":
+        psi = ApproxFunction.from_table({q: data.draw(_below_half()),
+                                         qp: data.draw(_below_half())})
+    else:
+        psi = kind(data.draw(_below_half()))
+    gamma = data.draw(st.sampled_from(MASTER_GAMMAS))
+    H = data.draw(st.integers(3, 12))
+    cd = data.draw(st.integers(1, 30))
+    C0 = F(cd + data.draw(st.integers(1, 300)), cd)
+    got = master_check(psi.eval, gamma, q, qp, H=H, C0=C0)
+    want = master_check_fraction(psi.eval, gamma, q, qp, H=H, C0=C0)
+    assert _fields(got) == _fields(want)
+
+
+def test_undecided_indicator_matches_the_fraction_oracle():
+    """The undecided case-I report: no indicator, measure [0, 1], bound 0."""
+    undecided = 0
+    for q in range(2, 25):
+        for qp in range(1, q):
+            got = master_check(lambda n: F(1, 100), WIDE_DEC, q, qp)
+            want = master_check_fraction(lambda n: F(1, 100), WIDE_DEC, q, qp)
+            assert _fields(got) == _fields(want)
+            undecided += got.indicator is None
+    assert undecided > 0
+
+
 def _enc(e):
     return [str(e.lo), str(e.hi)]
 
@@ -150,13 +205,25 @@ def test_records_match_the_golden_values(sqrt2, sqrt3):
         "pair_sum_sqrt2_25": _enc(pair_sum(psi.eval, sqrt2, 25)),
         "pair_sum_third_25": _enc(pair_sum(psi.eval, F(1, 3), 25)),
     }
-    reps = []
-    for gamma in (sqrt2, RealParam.rational(F(1, 3))):
-        for q in range(2, 21):
-            for qp in range(1, q):
-                r = master_check(psi.eval, gamma, q, qp, H=3, C0=100)
-                reps.append([r.q, r.qp, r.gcd, str(r.delta), r.case,
-                             r.indicator, _enc(r.measure), str(r.bound),
-                             r.verdict, str(r.min_C0)])
-    got["master_q20_sha256"] = hashlib.sha256(json.dumps(reps).encode()).hexdigest()
+    got["master_q20_sha256"] = _master_sha256(
+        [psi], (sqrt2, RealParam.rational(F(1, 3))), 20, 3, 100)
+    # H = 10, C0 = 3/2: case II with C0 near 1 (overq rarely, const 2/5
+    # often); pinned before master_check ran on integers
+    got["master_H10_golden_q40_sha256"] = _master_sha256(
+        [psi, ApproxFunction.const(F(2, 5))], (RealParam.const("golden"),),
+        40, 10, F(3, 2))
     assert got == json.loads(GOLDEN.read_text())
+
+
+def _master_sha256(psis, gammas, Q, H, C0):
+    """sha256 of every master_check report field over q' < q <= Q."""
+    reps = []
+    for psi in psis:
+        for gamma in gammas:
+            for q in range(2, Q + 1):
+                for qp in range(1, q):
+                    r = master_check(psi.eval, gamma, q, qp, H=H, C0=C0)
+                    reps.append([r.q, r.qp, r.gcd, str(r.delta), r.case,
+                                 r.indicator, _enc(r.measure), str(r.bound),
+                                 r.verdict, str(r.min_C0)])
+    return hashlib.sha256(json.dumps(reps).encode()).hexdigest()
