@@ -213,17 +213,12 @@ def _gamma_pin(gamma, bits: int) -> tuple:
     return g.numerator, g.denominator, slack.numerator, slack.denominator
 
 
-def _over(x: Fraction, q: int) -> tuple:
-    """x/q as a reduced (num, den) pair: x is reduced, so gcd(num, q) is
-    the only common factor."""
-    n = x.numerator
-    g = math.gcd(n, q)
-    return n // g, x.denominator * (q // g)
-
-
 def _radius(psi_q: Enclosure, q: int) -> tuple:
-    """The bounds of psi(q)/q as reduced (lo_num, lo_den, hi_num, hi_den)."""
-    return _over(psi_q.lo, q) + _over(psi_q.hi, q)
+    """The bounds of psi(q)/q as (lo_num, lo_den, hi_num, hi_den), not
+    reduced: a common factor divides q, so the pair grid
+    lcm(q q' gd, denominators) of `aq_pair_measure_raw` stays the same."""
+    lo, hi = psi_q.lo, psi_q.hi
+    return lo.numerator, lo.denominator * q, hi.numerator, hi.denominator * q
 
 
 def _clip_sum(t0: int, s: int, n: int, c: int) -> int:

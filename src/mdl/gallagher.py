@@ -6,7 +6,9 @@ The central object is psi'(q) = psi(q) / ||q*beta - g'|| restricted to the
 support ||q*beta - g'|| in [q^-omega, 1); everything downstream (censuses,
 moment sums, second-moment ratios, Monte-Carlo surveys) consumes it through
 one shared per-q evaluation that carries rigorous enclosures and flags any
-membership the precision cap cannot decide.
+membership the precision cap cannot decide.  Support and census cell are
+read from one number per q, the level floor(log2(||q*beta - g'|| q^omega))
+(clamped at -1), decided in one verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Union
 
 import numpy as np
@@ -30,7 +32,6 @@ from .circlesets import (
 )
 from .realnum import (
     DEFAULT_PRECISION_CAP,
-    Comparison,
     DependenceError,
     Enclosure,
     FormEvaluator,
@@ -40,11 +41,8 @@ from .realnum import (
     lane_array,
     lane_margin,
     lane_threshold,
-    log2_enclosure,
     log2_scaled,
-    neg_log2_enclosure,
     param_evaluator,
-    precision_ladder,
     rational_power,
     round_outward,
 )
@@ -251,7 +249,7 @@ class PsiPrime:
             if name == "lemma3":
                 return omega_schedule_lemma3(q, Fraction(c))
             raise ValueError(f"unknown omega schedule {name!r}")
-        return Fraction(self.omega)
+        return self.omega if type(self.omega) is Fraction else Fraction(self.omega)
 
     def canonical(self) -> str:
         if self.omega is None:
@@ -273,9 +271,14 @@ class SupportState:
 class FibreContext:
     """Shared rigorous evaluation of ||q beta - g'|| and the psi' values.
 
-    Pow-comparisons keep support decisions exact for small omega
-    denominators; schedule omegas with dyadic denominators fall back to
-    interval log2 comparisons (undecidable cases are flagged, never guessed).
+    Support and census cell are one number per q, the level
+    max(-1, floor(log2(||q beta - g'|| q^omega))): q lies in the support
+    iff its level is at least 0, and in the census cell l iff its level is
+    l.  The level is one verdict on the evaluator's precision ladder, exact
+    on ints for omega = p/s with s <= 64 and taken from 96-bit log2 bounds
+    for the schedule exponents; what the cap cannot decide is flagged, never
+    guessed.  psi' divides psi(q) by the evaluator's positive window of the
+    distance.
     """
 
     def __init__(self, pp: PsiPrime, cap: int = DEFAULT_PRECISION_CAP):
@@ -289,105 +292,97 @@ class FibreContext:
             params.append(pp.gamma_prime)
             offset = 0
             self._gp_in_form = True
-        self.fe = FormEvaluator(params, offset, cap=cap)
+        # the first window is taken at 128 bits, or at the cap below that
+        self.fe = FormEvaluator(params, offset, bits=min(128, cap), cap=cap)
 
     def _coeffs(self, q: int):
         return (q, -1) if self._gp_in_form else (q,)
-
-    def dist(self, q: int, bits: Optional[int] = None) -> Enclosure:
-        return self.fe.dist_enclosure(self._coeffs(q), bits)
 
     def dist_is_zero(self, q: int) -> bool:
         return self.fe.dist_is_zero_exact(self._coeffs(q))
 
     def support_state(self, q: int) -> str:
         """Is ||q beta - g'|| inside [q^-omega(q), 1)?  (1 is never reached:
-        the distance is at most 1/2.)"""
+        the distance is at most 1/2.)  The sign of the level, decided with
+        the level clamped to {-1, 0}."""
         om = self.pp.omega_at(q)
         if om is None:
             return SupportState.IN
         if om <= 0:
             return SupportState.IN if not self.dist_is_zero(q) else SupportState.OUT
-        c = self._cmp_dist_vs_power(q, om)
-        if c is None:
+        level = self._level(q, om, 0)
+        if level is None:
             return SupportState.UNDECIDED
-        return SupportState.IN if c >= 0 else SupportState.OUT
+        return SupportState.IN if level == 0 else SupportState.OUT
 
-    def _cmp_dist_vs_power(self, q: int, om: Fraction,
-                           extra_pow2: int = 0) -> Optional[int]:
-        """sign of ||q beta - g'|| - 2^extra_pow2 * q^-om, or None."""
+    def cell_of(self, q: int) -> Optional[int]:
+        """The level of q: the index l >= 0 with ||q beta - g'|| in
+        [2^l q^-om, 2^(l+1) q^-om), -1 outside the support, or None when
+        the cap cannot decide it."""
+        om = self.pp.omega_at(q)
+        if om is None or om <= 0:
+            raise ValueError("census cells need a positive omega")
+        return self._level(q, om)
+
+    def _level(self, q: int, om: Fraction, top: Optional[int] = None):
+        """The level of q clamped to at most `top`, or None at the cap."""
         p, s = om.numerator, om.denominator
-        coeffs = self._coeffs(q)
         if s <= 64:
-            thr = Fraction(2 ** (extra_pow2 * s), q ** p) if extra_pow2 >= 0 \
-                else Fraction(1, q ** p * 2 ** (-extra_pow2 * s))
-            c = self.fe.dist_pow_compare(coeffs, s, thr)
-            if c == Comparison.UNDECIDED:
-                return None
-            return {Comparison.LT: -1, Comparison.EQ: 0, Comparison.GT: 1}[c]
-        # schedule omega: compare -log2(dist) against om*log2(q) - extra
-        lgq = log2_enclosure(q, 96)
-        rhs = Enclosure(lgq.lo * om, lgq.hi * om) - Fraction(extra_pow2)
-        for bits in precision_ladder(128, self.cap):
-            d = self.dist(q, bits)
-            if d.lo <= 0:
-                if self.dist_is_zero(q):
-                    return -1    # zero distance sits below any positive power
-            else:
-                nl = neg_log2_enclosure(d, 96)
-                if nl.hi < rhs.lo:
-                    return 1      # dist > threshold
-                if nl.lo > rhs.hi:
-                    return -1
-        return None
+            level = partial(_pow_level, s=s, qp=q ** p)
+        else:
+            level = partial(_log_level, p=p, s=s, lgq=log2_scaled(q, 96))
+
+        def verdict(lo, hi, scale):
+            a, b = level(lo, scale, 0), level(hi, scale, 1)
+            if top is not None:
+                a, b = min(a, top), min(b, top)
+            return a if a == b else None
+
+        return self.fe._dist_decide(self._coeffs(q), 0, verdict)
 
     def psi_prime(self, q: int):
-        """(value enclosure, support state).  Zero outside the support."""
+        """(value enclosure, support state).  Zero outside the support;
+        DependenceError where psi(q) > 0 meets a distance that vanishes or
+        cannot be separated from 0 at the cap."""
         state = self.support_state(q)
-        if state == SupportState.OUT:
-            return Enclosure.exact(0), state
-        if state == SupportState.UNDECIDED:
+        if state != SupportState.IN:
             return Enclosure.exact(0), state
         psi_v = self.pp.psi.eval(q)
         if psi_v.hi == 0:
             return Enclosure.exact(0), state
-        if self.dist_is_zero(q):
-            raise DependenceError((q,), "||q beta - g'|| vanishes")
+        (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
         lo, hi = psi_v.lo, psi_v.hi
-        for bits in precision_ladder(128, self.cap):
-            d_lo, d_hi, b = self.fe.dist_window(self._coeffs(q), bits)
-            if d_lo > 0:
-                # psi / ||q beta - g'||, rounded outward once at 2^-128
-                return Enclosure.dyadic(*round_outward(
-                    lo.numerator << b, lo.denominator * d_hi,
-                    hi.numerator << b, hi.denominator * d_lo,
-                    PSI_PRIME_BITS), PSI_PRIME_BITS), state
-        raise DependenceError((q,), "distance cannot be separated from 0")
+        # psi / ||q beta - g'||, rounded outward once at 2^-128
+        return Enclosure.dyadic(*round_outward(
+            lo.numerator << b, lo.denominator * d_hi,
+            hi.numerator << b, hi.denominator * d_lo,
+            PSI_PRIME_BITS), PSI_PRIME_BITS), state
 
-    def cell_of(self, q: int) -> Optional[int]:
-        """Index l with ||q beta - g'|| in [2^l q^-om, 2^(l+1) q^-om), or
-        None when outside the support / undecided (query support first)."""
-        om = self.pp.omega_at(q)
-        if om is None or om <= 0:
-            raise ValueError("census cells need a positive omega")
-        d = self.dist(q)
-        if d.lo <= 0:
-            d = self.dist(q, 512)
-            if d.lo <= 0:
-                return None
-        # float guess, then rigorous confirmation of both walls
-        guess = math.log2(float(d.mid)) + float(om) * math.log2(q)
-        for l in sorted({math.floor(guess), math.floor(guess) - 1,
-                         math.floor(guess) + 1}):
-            if l < 0:
-                continue
-            lo_cmp = self._cmp_dist_vs_power(q, om, extra_pow2=l)
-            hi_cmp = self._cmp_dist_vs_power(q, om, extra_pow2=l + 1)
-            if lo_cmp is None or hi_cmp is None:
-                return None
-            if lo_cmp >= 0 and hi_cmp < 0:
-                return l
-        return None
+
+def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
+    """max(-1, floor(log2((x/scale)^s q^p) / s)) for a distance x/scale
+    (x an int, or a Fraction on the exact path), exactly."""
+    n = x.numerator ** s * qp
+    if n == 0:
+        return -1
+    d = (x.denominator * scale) ** s
+    k = n.bit_length() - d.bit_length()     # floor(log2(n/d)) is k or k-1
+    if (n >> k if k >= 0 else n << -k) < d:
+        k -= 1
+    return max(-1, k // s)
+
+
+def _log_level(x, scale: int, upper: int, p: int, s: int, lgq: tuple) -> int:
+    """max(-1, floor(B)) for a lower (upper=0) or an upper (upper=1)
+    bound B on log2(x/scale) + (p/s) log2 q, from 96-bit log2 bounds
+    (`log2_scaled` puts all of them on one grid)."""
+    if x == 0:
+        return -1
+    num = log2_scaled(x.numerator, 96)
+    den = log2_scaled(x.denominator * scale, 96)
+    w = lgq[2]
+    return max(-1, ((num[upper] - den[1 - upper]) * s + p * lgq[upper])
+               // (s << w))
 
 
 def psi_prime(pp: PsiPrime, q: int, cap: int = DEFAULT_PRECISION_CAP):
@@ -448,17 +443,11 @@ def gl_census(beta: RealParam, gamma_prime, omega, Q: int,
     cells: dict = {}
     undecided = []
     for q in range(1, Q + 1):
-        state = ctx.support_state(q)
-        if state == SupportState.UNDECIDED:
-            undecided.append(q)
-            continue
-        if state == SupportState.OUT:
-            continue
         l = ctx.cell_of(q)
         if l is None:
             undecided.append(q)
-            continue
-        cells.setdefault(l, []).append(q)
+        elif l >= 0:
+            cells.setdefault(l, []).append(q)
     return GlCensus(Q, cells, undecided)
 
 
@@ -497,13 +486,11 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
     for qp in range(max(1, lo_band), hi_band + 1):
         if qp == q or math.gcd(qp, q) != r:
             continue
-        state = ctx.support_state(qp)
-        if state == SupportState.UNDECIDED:
+        level = ctx.cell_of(qp)
+        if level is None:           # the support or the cell is undecided
             undecided += 1
             continue
-        if state == SupportState.OUT:
-            continue
-        if ctx.cell_of(qp) != l:
+        if level != l:
             continue
         pspq, _ = ctx.psi_prime(qp)
         delta = pspq * q + psq * qp
@@ -675,7 +662,8 @@ def counter_sample(seed: int, index: int) -> int:
 class HitResult:
     count: int
     undecided: int
-    degenerate: list    # q with ||q beta - g'|| = 0 exactly (product test
+    degenerate: list    # q in the support with psi(q) > 0 and
+    #                     ||q beta - g'|| = 0 exactly (product test
     #                     trivially satisfied; flagged, still counted)
 
 
@@ -711,15 +699,18 @@ class _HitSweep:
             if direct:
                 t = pp.psi.eval(q)
             else:
-                if ctx.dist_is_zero(q):
+                try:
+                    t, state = ctx.psi_prime(q)
+                except DependenceError:
+                    if not ctx.dist_is_zero(q):
+                        raise
+                    # a vanishing distance inside the support, with
+                    # psi(q) > 0: the product 0 < psi(q) always hits
                     self.degenerate.append(q)
-                    t = Enclosure.exact(1)   # product is 0 < psi: always hit
-                else:
-                    v, state = ctx.psi_prime(q)
-                    if state == SupportState.UNDECIDED:
-                        self.undecided_q.append(q)
-                        continue
-                    t = v
+                    t, state = Enclosure.exact(1), SupportState.IN
+                if state == SupportState.UNDECIDED:
+                    self.undecided_q.append(q)
+                    continue
             if t.hi == 0:
                 continue
             self._exact_thresholds[q] = t
@@ -786,8 +777,8 @@ def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
     sample x (with the omega truncation when pp carries one); `direct=True`
     ignores the fibre and tests ||q x - gamma|| < psi(q).
 
-    q with ||q beta - g'|| exactly 0 satisfy the product test vacuously;
-    they are counted and flagged as degenerate.
+    q in the support with psi(q) > 0 and ||q beta - g'|| exactly 0 satisfy
+    the product test vacuously; they are counted and flagged as degenerate.
     """
     x = Fraction(x) if not isinstance(x, RealParam) else x
     if isinstance(x, RealParam):

@@ -791,12 +791,14 @@ class FormEvaluator:
                 yield self._positive_window(coeffs)
 
     def _positive_window(self, coeffs: Sequence[int]) -> tuple:
-        if not self.dist_is_zero_exact(coeffs):
-            for bits in precision_ladder(self.bits, self.cap):
-                window = self.dist_window(coeffs, bits)
-                if window[0] > 0:
-                    return window
-        raise DependenceError(normalize_witness(coeffs))
+        witness = normalize_witness(coeffs)
+        if self.dist_is_zero_exact(coeffs):
+            raise DependenceError(witness)
+        for bits in precision_ladder(self.bits, self.cap):
+            window = self.dist_window(coeffs, bits)
+            if window[0] > 0:
+                return window
+        raise DependenceError(witness, "distance cannot be separated from 0")
 
     def _rational_value(self, coeffs: Sequence[int]) -> Optional[Fraction]:
         """The form's value if it collapses syntactically to a rational."""
@@ -833,24 +835,6 @@ class FormEvaluator:
         """True iff the linear form collapses syntactically to an integer."""
         v = self._rational_value(coeffs)
         return v is not None and v.denominator == 1
-
-    def dist_pow_compare(self, coeffs: Sequence[int], s: int,
-                         threshold: RationalLike) -> Comparison:
-        """Decide ||form||^s <=> threshold (rational), s >= 1."""
-        t = Fraction(threshold)
-        tn, td = t.numerator, t.denominator
-
-        def verdict(lo, hi, scale):
-            # cross-multiplied: (hi/scale)^s < t  <=>  hi^s td < tn scale^s
-            ts = tn * scale ** s
-            if hi ** s * td < ts:
-                return Comparison.LT
-            if lo ** s * td > ts:
-                return Comparison.GT
-            return Comparison.EQ if lo == hi else None
-
-        answer = self._dist_decide(coeffs, 0, verdict)
-        return Comparison.UNDECIDED if answer is None else answer
 
 
 def normalize_witness(coeffs: Sequence[int]) -> tuple:

@@ -1,5 +1,6 @@
-"""Test-side helpers: checks that only the tests call, and the `Fraction`
-reference route of the integer-window kernels.
+"""Test-side helpers: checks that only the tests call, the `Fraction`
+reference route of the integer-window kernels, and the wall-comparison
+route of the fibre level.
 
 The reference functions build, normalise and compare a `Fraction` per
 term, as the library did before its hot loops ran on integer windows.
@@ -21,9 +22,12 @@ from mdl.circlesets import (
 from mdl.gallagher import _FAMILY_EXPONENTS, HALF
 from mdl.realnum import (
     DEFAULT_PRECISION_CAP,
+    Comparison,
     DependenceError,
     Enclosure,
     _log2_frac_floor,
+    log2_enclosure,
+    neg_log2_enclosure,
     param_evaluator,
     precision_ladder,
     rational_power,
@@ -169,11 +173,16 @@ def psi_eval(psi, q: int, bits: int = 64) -> Enclosure:
     return (Enclosure.exact(psi.c) / den).quantize(96)
 
 
+def fibre_dist(ctx, q: int, bits=None) -> Enclosure:
+    """||q beta - g'|| of a FibreContext as an enclosure at `bits`."""
+    return ctx.fe.dist_enclosure(ctx._coeffs(q), bits)
+
+
 def psi_prime_value(ctx, q: int) -> Enclosure:
     """psi'(q) on the support, by Enclosure division at each rung."""
     psi_v = psi_eval(ctx.pp.psi, q)
     for bits in precision_ladder(128, ctx.cap):
-        d = ctx.dist(q, bits)
+        d = fibre_dist(ctx, q, bits)
         if d.lo > 0:
             return (psi_v / d).quantize(128)
     raise DependenceError((q,), "distance cannot be separated from 0")
@@ -262,3 +271,78 @@ def master_check_fraction(psi, gamma, q: int, qp: int, H: int = 3, C0=2,
         min_C0 = max(Fraction(1), required)
     return FractionReport(q, qp, r, delta, case, indicator, meas,
                           bound, verdict, min_C0)
+
+
+# ---------------------------------------------------------------------------
+# The comparison route of the fibre level
+# ---------------------------------------------------------------------------
+
+def dist_pow_compare(fe, coeffs, s: int, threshold) -> Comparison:
+    """Decide ||form||^s <=> threshold (rational), s >= 1."""
+    t = Fraction(threshold)
+    tn, td = t.numerator, t.denominator
+
+    def verdict(lo, hi, scale):
+        # cross-multiplied: (hi/scale)^s < t  <=>  hi^s td < tn scale^s
+        ts = tn * scale ** s
+        if hi ** s * td < ts:
+            return Comparison.LT
+        if lo ** s * td > ts:
+            return Comparison.GT
+        return Comparison.EQ if lo == hi else None
+
+    answer = fe._dist_decide(coeffs, 0, verdict)
+    return Comparison.UNDECIDED if answer is None else answer
+
+
+def dist_vs_power(ctx, q: int, om: Fraction, extra_pow2: int = 0):
+    """The sign of ||q beta - g'|| - 2^extra_pow2 q^-om, or None: a
+    pow-compare for s <= 64, else -log2 of the distance window against
+    om log2 q along the ladder, where the upper end alone can put a window
+    that touches 0 below the wall."""
+    p, s = om.numerator, om.denominator
+    coeffs = ctx._coeffs(q)
+    if s <= 64:
+        thr = Fraction(2 ** (extra_pow2 * s), q ** p) if extra_pow2 >= 0 \
+            else Fraction(1, q ** p * 2 ** (-extra_pow2 * s))
+        c = dist_pow_compare(ctx.fe, coeffs, s, thr)
+        if c == Comparison.UNDECIDED:
+            return None
+        return {Comparison.LT: -1, Comparison.EQ: 0, Comparison.GT: 1}[c]
+    lgq = log2_enclosure(q, 96)
+    rhs = Enclosure(lgq.lo * om, lgq.hi * om) - Fraction(extra_pow2)
+    for bits in precision_ladder(128, ctx.cap):
+        d = fibre_dist(ctx, q, bits)
+        if d.lo <= 0 and ctx.dist_is_zero(q):
+            return -1
+        if d.lo > 0 and neg_log2_enclosure(d, 96).hi < rhs.lo:
+            return 1
+        if d.hi > 0 and neg_log2_enclosure(Enclosure.exact(d.hi), 96).lo > rhs.hi:
+            return -1
+    return None
+
+
+def fibre_level(ctx, q: int):
+    """FibreContext.cell_of by wall comparisons: -1 outside the support,
+    else the first l >= 0 whose upper wall 2^(l+1) q^-om lies above the
+    distance; None as soon as a wall is undecided."""
+    om = ctx.pp.omega_at(q)
+    c = dist_vs_power(ctx, q, om)
+    if c is None:
+        return None
+    if c < 0:
+        return -1
+    l = 0
+    while True:
+        c = dist_vs_power(ctx, q, om, l + 1)
+        if c is None:
+            return None
+        if c < 0:
+            return l
+        l += 1
+
+
+def fibre_support(ctx, q: int):
+    """FibreContext.support_state from the lower wall alone."""
+    c = dist_vs_power(ctx, q, ctx.pp.omega_at(q))
+    return "UNDECIDED" if c is None else "IN" if c >= 0 else "OUT"

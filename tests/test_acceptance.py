@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 
 from mdl import arith, cfrac, circlesets, discrepancy, gallagher
@@ -254,7 +255,9 @@ def test_criterion_8_sigma_profiles():
 def test_criterion_9_partition_and_support():
     """Census cells partition the psi' support exactly for Q = 1e4 across
     three fibre configurations, with zero undecided memberships at the
-    default precision cap."""
+    default precision cap.  Support and cells come from one level, so the
+    partition holds by construction; both are also held to the
+    wall-comparison oracle."""
     Q = 10**4
     configs = [
         (SQRT2, F(0), F(1)),
@@ -280,6 +283,9 @@ def test_criterion_9_partition_and_support():
             ok = ok and state != SupportState.UNDECIDED
             in_support = state == SupportState.IN
             ok = ok and (in_support == (q in cell_of))
+            ok = ok and state == oracles.fibre_support(ctx, q)
+            if q in cell_of:
+                ok = ok and cell_of[q] == oracles.fibre_level(ctx, q)
             if in_support:
                 supported += 1
                 v, st = ctx.psi_prime(q)

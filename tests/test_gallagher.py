@@ -36,7 +36,8 @@ from mdl.realnum import (
     param_evaluator,
     parse_param,
 )
-from oracles import eval_checked
+import oracles
+from oracles import dist_pow_compare, eval_checked
 
 F = Fraction
 R0 = RealParam.rational(0)
@@ -108,8 +109,8 @@ def test_psi_prime_support_invariant(sqrt2):
         v, state = ctx.psi_prime(q)
         if v.lo > 0:
             # dist^2 * q >= 1, exactly
-            assert ctx.fe.dist_pow_compare((q,), 2, F(1, q)).name in ("GT", "EQ")
-            assert ctx.dist(q).hi < 1
+            assert dist_pow_compare(ctx.fe, (q,), 2, F(1, q)).name in ("GT", "EQ")
+            assert oracles.fibre_dist(ctx, q).hi < 1
 
 
 def test_psi_prime_bound_by_power(sqrt2):
@@ -218,6 +219,45 @@ def test_sklr_enumeration_oracle(sqrt2, sqrt3):
     assert r.undecided == 0
 
 
+def test_sklr_counts_an_undecided_cell(sqrt3):
+    """A decimal fibre whose window never narrows: q' = 355 is in the
+    support, but its cell is undecided at the cap, so it is counted as
+    undecided, not dropped."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)),
+                  parse_param("dec:0.4142135@1e-6"), R0, F(1))
+    ctx = FibreContext(pp, cap=512)
+    assert ctx.support_state(355) == SupportState.IN
+    assert ctx.cell_of(355) is None
+    r = sklr_sum(pp, sqrt3, 356, 0, 0, 1, cap=512)
+    band = [qp for qp in range(178, 356) if math.gcd(qp, 356) == 1]
+    assert r.undecided >= sum(1 for qp in band if ctx.cell_of(qp) is None) >= 1
+
+
+_LEVEL_BETAS = ("sqrt:2", "sqrt:3", "const:golden", "log2:3", "const:pi",
+                "rat:2/7", "rat:1/3", "dec:0.4142135@1e-6")
+_LEVEL_GPS = ("rat:0", "rat:1/3", "sqrt:5", "sqrt:2")
+_LEVEL_OMEGAS = (F(1, 2), F(1), F(1, 4), F(3, 2), F(2, 3), F(7, 5),
+                 ("main2", F(1)), ("lemma3", F(1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LEVEL_BETAS), st.sampled_from(_LEVEL_GPS),
+       st.sampled_from(_LEVEL_OMEGAS), st.integers(1, 5000))
+@example("const:golden", "sqrt:5", F(1, 2), 2)       # 2 golden - sqrt5 = 1
+@example("rat:2/7", "rat:0", ("main2", F(1)), 14)    # exact zero, schedule
+@example("rat:1/3", "rat:1/3", F(3, 2), 4)           # exact rational level
+@example("dec:0.4142135@1e-6", "rat:0", F(1), 355)   # undecided cell
+@example("dec:0.4142135@1e-6", "rat:0", ("lemma3", F(1, 2)), 577)
+def test_level_matches_the_wall_oracle(beta, gp, omega, q):
+    """Support and cell, read from one level, agree with the wall-by-wall
+    comparison route, undecided answers included."""
+    pp = PsiPrime(ApproxFunction.const(F(1, 10)), parse_param(beta),
+                  parse_param(gp), omega)
+    ctx = FibreContext(pp, cap=512)
+    assert ctx.support_state(q) == oracles.fibre_support(ctx, q)
+    assert ctx.cell_of(q) == oracles.fibre_level(ctx, q)
+
+
 def test_f_moment_examples(sqrt2):
     s, ref = f_moment_sum(sqrt2, 0, F(1), 8, 0, 2)
     census = gl_census(sqrt2, 0, F(1), 8)
@@ -323,6 +363,29 @@ def test_hit_count_rational_fibre_degenerates():
     assert r.degenerate == [5, 10, 15, 20]
     # those q hit regardless of x
     assert r.count >= 4
+
+
+def test_hit_count_vanishing_distance_outside_the_support(sqrt2):
+    """||q/2|| = 0 for even q lies below q^-1, outside the support, where
+    psi' = 0: no hit and not degenerate (q = 2, 4, ..., 10 were once
+    counted, and added 1 each to the expectation)."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.rational(F(1, 2)),
+                  R0, F(1))
+    r = hit_count(F(1, 3), sqrt2, pp, 10)
+    assert (r.count, r.undecided, r.degenerate) == (0, 0, [])
+    # odd q >= 3 carry psi' = 1/(2q), and nothing else contributes
+    expected = mc_survey(sqrt2, pp, 10, 1, seed=0).expected
+    assert expected.contains(F(1, 3) + F(1, 5) + F(1, 7) + F(1, 9))
+    assert expected.width < F(1, 2**120)
+
+
+def test_hit_count_zero_psi_on_a_vanishing_distance(sqrt2):
+    """psi(3) = 0 where ||3 beta|| = 0: psi'(3) = 0, so q = 3 is neither a
+    hit nor degenerate; q = 2 and q = 4 hit."""
+    pp = PsiPrime(parse_psi("table:2=1/8,3=0,4=1/9"), RealParam.rational(F(1, 3)),
+                  R0, None)
+    r = hit_count(F(1, 3), sqrt2, pp, 4)
+    assert (r.count, r.undecided, r.degenerate) == (2, 0, [])
 
 
 def test_hit_count_slow_path_agrees(sqrt2, sqrt3):

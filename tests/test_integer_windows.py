@@ -145,9 +145,10 @@ def test_expected_matches_the_fraction_sum(psi, omega, direct):
 def test_expected_on_the_psi_prime_grid():
     """Fibred thresholds lie on the 2^-128 grid and degenerate ones are 1,
     so the sum runs on ints: it equals the Fraction sum, undecided
-    supports included."""
+    supports included.  Without truncation every q = 0 mod 3 is degenerate
+    (a truncation puts a vanishing distance outside the support)."""
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), parse_param("rat:1/3"),
-                  parse_param("rat:0"), F(1, 4))
+                  parse_param("rat:0"), None)
     sweep = _HitSweep(parse_param("sqrt:3"), pp, 400, False)
     assert sweep.degenerate
     sweep.undecided_q = [401]

@@ -24,6 +24,7 @@ from mdl.realnum import (
     rational_power,
     sqrt_enclosure,
 )
+from oracles import dist_pow_compare
 
 F = Fraction
 
@@ -179,7 +180,7 @@ def test_rational_dist_identity(x):
 
 
 def test_compare_examples(sqrt2):
-    assert FormEvaluator([sqrt2]).dist_pow_compare((1,), 1, F(1, 2)) == Comparison.LT
+    assert dist_pow_compare(FormEvaluator([sqrt2]), (1,), 1, F(1, 2)) == Comparison.LT
     x = RealExpr.of(RealParam.rational(F(3, 7)), 7, -3)
     assert compare(x, 0) == Comparison.EQ
     # the convergent 665857/470832 lies above sqrt(2): 665857^2 = 2*470832^2+1
@@ -241,17 +242,17 @@ def test_form_evaluator_agrees_with_exprs(sqrt2, sqrt3):
 
 def test_form_evaluator_compare(sqrt2):
     fe = FormEvaluator([sqrt2], 0)
-    assert fe.dist_pow_compare((4,), 1, F(1, 4)) == Comparison.GT
-    assert fe.dist_pow_compare((2,), 1, F(1, 2)) == Comparison.LT
+    assert dist_pow_compare(fe, (4,), 1, F(1, 4)) == Comparison.GT
+    assert dist_pow_compare(fe, (2,), 1, F(1, 2)) == Comparison.LT
     assert fe.dist_is_zero_exact((0,))
     # ||4 sqrt2||^4 = (4 sqrt2 - 6)^4 against 1/4
-    assert fe.dist_pow_compare((4,), 4, F(1, 4)) == Comparison.LT
+    assert dist_pow_compare(fe, (4,), 4, F(1, 4)) == Comparison.LT
 
 
 def test_form_evaluator_rational_path():
     fe = FormEvaluator([RealParam.rational(F(1, 3))], 0)
-    assert fe.dist_pow_compare((1,), 1, F(1, 3)) == Comparison.EQ
-    assert fe.dist_pow_compare((3,), 1, F(1, 10)) == Comparison.LT
+    assert dist_pow_compare(fe, (1,), 1, F(1, 3)) == Comparison.EQ
+    assert dist_pow_compare(fe, (3,), 1, F(1, 10)) == Comparison.LT
 
 
 def test_dist_below_on_the_wall():
@@ -314,7 +315,7 @@ def test_form_dependence_matches_expr(texts, coeffs, offset):
     if expr.is_rational:
         assert value == expr.rational_value
         _, d = frac_and_dist(expr, 8)
-        assert fe.dist_pow_compare(coeffs, 1, d.lo) == Comparison.EQ
+        assert dist_pow_compare(fe, coeffs, 1, d.lo) == Comparison.EQ
     assert fe.dist_is_zero_exact(coeffs) == (
         expr.is_rational and expr.rational_value.denominator == 1)
 
