@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
@@ -22,6 +24,7 @@ from .realnum import (
     FormEvaluator,
     RealParam,
     log2_enclosure,
+    orbit_lane,
     precision_ladder,
     rational_power,
     round_outward,
@@ -120,6 +123,13 @@ def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
 
     Returned as a rigorous enclosure; the free-interval supremum lies in
     [D*, 2 D*].  Count-error conversion is Q * D*.
+
+    The points are sorted on the first rung b of the precision ladder at
+    which their windows separate.  `realnum.orbit_lane` certifies that order
+    on uint64 keys when b is the first rung; then a float64 pass over the
+    keys leaves only the few points near the maximum to evaluate as ints on
+    rung b.  Otherwise every point is sorted as an int, rung after rung.
+    Both routes give the same enclosure.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
@@ -129,31 +139,50 @@ def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
     if not alpha.is_irrational and not alpha.is_decimal:
         raise ValueError("star discrepancy needs an irrational parameter")
     fe = FormEvaluator([alpha], bits=bits, cap=cap)
-    for b in precision_ladder(bits, cap):
+    b = next(precision_ladder(bits, cap))
+    lane = orbit_lane(fe, Q, b)
+    if lane is None:
+        for b in precision_ladder(bits, cap):
+            lo_pin, spread = fe.pin(b)[0][0]
+            scale = 1 << b
+            err = Q * spread  # absolute window width in grid units
+            us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
+            # sorting by window midpoints is exact if adjacent windows separate
+            ok = all(us[i + 1] - us[i] > 2 * err for i in range(Q - 1))
+            ok = ok and us[0] > err and scale - us[-1] > err  # no wrap ambiguity
+            if ok:
+                break
+        else:
+            raise CapExceeded("cannot separate orbit points at the cap")
+        points = enumerate(us, start=1)
+    else:
         lo_pin, spread = fe.pin(b)[0][0]
         scale = 1 << b
-        err = Q * spread  # absolute window width in grid units
-        us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
-        # sorting by window midpoints is exact if adjacent windows separate
-        ok = all(us[i + 1] - us[i] > 2 * err for i in range(Q - 1))
-        ok = ok and us[0] > err and scale - us[-1] > err  # no wrap ambiguity
-        if ok:
-            break
-    else:
-        raise CapExceeded("cannot separate orbit points at the cap")
-    max_lo = 0
-    max_hi = 0
-    for i, u in enumerate(us, start=1):
-        v = abs(u * 2 * Q - (2 * i - 1) * scale)
-        lo = max(0, v - 2 * Q * err)
-        hi = v + 2 * Q * err
-        if lo > max_lo:
-            max_lo = lo
-        if hi > max_hi:
-            max_hi = hi
+        err = Q * spread
+        points = _near_the_maximum(lo_pin, scale, *lane)
+    # |x_(i) - (2i-1)/(2Q)| scaled by 2Q 2^b; the window of x_(i) adds err
+    vmax = max(abs(u * 2 * Q - (2 * i - 1) * scale) for i, u in points)
     den = 2 * Q * scale
-    return Enclosure(Fraction(1, 2 * Q) + Fraction(max_lo, den),
-                     Fraction(1, 2 * Q) + Fraction(max_hi, den))
+    return Enclosure(Fraction(1, 2 * Q) + Fraction(max(0, vmax - 2 * Q * err), den),
+                     Fraction(1, 2 * Q) + Fraction(vmax + 2 * Q * err, den))
+
+
+def _near_the_maximum(lo_pin: int, scale: int, order, keys, margin: int):
+    """(i, u) on rung `scale` for the i-th smallest points whose
+    |x_(i) - (2i-1)/(2Q)| may be the largest, from the lane's keys.
+
+    f_i = |keys[i] 2^-64 - (2i-1)/(2Q)| in float64 is within tau of the
+    true value: the point lies within margin 2^-64 of its key, and three
+    roundings (the key to float, the quotient, the difference, each below
+    2^-53 on values under 1) add less than 2^-51.  tau is taken as
+    (margin + 2^14) 2^-64, which also covers rounding tau itself.  The
+    maximum's f is then at least max(f) - 2 tau."""
+    Q = len(keys)
+    i = np.arange(1, Q + 1)
+    f = np.abs(keys * 2.0 ** -64 - (2 * i - 1) / (2 * Q))
+    tau = (margin + 2 ** 14) * 2.0 ** -64
+    for j in np.flatnonzero(f >= f.max() - 2 * tau).tolist():
+        yield j + 1, (int(order[j]) + 1) * lo_pin % scale
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +197,6 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     the 4Q/m slack covering boxes with off-grid sides."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    import numpy as np
     ta, tb = FormEvaluator([alpha], cap=cap), FormEvaluator([beta], cap=cap)
     cells = np.zeros((m, m), dtype=np.int64)
     for q in range(1, Q + 1):
@@ -211,18 +239,41 @@ def _cell_index(fe: FormEvaluator, q: int, m: int) -> int:
 # Erdos-Turan-Koksma bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EtkBound:
-    N: int
-    H: int
-    bound: Enclosure
-    shell_terms: tuple   # shell_terms[h-1] = enclosure of the |k|=h (or
-    #                      max(|k1|,|k2|)=h) frequency-sum contribution
-    implied_constant: Optional[Enclosure] = None
-
-
 #: Shell sums and the bound run on the 2^-SHELL_BITS grid, rounded outward.
 SHELL_BITS = 96
+
+
+@dataclass
+class EtkBound:
+    """An Erdos-Turan-Koksma bound at truncation H.  The bound is kept as
+    an integer triple and the shell terms as a sweep's shared integer
+    pairs; both are built as enclosures when read."""
+
+    N: int
+    H: int
+    bound_raw: tuple          # (lo, hi, den): the bound lies in [lo, hi]/den
+    shells_raw: Sequence = ()  # a sweep's shell pairs on the 2^-SHELL_BITS
+    #                            grid; the first H are this bound's
+    implied_constant: Optional[Enclosure] = None
+
+    @property
+    def bound(self) -> Enclosure:
+        lo, hi, den = self.bound_raw
+        return Enclosure(Fraction(lo, den), Fraction(hi, den))
+
+    @property
+    def shell_terms(self) -> tuple:
+        """shell_terms[h-1] = enclosure of the |k| = h (or max(|k1|,|k2|) = h)
+        frequency-sum contribution."""
+        return tuple(Enclosure.dyadic(lo, hi, SHELL_BITS)
+                     for lo, hi in self.shells_raw[:self.H])
+
+    @staticmethod
+    def of_shells(N: int, H: int, lo: int, hi: int, shells: Sequence) -> "EtkBound":
+        """9N(1/H + S) for a shell sum S in [lo, hi] 2^-SHELL_BITS."""
+        den = H << SHELL_BITS
+        top = 9 * N << SHELL_BITS
+        return EtkBound(N, H, (9 * lo * H + top, 9 * hi * H + top, den), shells)
 
 
 def _etk_shells_1d(fe: FormEvaluator, Hmax: int) -> list:
@@ -262,31 +313,33 @@ def etk_bound(params: Sequence[RealParam], N: int, H: int,
     1D: 9N(1/H + sum_{0<|k|<=H} (2/(|k|+1)) (2/(N ||k a||)));
     2D: 9N(1/H + sum' (4/((|k1|+1)(|k2|+1))) (2/(N ||k1 a + k2 b||))).
     """
-    bounds = etk_bound_sweep(params, N, H, cap=cap)
-    return bounds[-1]
+    shells = _shell_sums(params, N, H, cap)
+    return EtkBound.of_shells(N, H, sum(lo for lo, _ in shells),
+                              sum(hi for _, hi in shells), shells)
 
 
 def etk_bound_sweep(params: Sequence[RealParam], N: int, Hmax: int,
                     cap: int = DEFAULT_PRECISION_CAP) -> list:
     """EtkBound for every H = 1..Hmax, sharing one pass of shell sums."""
-    params = list(params)
-    if not 1 <= len(params) <= 2:
-        raise ValueError("dimension 1 or 2 only")
-    if N < 1 or Hmax < 1:
-        raise ValueError("N and H must be >= 1")
-    fe = FormEvaluator(params, 0, cap=cap)
-    shells = (_etk_shells_1d if len(params) == 1 else _etk_shells_2d)(fe, Hmax)
-    terms = [Enclosure.dyadic(lo, hi, SHELL_BITS) for lo, hi in shells]
+    shells = _shell_sums(params, N, Hmax, cap)
     out = []
     acc_lo = acc_hi = 0
     for H, (lo, hi) in enumerate(shells, start=1):
         # shells sit on the 2^-SHELL_BITS grid, so their sum is exact there
         acc_lo += lo
         acc_hi += hi
-        total = Enclosure.dyadic(9 * acc_lo, 9 * acc_hi, SHELL_BITS) \
-            + Fraction(9 * N, H)
-        out.append(EtkBound(N, H, total, tuple(terms[:H])))
+        out.append(EtkBound.of_shells(N, H, acc_lo, acc_hi, shells))
     return out
+
+
+def _shell_sums(params: Sequence[RealParam], N: int, Hmax: int, cap: int) -> list:
+    params = list(params)
+    if not 1 <= len(params) <= 2:
+        raise ValueError("dimension 1 or 2 only")
+    if N < 1 or Hmax < 1:
+        raise ValueError("N and H must be >= 1")
+    fe = FormEvaluator(params, 0, cap=cap)
+    return (_etk_shells_1d if len(params) == 1 else _etk_shells_2d)(fe, Hmax)
 
 
 def etk_autoH(gamma: RealParam, beta: RealParam, N: int, sigma_N: Fraction,
@@ -332,4 +385,6 @@ def etk_autoH(gamma: RealParam, beta: RealParam, N: int, sigma_N: Fraction,
     lpow = rational_power(lgn, s, p + s, bits=96) if N > 2 else Enclosure.exact(1)
     denom = npow * lpow
     implied = bound / denom if denom.lo > 0 else None
-    return EtkBound(N, H, bound.quantize(96), (), implied)
+    lo, hi = round_outward(bound.lo.numerator, bound.lo.denominator,
+                           bound.hi.numerator, bound.hi.denominator, 96)
+    return EtkBound(N, H, (lo, hi, 1 << 96), (), implied)

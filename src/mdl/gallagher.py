@@ -347,16 +347,21 @@ class FibreContext:
         state = self.support_state(q)
         if state != SupportState.IN:
             return Enclosure.exact(0), state
+        return self.psi_prime_in_support(q), state
+
+    def psi_prime_in_support(self, q: int) -> Enclosure:
+        """psi'(q) for a q already known to lie in the support (its level
+        is at least 0), without deciding the support again."""
         psi_v = self.pp.psi.eval(q)
         if psi_v.hi == 0:
-            return Enclosure.exact(0), state
+            return Enclosure.exact(0)
         (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
         lo, hi = psi_v.lo, psi_v.hi
         # psi / ||q beta - g'||, rounded outward once at 2^-128
         return Enclosure.dyadic(*round_outward(
             lo.numerator << b, lo.denominator * d_hi,
             hi.numerator << b, hi.denominator * d_lo,
-            PSI_PRIME_BITS), PSI_PRIME_BITS), state
+            PSI_PRIME_BITS), PSI_PRIME_BITS)
 
 
 def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
@@ -492,7 +497,7 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
             continue
         if level != l:
             continue
-        pspq, _ = ctx.psi_prime(qp)
+        pspq = ctx.psi_prime_in_support(qp)
         delta = pspq * q + psq * qp
         # None: the distance lands inside the threshold's own error bar
         ind = gamma_fe.dist_below(((qp - q) // r,), delta * Fraction(1, r),

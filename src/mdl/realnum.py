@@ -21,8 +21,11 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   to the nearest integer along one precision ladder; `dist_window` gives
   one integer window and `positive_windows` the windows, certified
   positive, of many coefficient vectors at once.
-- `ball_lane` decides many distances at once on the 2^-64 grid and leaves
-  only the entries that straddle a wall to `FormEvaluator.dist_below`.
+- Two certified uint64 lanes share one wrap-around product on the 2^-64
+  grid.  `ball_lane` decides many distances at once and leaves only the
+  entries that straddle a wall to `FormEvaluator.dist_below`; `orbit_lane`
+  sorts the points {q x}, q <= Q, and answers None where it cannot certify
+  the order that the exact ladder would find.
 - `exact_sum` adds many rationals exactly by a pairwise tree.
 """
 
@@ -795,6 +798,8 @@ class FormEvaluator:
         if self.dist_is_zero_exact(coeffs):
             raise DependenceError(witness)
         for bits in precision_ladder(self.bits, self.cap):
+            if bits == self.bits:
+                continue    # the rung `positive_windows` has just tried
             window = self.dist_window(coeffs, bits)
             if window[0] > 0:
                 return window
@@ -894,6 +899,13 @@ def lane_margin(values: list) -> Optional[np.ndarray]:
     return np.array(values, dtype=np.uint64)
 
 
+def _wrap(offset, mult, k):
+    """offset + mult k modulo 2^64 on uint64 operands: the one product of
+    both lanes."""
+    with np.errstate(over="ignore"):
+        return offset + mult * k
+
+
 def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi):
     """Decide ||x_i|| against t_i for many entries at once on the 2^-64
     grid, where x_i 2^64 is within margin_i - 1 of offset_i + mult_i k
@@ -906,11 +918,44 @@ def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi):
     is certainly strictly outside, so the lane serves the open and the
     closed ball alike.  d is the scaled distance of the pinned value.
     """
-    with np.errstate(over="ignore"):
-        M = offset + mult * np.uint64(k % _U64)
+    M = _wrap(offset, mult, np.uint64(k % _U64))
     d = np.minimum(M, -M)      # uint64 wraparound: min(M, 2^64 - M)
     if margin is None:
         return np.zeros(d.shape, bool), np.ones(d.shape, bool), d
     sure = d + margin < thr_lo
     maybe = (d < thr_hi + margin) & ~sure
     return sure, maybe, d
+
+
+def orbit_lane(fe: FormEvaluator, Q: int, b: int) -> Optional[tuple]:
+    """The points {q x}, q = 1..Q, of the evaluator's one parameter x in
+    increasing order, certified on the 2^-64 grid: (order, keys, margin)
+    with order[i] = q - 1 for the i-th smallest point, keys[i] = q P mod
+    2^64 for the pin x 2^64 in [P, P + s] and margin = Q s + 1, so that the
+    point lies in [keys[i], keys[i] + margin) / 2^64.  None when the order
+    is not certified; the caller then sorts on its exact rung b.
+
+    Certified, the order is that of the exact rung b, and b's own check
+    (points more than err_b = Q spread_b from 0, from 1 and from each
+    other) passes.  Let y = {q x'} for an x' in both pins.  A key k >= 1
+    with k + Q s < 2^64 does not wrap, so y 2^64 lies in [k, k + Q s]; keys
+    more than Q s + 1 apart order their points at least 2 apart on the
+    2^-64 grid.  The rung-b point is y 2^b - eps with 0 <= eps <= err_b, and
+    3 err_b < 2^(b-64) keeps it more than err_b from 0 and 2^b, and
+    neighbours at least 2^(b-63) - err_b > 2 err_b apart in the same order."""
+    if b <= 64:
+        return None
+    (pin, spread), = fe.pin(64)[0]
+    (_, spread_b), = fe.pin(b)[0]
+    margin = Q * spread + 1
+    if 3 * Q * spread_b >= 1 << (b - 64) or margin >= _U64:
+        return None
+    keys = _wrap(np.uint64(0), np.uint64(pin % _U64),
+                 np.arange(1, Q + 1, dtype=np.uint64))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if keys[0] < 1 or int(keys[-1]) + margin > _U64:
+        return None
+    if not (np.diff(keys) > np.uint64(margin)).all():
+        return None
+    return order, keys, margin

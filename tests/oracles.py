@@ -22,9 +22,11 @@ from mdl.circlesets import (
 from mdl.gallagher import _FAMILY_EXPONENTS, HALF
 from mdl.realnum import (
     DEFAULT_PRECISION_CAP,
+    CapExceeded,
     Comparison,
     DependenceError,
     Enclosure,
+    FormEvaluator,
     _log2_frac_floor,
     log2_enclosure,
     neg_log2_enclosure,
@@ -208,6 +210,34 @@ def expected_fraction(sweep) -> Enclosure:
 FractionReport = namedtuple(
     "FractionReport",
     "q qp gcd delta case indicator measure bound verdict min_C0")
+
+
+def star_discrepancy_exact(alpha, Q: int, bits: int = 128,
+                           cap: int = DEFAULT_PRECISION_CAP) -> Enclosure:
+    """discrepancy.star_discrepancy_1d by sorting every orbit point as a
+    Python int at each rung and scanning all of them (input checks left to
+    the library)."""
+    fe = FormEvaluator([alpha], bits=bits, cap=cap)
+    for b in precision_ladder(bits, cap):
+        lo_pin, spread = fe.pin(b)[0][0]
+        scale = 1 << b
+        err = Q * spread
+        us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
+        ok = all(us[i + 1] - us[i] > 2 * err for i in range(Q - 1))
+        ok = ok and us[0] > err and scale - us[-1] > err
+        if ok:
+            break
+    else:
+        raise CapExceeded("cannot separate orbit points at the cap")
+    max_lo = 0
+    max_hi = 0
+    for i, u in enumerate(us, start=1):
+        v = abs(u * 2 * Q - (2 * i - 1) * scale)
+        max_lo = max(max_lo, v - 2 * Q * err)
+        max_hi = max(max_hi, v + 2 * Q * err)
+    den = 2 * Q * scale
+    return Enclosure(Fraction(1, 2 * Q) + Fraction(max_lo, den),
+                     Fraction(1, 2 * Q) + Fraction(max_hi, den))
 
 
 def master_check_fraction(psi, gamma, q: int, qp: int, H: int = 3, C0=2,

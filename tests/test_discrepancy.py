@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from mdl.discrepancy import (
     BoxCountResult,
     box_count,
@@ -13,7 +15,15 @@ from mdl.discrepancy import (
     etk_bound_sweep,
     star_discrepancy_1d,
 )
-from mdl.realnum import CapExceeded, DependenceError, RealParam
+from mdl.realnum import (
+    CapExceeded,
+    DependenceError,
+    FormEvaluator,
+    RealParam,
+    orbit_lane,
+    parse_param,
+    precision_ladder,
+)
 
 F = Fraction
 SQRT2 = math.sqrt(2)
@@ -103,6 +113,51 @@ def test_star_discrepancy_float_oracle(sqrt2, golden):
             assert float(d.width) < 1e-15
 
 
+IRRATIONALS = ("sqrt:2", "sqrt:3", "const:golden", "const:pi", "const:e",
+               "log2:3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(IRRATIONALS + ("dec:1.41421356237@1e-11",
+                                      "dec:0.5@1e-30")),
+       st.integers(1, 5000), st.sampled_from((64, 96, 128, 4096)))
+@example("dec:0.5@1e-30", 2, 4096)
+@example("dec:0.50000000000000000000001@1e-23", 2, 4096)
+@example("dec:1.41421356237@1e-7", 1000, 4096)
+def test_star_discrepancy_matches_the_exact_sort(alpha, Q, cap):
+    """The lane and the exact fallback against sorting every point.  Tight
+    decimals at 1/2 pin narrowly enough for the lane, but {2 x} may be 0
+    (on a key of 0, or of 2^64 - 2), so neither route may sort them.  At
+    radius 1e-7 the keys of 1000 points separate on the 2^-64 grid, but the
+    windows do not at any rung."""
+    x = parse_param(alpha)
+    try:
+        want = oracles.star_discrepancy_exact(x, Q, cap=cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            star_discrepancy_1d(x, Q, cap=cap, allow_decimal=True)
+        return
+    assert star_discrepancy_1d(x, Q, cap=cap, allow_decimal=True) == want
+
+
+def _lane(alpha, Q, cap=4096):
+    fe = FormEvaluator([parse_param(alpha)], cap=cap)
+    return orbit_lane(fe, Q, next(precision_ladder(fe.bits, cap)))
+
+
+@pytest.mark.parametrize("alpha", IRRATIONALS)
+def test_orbit_lane_certifies_irrational_orbits(alpha):
+    order, keys, margin = _lane(alpha, 10**5)
+    assert sorted(order.tolist()) == list(range(10**5))
+    assert (np.diff(keys) > margin).all()
+
+
+@pytest.mark.parametrize("alpha, cap", [("dec:1.4142135@1e-6", 4096),
+                                        ("sqrt:2", 64)])
+def test_orbit_lane_refuses_wide_pins_and_low_caps(alpha, cap):
+    assert _lane(alpha, 10**5, cap) is None
+
+
 def test_star_discrepancy_rejects_rational():
     with pytest.raises(ValueError):
         star_discrepancy_1d(RealParam.rational(F(2, 3)), 5)
@@ -173,11 +228,14 @@ def test_etk_2d_float_oracle(sqrt2, sqrt3):
     assert float(eb.bound.mid) == pytest.approx(9 * N * (1 / H + tot), rel=1e-9)
 
 
-def test_etk_sweep_consistent(sqrt2):
-    sweep = etk_bound_sweep([sqrt2], 50, 40)
-    for H in (1, 7, 40):
-        single = etk_bound([sqrt2], 50, H)
-        assert sweep[H - 1].bound.overlaps(single.bound)
+def test_etk_sweep_consistent(sqrt2, sqrt3):
+    for params in ([sqrt2], [sqrt2, sqrt3]):
+        sweep = etk_bound_sweep(params, 50, 40)
+        for H in (1, 7, 40):
+            single = etk_bound(params, 50, H)
+            assert single.bound == sweep[H - 1].bound
+            assert single.shell_terms == sweep[H - 1].shell_terms
+            assert len(single.shell_terms) == H
 
 
 def test_exact_disc_below_etk_small(sqrt2, golden):

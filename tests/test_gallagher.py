@@ -219,6 +219,25 @@ def test_sklr_enumeration_oracle(sqrt2, sqrt3):
     assert r.undecided == 0
 
 
+def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
+    """One ladder verdict per fibre point: the level of q' decides its
+    support, and psi'(q') does not decide it again."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
+    seen = Counter()
+    real = FormEvaluator._dist_decide
+
+    def counting(self, coeffs, shift, verdict):
+        if self.params == (sqrt2,):     # the fibre, not gamma's indicator
+            seen[tuple(coeffs)] += 1
+        return real(self, coeffs, shift, verdict)
+
+    monkeypatch.setattr(FormEvaluator, "_dist_decide", counting)
+    r = sklr_sum(pp, sqrt3, 120, 0, 1, 1)
+    assert r.count == 11 and r.undecided == 0
+    band = [qp for qp in range(60, 121) if math.gcd(qp, 120) == 1]
+    assert seen == Counter({(q,): 1 for q in band + [120]})
+
+
 def test_sklr_counts_an_undecided_cell(sqrt3):
     """A decimal fibre whose window never narrows: q' = 355 is in the
     support, but its cell is undecided at the cap, so it is counted as

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdl.realnum import (
     Comparison,
+    DependenceError,
     Enclosure,
     FormEvaluator,
     RealExpr,
@@ -267,6 +268,28 @@ def test_dist_below_on_the_wall():
     irr = FormEvaluator([RealParam.sqrt(2)])
     assert irr.dist_below((1,), Enclosure.exact(F(41, 100)), closed=False) is False
     assert irr.dist_below((1,), Enclosure.exact(F(42, 100)), closed=True) is True
+
+
+def test_positive_windows_climb_from_the_next_rung(monkeypatch):
+    """A decimal whose form 2x - 1 straddles 0 at every rung: the table at
+    128 bits fails, and the ladder goes on at 256 and 512, not at 128."""
+    fe = FormEvaluator([parse_param("dec:0.5@1e-12")], -1, cap=512)
+    bits = []
+    real = FormEvaluator.dist_window
+
+    def counting(self, coeffs, b=None, shift=0):
+        bits.append(b)
+        return real(self, coeffs, b, shift)
+
+    monkeypatch.setattr(FormEvaluator, "dist_window", counting)
+    with pytest.raises(DependenceError):
+        list(fe.positive_windows([(2,)]))
+    assert bits == [256, 512]
+    bits.clear()
+    at_cap = FormEvaluator([parse_param("dec:0.5@1e-12")], -1, cap=128)
+    with pytest.raises(DependenceError):
+        list(at_cap.positive_windows([(2,)]))
+    assert bits == []
 
 
 def test_lane_margin_stops_below_a_wrap():

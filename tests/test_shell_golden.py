@@ -1,6 +1,7 @@
-"""ETK shells, psi families and expectation sums pinned byte for byte in
-data/shell_golden.json, as computed when each of them still built a
-`Fraction` per term.
+"""ETK shells, psi families, expectation sums and the 1D star discrepancy
+pinned byte for byte in data/shell_golden.json, as computed when each of
+them still built a `Fraction` per term (the star discrepancy: a Python int
+per orbit point).
 
 After an intended change to these values, rewrite the file from the
 current code with
@@ -29,6 +30,13 @@ ETK_N, ETK_1D_H, ETK_2D_H = 1000, 300, 30
 FAMILIES = (("ev", F(1)), ("mono2", F(1)), ("log2sq", F(1, 2)))
 PSI_TOP = 3000
 LARGE_Q = (10**6 - 1, 10**6, 10**6 + 1, 2**40 - 1, 2**40, 2**40 + 1)
+STAR_ALPHAS = ("sqrt:2", "sqrt:3", "const:golden", "const:pi", "const:e",
+               "log2:3")
+STAR_QS = (1, 2, 3, 10, 10**3, 10**4, 10**5)
+# (alpha, Q, keyword arguments): a decimal literal and two precision caps
+STAR_EXTRA = (("dec:1.41421356237@1e-11", 1000, {"allow_decimal": True}),
+              ("sqrt:2", 1000, {"cap": 64}),
+              ("sqrt:2", 10**4, {"cap": 128}))
 
 
 def _enc(e):
@@ -91,6 +99,17 @@ def _psi_prime():
     return rows
 
 
+def _star_disc():
+    """The exact 1D star discrepancy of {q alpha}, q = 1..Q."""
+    cases = [(a, Q, {}) for a in STAR_ALPHAS for Q in STAR_QS] + list(STAR_EXTRA)
+    rows = {}
+    for alpha, Q, kw in cases:
+        key = ";".join([alpha, f"Q={Q}"] + [f"{k}={v}" for k, v in kw.items()])
+        rows[key] = _enc(discrepancy.star_discrepancy_1d(parse_param(alpha), Q,
+                                                         **kw))
+    return rows
+
+
 def compute():
     out = {}
     for params in ETK_1D:
@@ -102,6 +121,7 @@ def compute():
     for name, (pp, Q, direct) in SWEEPS.items():
         out["sweep:" + name] = _sweep(pp, Q, direct)
     out["psi_prime"] = _psi_prime()
+    out["star-disc"] = _star_disc()
     out["union_bound:50:3"] = _enc(gallagher.doubly_metric_union_bound(50, 3))
     out["union_bound:30:5/2"] = _enc(
         gallagher.doubly_metric_union_bound(30, F(5, 2)))
