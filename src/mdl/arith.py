@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .realnum import Enclosure, log2_enclosure
+from .realnum import Enclosure, log2_enclosure, log2_scaled
 
 #: Factorization below this bound uses the smallest-prime-factor sieve;
 #: beyond it Pollard-Brent splitting with a Miller-Rabin primality test.
@@ -195,9 +195,10 @@ def _log2_table(table_bits: int = _TABLE_BITS):
     lo = np.zeros(size + 1, dtype=np.float64)
     hi = np.zeros(size + 1, dtype=np.float64)
     for i in range(size + 1):
-        e = log2_enclosure((1 << table_bits) + i, 40)
-        lo[i] = float(e.lo) - table_bits
-        hi[i] = float(e.hi) - table_bits
+        # int / int is correctly rounded, as float() of the Fraction is
+        l, h, w = log2_scaled((1 << table_bits) + i, 40)
+        lo[i] = l / (1 << w) - table_bits
+        hi[i] = h / (1 << w) - table_bits
     return lo, hi
 
 
@@ -231,16 +232,17 @@ def F_average(Q: int) -> Enclosure:
     if Q == 1:
         return Enclosure.exact(0)
     if Q <= 65536:
-        # dyadic accumulation: floor/ceil each term onto the 2^-64 grid so
-        # the running sum stays a pair of plain integers
+        # dyadic accumulation: floor/ceil each term, a bound of log2 r on
+        # the 2^-w grid times floor(Q/r) / r, onto the 2^-64 grid so the
+        # running sum stays a pair of plain integers
         shift = 64
         lo_acc = 0
         hi_acc = 0
         for r in range(2, Q + 1):
-            e = _log2_cached(r, 48)
-            w = Fraction(Q // r, r)
-            lo_acc += math.floor(e.lo * w * (1 << shift))
-            hi_acc += math.ceil(e.hi * w * (1 << shift))
+            lo, hi, w = log2_scaled(r, 48)
+            m = (Q // r) << shift
+            lo_acc += lo * m // (r << w)
+            hi_acc -= -hi * m // (r << w)
         scale = Q << shift
         return Enclosure(Fraction(lo_acc, scale), Fraction(hi_acc, scale))
     rs = np.arange(2, Q + 1, dtype=np.int64)

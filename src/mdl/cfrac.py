@@ -222,12 +222,11 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
             raise ValueError("decimal literal is secretly rational; sigma needs "
                              "certified irrationals (allow_decimal=True to override)")
     fe = FormEvaluator([gamma, beta], 0, cap=cap)
-    # syntactic dependence first, height-1 pairs included: gamma == beta
-    # is reported through the smallest witness (1, -1)
-    for k2 in range(1, N + 1):
-        for k1 in range(-N, N + 1):
-            if fe.dist_is_zero_exact((k1, k2)):
-                raise DependenceError(normalize_witness((k1, k2)))
+    # syntactic dependence first: k1 gamma + k2 beta collapses only when
+    # both share one group, and then exactly when k1 + k2 = 0, so the first
+    # collapsing vector of the scan k2 = 1.., k1 = -N..N is (-1, 1)
+    if fe.dist_is_zero_exact((-1, 1)):
+        raise DependenceError(normalize_witness((-1, 1)))
     cands = []
     # (k1,k2) and (-k1,-k2) share a distance: scan k2 > 0 plus the k2 = 0 axis
     for k2 in range(1, N + 1):

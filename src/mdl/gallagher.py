@@ -150,18 +150,26 @@ class ApproxFunction:
 
     def eval(self, q: int, bits: int = 64) -> Enclosure:
         """psi(q) as an enclosure (exact for const/overq/table)."""
+        lo, hi, den = self.window(q, bits)
+        v = Fraction(lo, den)
+        return Enclosure(v, v if hi == lo else Fraction(hi, den))
+
+    def window(self, q: int, bits: int = 64) -> tuple:
+        """(lo, hi, den) with psi(q) in [lo, hi] / den, on ints: lo = hi
+        for const/overq/table, den = 2^PSI_BITS for the log families."""
         if q < 1:
             raise ValueError("q must be >= 1")
         if self.tag == "table":
             for qq, v in self.table:
                 if qq == q:
-                    return Enclosure.exact(v)
-            return Enclosure.exact(0)
-        a, b, d = _FAMILY_EXPONENTS[self.tag]
+                    return v.numerator, v.numerator, v.denominator
+            return 0, 0, 1
+        cn, cd = self.c.numerator, self.c.denominator
         if self.tag == "const":
-            return Enclosure.exact(self.c)
+            return cn, cn, cd
         if self.tag == "overq":
-            return Enclosure.exact(self.c / q)
+            return cn, cn, cd * q
+        a, b, d = _FAMILY_EXPONENTS[self.tag]
         if q < (3 if d else 2):
             raise ValueError(f"psi family {self.tag} undefined at q={q}")
         # the denominator q^a lg^b llg^d lies in [den_lo, den_hi] / 2^e
@@ -182,9 +190,8 @@ class ApproxFunction:
             den_lo *= ll_lo ** d
             den_hi *= ll_hi ** d
             e += w * d
-        cn, cd = self.c.numerator, self.c.denominator
-        return Enclosure.dyadic(*round_outward(
-            cn << e, cd * den_hi, cn << e, cd * den_lo, PSI_BITS), PSI_BITS)
+        return (*round_outward(cn << e, cd * den_hi, cn << e, cd * den_lo,
+                               PSI_BITS), 1 << PSI_BITS)
 
     def canonical(self) -> str:
         if self.tag == "table":
@@ -277,8 +284,9 @@ class FibreContext:
     l.  The level is one verdict on the evaluator's precision ladder, exact
     on ints for omega = p/s with s <= 64 and taken from 96-bit log2 bounds
     for the schedule exponents; what the cap cannot decide is flagged, never
-    guessed.  psi' divides psi(q) by the evaluator's positive window of the
-    distance.
+    guessed.  psi' divides the integer window of psi(q) by the evaluator's
+    positive window of the distance, which the level decision has usually
+    taken already, and is one pair of ints on the 2^-PSI_PRIME_BITS grid.
     """
 
     def __init__(self, pp: PsiPrime, cap: int = DEFAULT_PRECISION_CAP):
@@ -294,6 +302,7 @@ class FibreContext:
             self._gp_in_form = True
         # the first window is taken at 128 bits, or at the cap below that
         self.fe = FormEvaluator(params, offset, bits=min(128, cap), cap=cap)
+        self._first_scale = 1 << self.fe.bits
 
     def _coeffs(self, q: int):
         return (q, -1) if self._gp_in_form else (q,)
@@ -305,15 +314,23 @@ class FibreContext:
         """Is ||q beta - g'|| inside [q^-omega(q), 1)?  (1 is never reached:
         the distance is at most 1/2.)  The sign of the level, decided with
         the level clamped to {-1, 0}."""
+        return self._support(q)[0]
+
+    def _support(self, q: int) -> tuple:
+        """(support state, the first-rung window of its level decision or
+        None)."""
         om = self.pp.omega_at(q)
         if om is None:
-            return SupportState.IN
+            return SupportState.IN, None
         if om <= 0:
-            return SupportState.IN if not self.dist_is_zero(q) else SupportState.OUT
-        level = self._level(q, om, 0)
+            return (SupportState.IN if not self.dist_is_zero(q)
+                    else SupportState.OUT), None
+        first = []
+        level = self._level(q, om, 0, first)
+        window = first[0] if first else None
         if level is None:
-            return SupportState.UNDECIDED
-        return SupportState.IN if level == 0 else SupportState.OUT
+            return SupportState.UNDECIDED, window
+        return (SupportState.IN if level == 0 else SupportState.OUT), window
 
     def cell_of(self, q: int) -> Optional[int]:
         """The level of q: the index l >= 0 with ||q beta - g'|| in
@@ -324,15 +341,21 @@ class FibreContext:
             raise ValueError("census cells need a positive omega")
         return self._level(q, om)
 
-    def _level(self, q: int, om: Fraction, top: Optional[int] = None):
-        """The level of q clamped to at most `top`, or None at the cap."""
+    def _level(self, q: int, om: Fraction, top: Optional[int] = None,
+               first: Optional[list] = None):
+        """The level of q clamped to at most `top`, or None at the cap.  A
+        list `first` receives the distance window (lo, hi, scale) that the
+        ladder took at the evaluator's first rung, if it took one."""
         p, s = om.numerator, om.denominator
         if s <= 64:
             level = partial(_pow_level, s=s, qp=q ** p)
         else:
             level = partial(_log_level, p=p, s=s, lgq=log2_scaled(q, 96))
+        first_scale = self._first_scale
 
         def verdict(lo, hi, scale):
+            if first is not None and scale == first_scale:
+                first.append((lo, hi, scale))
             a, b = level(lo, scale, 0), level(hi, scale, 1)
             if top is not None:
                 a, b = min(a, top), min(b, top)
@@ -349,19 +372,36 @@ class FibreContext:
             return Enclosure.exact(0), state
         return self.psi_prime_in_support(q), state
 
+    def psi_prime_window(self, q: int) -> tuple:
+        """(support state, lo, hi) with psi'(q) in [lo, hi] /
+        2^PSI_PRIME_BITS, (state, 0, 0) outside the support: `psi_prime` on
+        ints, dividing by the window its level decision took.  Raises as
+        `psi_prime` does."""
+        state, window = self._support(q)
+        if state != SupportState.IN:
+            return state, 0, 0
+        return (state, *self._quotient(q, window))
+
     def psi_prime_in_support(self, q: int) -> Enclosure:
         """psi'(q) for a q already known to lie in the support (its level
         is at least 0), without deciding the support again."""
-        psi_v = self.pp.psi.eval(q)
-        if psi_v.hi == 0:
-            return Enclosure.exact(0)
-        (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
-        lo, hi = psi_v.lo, psi_v.hi
-        # psi / ||q beta - g'||, rounded outward once at 2^-128
-        return Enclosure.dyadic(*round_outward(
-            lo.numerator << b, lo.denominator * d_hi,
-            hi.numerator << b, hi.denominator * d_lo,
-            PSI_PRIME_BITS), PSI_PRIME_BITS)
+        return Enclosure.dyadic(*self._quotient(q, None), PSI_PRIME_BITS)
+
+    def _quotient(self, q: int, window) -> tuple:
+        """psi(q) / ||q beta - g'|| rounded outward once onto the
+        2^-PSI_PRIME_BITS grid, for q in the support.  The distance window
+        is the first-rung `window` of the level decision where that is
+        positive; else `positive_windows` takes it, first rung and ladder
+        alike, so the value is the same either way."""
+        pl, ph, pd = self.pp.psi.window(q)
+        if ph == 0:
+            return 0, 0
+        if window is None or window[0] == 0:
+            (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
+            window = d_lo, d_hi, 1 << b
+        d_lo, d_hi, scale = window
+        return round_outward(pl * scale, pd * d_hi, ph * scale, pd * d_lo,
+                             PSI_PRIME_BITS)
 
 
 def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
@@ -672,11 +712,6 @@ class HitResult:
     #                     trivially satisfied; flagged, still counted)
 
 
-def _measure(t: Fraction):
-    """min(1, 2 t): the measure of a ball of radius t on the circle."""
-    return 1 if t >= HALF else 2 * t
-
-
 class _HitSweep:
     """Precomputed per-q thresholds for counting q <= Q with
     ||q x - gamma|| < psi'(q), vectorized over dyadic samples x = k/2^64.
@@ -699,27 +734,30 @@ class _HitSweep:
         thr_hi = np.zeros(Q + 1, dtype=np.uint64)
         q0 = pp.psi.q0
         ctx = None if direct else FibreContext(pp, cap=cap)
-        self._exact_thresholds = {}
+        one = 1 << PSI_PRIME_BITS
+        # q -> (lo, hi, den): the threshold lies in [lo, hi] / den
+        self._thresholds = {}
         for q in range(max(1, q0), Q + 1):
             if direct:
-                t = pp.psi.eval(q)
+                lo, hi, den = pp.psi.window(q)
             else:
                 try:
-                    t, state = ctx.psi_prime(q)
+                    state, lo, hi = ctx.psi_prime_window(q)
                 except DependenceError:
                     if not ctx.dist_is_zero(q):
                         raise
                     # a vanishing distance inside the support, with
                     # psi(q) > 0: the product 0 < psi(q) always hits
                     self.degenerate.append(q)
-                    t, state = Enclosure.exact(1), SupportState.IN
+                    state, lo, hi = SupportState.IN, one, one
                 if state == SupportState.UNDECIDED:
                     self.undecided_q.append(q)
                     continue
-            if t.hi == 0:
+                den = one
+            if hi == 0:
                 continue
-            self._exact_thresholds[q] = t
-            thr_lo[q], thr_hi[q] = lane_threshold(t)
+            self._thresholds[q] = lo, hi, den
+            thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, den)
         self.thr_lo = thr_lo
         self.thr_hi = thr_hi
         self.qs = np.arange(Q + 1, dtype=np.uint64)
@@ -731,27 +769,21 @@ class _HitSweep:
     def expected(self) -> Enclosure:
         """sum over q of min(1, 2 t_q) for the thresholds t_q; an undecided
         support contributes [0, 1]."""
-        ts = self._exact_thresholds.values()
-        one = 1 << PSI_PRIME_BITS
-        if all(one % e.denominator == 0 for t in ts for e in (t.lo, t.hi)):
-            # every end lies on the 2^-128 grid of psi' (or is an integer):
-            # sum the terms on that grid as ints and reduce once
-            def term(e):
-                return min(one, 2 * e.numerator * (one // e.denominator))
-            lo = sum(term(t.lo) for t in ts)
-            hi = sum(term(t.hi) for t in ts) + len(self.undecided_q) * one
-            return Enclosure(Fraction(lo, one), Fraction(hi, one))
-        lo_terms = []
-        hi_terms = []
-        for t in self._exact_thresholds.values():
-            m = _measure(t.lo)
-            lo_terms.append(m)
-            # an exact threshold builds its term once, for both ends
-            hi_terms.append(m if t.is_exact else _measure(t.hi))
-        lo = exact_sum(lo_terms)
-        # list equality tries identity first: shared terms compare for free
-        hi = lo if lo_terms == hi_terms else exact_sum(hi_terms)
-        return Enclosure(lo, hi + len(self.undecided_q))
+        ts = self._thresholds.values()
+        undecided = len(self.undecided_q)
+        dens = {den for _, _, den in ts}
+        if len(dens) <= 1:
+            # one grid (2^-128 for psi', c's denominator for a constant
+            # psi): sum the terms on it as ints and reduce once
+            den = dens.pop() if dens else 1
+            lo = sum(min(den, 2 * t_lo) for t_lo, _, _ in ts)
+            hi = sum(min(den, 2 * t_hi) for _, t_hi, _ in ts) + undecided * den
+            return Enclosure(Fraction(lo, den), Fraction(hi, den))
+        lo = exact_sum([Fraction(min(den, 2 * t_lo), den)
+                        for t_lo, _, den in ts])
+        hi = lo if all(t_lo == t_hi for t_lo, t_hi, _ in ts) else exact_sum(
+            [Fraction(min(den, 2 * t_hi), den) for _, t_hi, den in ts])
+        return Enclosure(lo, hi + undecided)
 
     def count_for(self, k: int) -> HitResult:
         sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
@@ -770,10 +802,13 @@ class _HitSweep:
 
     def _exact_hit(self, q: int, x: Fraction) -> Optional[bool]:
         """||q x - gamma|| < psi'(q), as the form -gamma shifted by q x."""
-        t = self._exact_thresholds.get(q)
+        t = self._thresholds.get(q)
         if t is None:
             return False
-        return self.fe.dist_below((-1,), t, closed=False, shift=q * x)
+        lo, hi, den = t
+        return self.fe.dist_below((-1,), Enclosure(Fraction(lo, den),
+                                                   Fraction(hi, den)),
+                                  closed=False, shift=q * x)
 
 
 def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
@@ -899,9 +934,9 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     K1G = lane_array([k1 * g_lo for k1, _ in pairs])
     k2s = lane_array([k2 for _, k2 in pairs])
     marg = lane_margin([abs(k1) * g_spread + 2 for k1, _ in pairs])
-    balls = [Enclosure.exact(Fraction(1, max(-k1, k1, k2) ** Hp))
-             for k1, k2 in pairs]
-    thr = [lane_threshold(t) for t in balls]
+    heights = [max(-k1, k1, k2) ** Hp for k1, k2 in pairs]
+    balls = [Enclosure.exact(Fraction(1, h)) for h in heights]
+    thr = [lane_threshold(1, 1, h) for h in heights]
     thr_lo = lane_array([lo for lo, _ in thr])
     thr_hi = lane_array([hi for _, hi in thr])
 

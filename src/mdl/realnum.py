@@ -14,7 +14,11 @@ uncertainty radius (never treated as exact).
 Hot loops run on integer windows, not on `Fraction`s: a window is a pair
 of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
 
-- `log2_scaled` is the integer core of `log2_enclosure`.
+- `log2_scaled` is the integer core of `log2_enclosure`.  Its digits come
+  from the series lane `_log2_lane`, an atanh series on fixed-point ints
+  with a table of log2(1 + j/64), wherever the lane's error bound certifies
+  the digits that the bit-by-bit squaring loop `_log2_frac_floor` would
+  extract; the loop runs only for the rest.
 - `round_outward` rounds num 2^k / den outward to ints, and
   `Enclosure.dyadic` turns such a pair back into an enclosure.
 - `FormEvaluator` pins parameters as scaled integers and decides distances
@@ -252,7 +256,20 @@ def sqrt_enclosure(n: int, bits: int) -> Enclosure:
 def _log2_frac_floor(x0: int, work: int, nbits: int) -> int:
     """Truncating digit extraction: returns f with
     f/2^nbits <= log2(x0 / 2^work) <= f/2^nbits + nbits*2^(2-work) + 2^-nbits
-    for x0/2^work in [1, 2).  Truncation only ever lowers the result."""
+    for x0/2^work in [1, 2].  Truncation only ever lowers the result.
+
+    Proof.  For x0 < 2^(work+1) every x the loop holds lies in [2^work,
+    2^(work+1)); let l_i in [0, 1) be log2(x / 2^work) after i steps, so
+    that T = 2^nbits l_0 is the scaled value.  A step squares (l -> 2l),
+    and if the square reaches 2 it emits the bit b_i = 1 and halves (minus
+    1): l_(i+1) = 2 l_i - b_i - e_i, where e_i >= 0 is what the two
+    truncations lose.  The square floor(x^2 / 2^work) is at least
+    x^2/2^work - 1 with x^2/2^work >= 2^work, and the halving floor(x / 2)
+    at least x/2 - 1/2 with x/2 >= 2^work, so e_i <= -log2(1 - 2^-work) -
+    log2(1 - 2^-(work+1)) < 2.2 2^-work.  Unrolled, T = f + l_nbits + E
+    with 0 <= E = sum_i e_i 2^(nbits-1-i) < 2.2 2^(nbits-work): f <= T <
+    f + 1 + 2.2 2^(nbits-work), inside the bound above.  The input x0 =
+    2^(work+1) keeps x there and emits all ones, T = f + 1."""
     one = 1 << work
     x = x0
     frac = 0
@@ -265,14 +282,119 @@ def _log2_frac_floor(x0: int, work: int, nbits: int) -> int:
     return frac
 
 
+#: The series lane reduces m in [1, 2] to the nearest table point c_j = 1 +
+#: j/2^_LANE_J, so that its atanh argument has |t| <= 2^-(_LANE_J + 2).
+_LANE_J = 6
+
+
+def _atanh_inv(N: int, bits: int) -> tuple:
+    """(s, e) with s <= atanh(1/N) 2^bits < s + e, for an integer N >= 3.
+
+    Term k of sum 1/((2k+1) N^(2k+1)) is floored on its own, and nested
+    floors of positive ints are exact, so each term loses less than 1; the
+    tail after the first vanishing power is below 1 as well."""
+    p = (1 << bits) // N
+    s, e, k, nn = p, 2, 1, N * N
+    while p:
+        p //= nn
+        k += 2
+        s += p // k
+        e += 1
+    return s, e
+
+
+@lru_cache(maxsize=None)
+def _log2_lane_constants(P: int) -> tuple:
+    """(log2c, k2, terms, err) of the series lane on the 2^-P grid.
+
+    log2c[j] and k2 lie within their measured errors e_c and e_k of
+    log2(c_j) 2^P and (2/ln 2) 2^P: ln 2 = 2 atanh(1/3) and ln(c_i /
+    c_(i-1)) = 2 atanh(1 / (2^(J+1) + 2i - 1)) are summed 40 bits finer,
+    each as an interval, and the ratio's interval is measured.  `terms`
+    atanh terms leave a tail below 2^-P, since (J + 2)(2 terms + 1) >= P.
+    err bounds |a - log2(y) 2^P| for the a of `_log2_series`."""
+    J = _LANE_J
+    fine = P + 40
+    l2, e2 = _atanh_inv(3, fine)
+    ln2_lo, ln2_hi = 2 * l2, 2 * (l2 + e2)
+    log2c, e_c, acc, e_acc = [0], 0, 0, 0
+    for i in range(1, (1 << J) + 1):
+        s, e = _atanh_inv((2 << J) + 2 * i - 1, fine)
+        acc += 2 * s
+        e_acc += 2 * e
+        lo = (acc << P) // ln2_hi
+        log2c.append(lo)
+        e_c = max(e_c, -((-(acc + e_acc) << P) // ln2_lo) - lo)
+    k2 = (1 << (P + fine + 1)) // ln2_hi
+    e_k = -((-1 << (P + fine + 1)) // ln2_lo) - k2
+    terms = max(1, -(-(P - J - 2) // (2 * J + 4)))
+    return tuple(log2c), k2, terms, e_c + e_k + 6 * terms + 2
+
+
+def _lane_floor(lo: int, hi: int, sh: int, slack: int) -> Optional[int]:
+    """floor(T) for T in [lo, hi] / 2^sh when that puts T more than slack /
+    2^sh above the integer floor(T) (and below the next); else None."""
+    f = lo >> sh
+    if hi >> sh == f and lo - (f << sh) > slack:
+        return f
+    return None
+
+
+def _log2_series(x0: int, work: int) -> tuple:
+    """(a, err, P): a is within err of log2(y) 2^P, y = x0 / 2^work in [1,
+    2], with P >= work + 8.
+
+    log2 y = log2 c_j + (2 / ln 2) atanh(t), t = (y - c_j)/(y + c_j), on
+    fixed-point ints (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+    4.2).  Error budget in units u = 2^-P: t is floored (< u); t^2 and each
+    power are floored, so each power of t is within 2u of the true one (|t|
+    <= 2^-8); each term is within 2u/(2k+1) + u, and with the tail the sum
+    is within 2 terms u of atanh(t).  Scaled by k2 (< 2.9 2^P, within e_k),
+    floored, and added to log2c[j] (within e_c), a is within e_c + e_k + 6
+    terms + 1 < err of log2(y) 2^P."""
+    J = _LANE_J
+    P = -(-(work + 8) // 32) * 32   # one table serves 32 precisions
+    log2c, k2, terms, err = _log2_lane_constants(P)
+    one = 1 << P
+    y = x0 << (P - work)
+    j = (y - one + (1 << (P - J - 1))) >> (P - J)   # nearest c_j
+    c = one + (j << (P - J))
+    t = ((y - c) << P) // (y + c)
+    t2 = (t * t) >> P
+    s = p = t
+    for k in range(3, 2 * terms + 1, 2):
+        p = (p * t2) >> P
+        s += p // k
+    return log2c[j] + ((s * k2) >> P), err, P
+
+
+def _log2_lane(x0: int, work: int, nb: int) -> tuple:
+    """(f0, f1): the digits `_log2_frac_floor(x, work, nb)` of x = x0 and of
+    x = x0 + 1, for x0 / 2^work in [1, 2), both from one `_log2_series`
+    evaluation, each None where the series cannot certify it.
+
+    T = 2^nb log2(x / 2^work) is a / 2^sh within err / 2^sh.  The loop's f
+    satisfies T - 1 - slack <= f <= T with slack nb 2^(2 + nb - work) (its
+    docstring), so f = floor(T) wherever T lies more than slack above
+    floor(T)."""
+    a, err, P = _log2_series(x0, work)
+    sh = P - nb
+    slack = nb << (P - work + 2)
+    # log2(1 + 1/x0) < 2^(1-work), which is 2 << (P - work) on this grid
+    return (_lane_floor(a - err, a + err, sh, slack),
+            _lane_floor(a - err, a + err + (2 << (P - work)), sh, slack))
+
+
 def log2_scaled(n: int, bits: int) -> tuple:
     """(lo, hi, w) with log2(n) in [lo, hi] / 2^w and (hi - lo) / 2^w <=
     2^-bits, for n >= 1; w = bits + 19.  Integers only.
 
-    Splits log2(n) = k + log2(m) with m = n/2^k in [1, 2) and extracts the
-    fractional bits by repeated squaring of scaled integers, truncating
-    downward; the upper bound reruns the extraction on the next grid point
-    and pads by the accumulated truncation error.
+    Splits log2(n) = k + log2(m) with m = n/2^k in [1, 2) and takes the
+    fractional bits that repeated squaring of scaled integers extracts,
+    truncating downward (`_log2_frac_floor`); the upper bound takes them at
+    the next grid point and pads by the accumulated truncation error.  The
+    series lane `_log2_lane` gives the same digits wherever it can certify
+    them, and the squaring loop runs only where it cannot.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
@@ -282,11 +404,15 @@ def log2_scaled(n: int, bits: int) -> tuple:
     if n & (n - 1) == 0:
         return k << work, k << work, work
     x0 = (n << work) >> k          # floor(m * 2^work), m = n / 2^k in (1, 2)
-    lo = _log2_frac_floor(x0, work, nb) << 16
+    f0, f1 = _log2_lane(x0, work, nb)
+    if f0 is None:
+        f0 = _log2_frac_floor(x0, work, nb)
+    if f1 is None:
+        f1 = _log2_frac_floor(x0 + 1, work, nb)
+    lo = f0 << 16
     # truncation loses at most 2^(1-work) relatively per squaring step, so
     # pad by 4 nb 2^-work + 2^(1-nb), and never past k + 1
-    hi = min(((_log2_frac_floor(x0 + 1, work, nb) + 2) << 16) + 4 * nb,
-             1 << work)
+    hi = min(((f1 + 2) << 16) + 4 * nb, 1 << work)
     return (k << work) + lo, (k << work) + hi, work
 
 
@@ -437,6 +563,21 @@ class RealParam:
             return _const_enclosure(self.name, bits)
         # decimal: the declared radius is a hard floor on the width
         return Enclosure(self.value - self.radius, self.value + self.radius)
+
+    def __hash__(self):
+        # the generated hash would rehash both Fraction fields on every
+        # call, and the pins and evaluators are cached on parameters; the
+        # hash is kept once per instance, outside the pickled state (str
+        # hashes differ between processes)
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.kind, self.value, self.arg, self.name, self.radius))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def canonical(self) -> str:
         if self.kind == "rational":
@@ -878,10 +1019,10 @@ _U64 = 1 << 64
 _LANE_CLAMP = 3 << 62
 
 
-def lane_threshold(t: Enclosure) -> tuple:
-    """(floor(t.lo 2^64), ceil(t.hi 2^64)), clamped for `ball_lane`."""
-    lo, hi = round_outward(t.lo.numerator, t.lo.denominator,
-                           t.hi.numerator, t.hi.denominator, 64)
+def lane_threshold(lo: int, hi: int, den: int) -> tuple:
+    """(floor(lo 2^64 / den), ceil(hi 2^64 / den)) for a threshold in [lo,
+    hi] / den, clamped for `ball_lane`."""
+    lo, hi = round_outward(lo, den, hi, den, 64)
     return min(_LANE_CLAMP, lo), min(_LANE_CLAMP, hi)
 
 

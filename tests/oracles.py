@@ -11,6 +11,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
+
 from mdl.cfrac import _exponent_enclosure
 from mdl.circlesets import (
     CircleSet,
@@ -91,6 +93,33 @@ def log2_fraction(n: int, bits: int) -> Enclosure:
     pad = Fraction(4 * nb, 1 << work) + Fraction(2, 1 << nb)
     hi = Fraction(_log2_frac_floor(x0 + 1, work, nb), 1 << nb) + pad
     return Enclosure(Fraction(k) + lo, Fraction(k) + min(hi, Fraction(1)))
+
+
+def f_average_fraction(Q: int) -> Enclosure:
+    """`arith.F_average`'s exact path, 2 <= Q <= 65536, with two Fraction
+    products per r."""
+    shift = 64
+    lo_acc = 0
+    hi_acc = 0
+    for r in range(2, Q + 1):
+        e = log2_enclosure(r, 48)
+        w = Fraction(Q // r, r)
+        lo_acc += math.floor(e.lo * w * (1 << shift))
+        hi_acc += math.ceil(e.hi * w * (1 << shift))
+    scale = Q << shift
+    return Enclosure(Fraction(lo_acc, scale), Fraction(hi_acc, scale))
+
+
+def log2_table_fraction(table_bits: int) -> tuple:
+    """`arith._log2_table` from an Enclosure per entry."""
+    size = 1 << table_bits
+    lo = np.zeros(size + 1, dtype=np.float64)
+    hi = np.zeros(size + 1, dtype=np.float64)
+    for i in range(size + 1):
+        e = log2_enclosure((1 << table_bits) + i, 40)
+        lo[i] = float(e.lo) - table_bits
+        hi[i] = float(e.hi) - table_bits
+    return lo, hi
 
 
 def dist_positive(fe, coeffs, cap: int) -> Enclosure:
@@ -199,9 +228,9 @@ def expected_fraction(sweep) -> Enclosure:
     """_HitSweep.expected as a left-to-right Fraction sum."""
     lo = Fraction(0)
     hi = Fraction(0)
-    for t in sweep._exact_thresholds.values():
-        lo += min(Fraction(1), 2 * t.lo)
-        hi += min(Fraction(1), 2 * t.hi)
+    for t_lo, t_hi, den in sweep._thresholds.values():
+        lo += min(Fraction(1), 2 * Fraction(t_lo, den))
+        hi += min(Fraction(1), 2 * Fraction(t_hi, den))
     for _ in sweep.undecided_q:
         hi += Fraction(1)
     return Enclosure(lo, hi)

@@ -10,12 +10,15 @@ from mdl.arith import (
     F_average,
     F_of,
     F_sum_direct,
+    _TABLE_BITS,
+    _log2_table,
     divisor_counts,
     divisor_table,
     divisors_of,
     factorize,
 )
 from mdl.realnum import Enclosure
+from oracles import f_average_fraction, log2_table_fraction
 
 F = Fraction
 
@@ -110,6 +113,19 @@ def test_F_average_large_vectorized_path():
     lo_path = F_average(65536)
     hi_path = F_average(65537)
     assert abs(float(lo_path.mid) - float(hi_path.mid)) < 1e-3
+
+
+@pytest.mark.parametrize("Q", [2, 3, 1000, 65536])
+def test_F_average_exact_path_matches_the_fraction_route(Q):
+    """The integer products give the same floors as the Fraction ones."""
+    assert F_average(Q) == f_average_fraction(Q)
+
+
+def test_log2_table_matches_the_fraction_route():
+    lo, hi = _log2_table()
+    want_lo, want_hi = log2_table_fraction(_TABLE_BITS)
+    assert lo.tobytes() == want_lo.tobytes()
+    assert hi.tobytes() == want_hi.tobytes()
 
 
 def test_maximal_order_constant():

@@ -132,6 +132,18 @@ def test_sigma_pair_examples(sqrt2, sqrt3):
         sigma_pair(sqrt2, RealParam.sqrt(8), 6)
 
 
+def test_sigma_pair_equal_decimals_collapse_at_the_first_witness():
+    dec = RealParam.decimal("1.4142", F(1, 10**6))
+    with pytest.raises(DependenceError) as exc:
+        sigma_pair(dec, RealParam.decimal("1.4142", F(1, 10**6)), 30,
+                   allow_decimal=True)
+    assert exc.value.witness == (1, -1)
+    assert str(exc.value) == "rational dependence detected: witness (1, -1)"
+    # distinct literals share no group: no syntactic refusal
+    assert sigma_pair(dec, RealParam.decimal("1.7320", F(1, 10**6)), 3,
+                      allow_decimal=True).witness
+
+
 def test_sigma_pair_dominates_single(sqrt2, sqrt3):
     for N in (2, 5, 20):
         sp = sigma_pair(sqrt2, sqrt3, N)

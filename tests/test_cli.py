@@ -175,6 +175,17 @@ def test_mathematical_refusal_exit_code(argv, capsys):
     assert "(2, -1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("sqrt:2", "rational dependence detected: witness (1, -1)"),
+    ("sqrt:8", "distance cannot be separated from 0: witness (2, -1)")])
+def test_sigma_pair_refusal_names_its_witness(beta, message, capsys):
+    """sqrt2 against itself collapses syntactically at (1, -1), before any
+    ladder; sqrt2 against sqrt8 is found by the ladder at (2, -1)."""
+    assert main(["sigma-pair", "--gamma", "sqrt:2", "--beta", beta,
+                 "--N", "5"]) == 3
+    assert capsys.readouterr().err == f"refused: {message}\n"
+
+
 def test_refusal_from_a_worker_keeps_its_witness():
     """2*0.5 - 1 cannot be separated from 0 at any precision; the refusal
     reads the same whether it was raised in a pool worker or not."""

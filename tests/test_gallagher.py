@@ -597,7 +597,8 @@ def test_count_for_agrees_with_the_exact_path(gamma, direct, c, k):
     assert res.count == exact.count(True)
     assert res.undecided == exact.count(None) + len(sweep.undecided_q)
     if not direct:
-        assert max(t.lo for t in sweep._exact_thresholds.values()) > F(1, 2)
+        assert max(F(lo, den) for lo, _, den in sweep._thresholds.values()) \
+            > F(1, 2)
 
 
 @given(st.sampled_from(("sqrt:2", "sqrt:3", "const:golden", "log2:3")),

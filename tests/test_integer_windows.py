@@ -121,6 +121,8 @@ def test_log2_matches_the_fraction_padding(n, bits):
 # 2 golden - sqrt 5 = 1: a vanishing distance that is not syntactic
 @example("const:golden", "sqrt:5", "log2sq", None, 2)
 def test_psi_prime_matches_the_fraction_oracle(beta, gp, tag, omega, q):
+    """psi' as an enclosure and as the ints of `psi_prime_window`, which
+    divide by the window of the level decision."""
     psi = ApproxFunction._formula(tag, F(1, 5))
     assume(q >= psi.q0)
     pp = PsiPrime(psi, parse_param(beta), parse_param(gp), omega)
@@ -133,11 +135,14 @@ def test_psi_prime_matches_the_fraction_oracle(beta, gp, tag, omega, q):
         if state == SupportState.IN:
             with pytest.raises(DependenceError):
                 ctx.psi_prime(q)
+            with pytest.raises(DependenceError):
+                ctx.psi_prime_window(q)
         return
     v, got = ctx.psi_prime(q)
-    assert got == state
+    got_w, lo, hi = ctx.psi_prime_window(q)
+    assert got == got_w == state
     if state == SupportState.IN:
-        assert v == want
+        assert v == want == Enclosure.dyadic(lo, hi, 128)
 
 
 @pytest.mark.parametrize("psi, omega, direct", [

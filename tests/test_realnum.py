@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -365,3 +366,21 @@ def test_dist_below_collapsed_form_on_the_wall(texts, coeffs, offset, shift):
         if t >= 0:
             assert fe.dist_below((a, b, -a), Enclosure.exact(t), closed,
                                  shift=shift) is want
+
+
+def test_real_param_hashes_once(monkeypatch):
+    """The hash is kept per instance; equality and pickling are as before."""
+    p = RealParam.decimal("1.4142", Fraction(1, 10**6))
+    h = hash(p)
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda self: calls.append(self) or real(self))
+    assert hash(p) == h
+    assert calls == []
+    twin = RealParam.decimal("1.4142", Fraction(1, 10**6))
+    assert twin == p and hash(twin) == h and len(calls) == 2
+    assert RealParam.decimal("1.4143", Fraction(1, 10**6)) != p
+    # the cached hash stays in this process: str hashes differ in others
+    assert "_hash" not in pickle.loads(pickle.dumps(p)).__dict__
+    assert pickle.loads(pickle.dumps(p)) == p
