@@ -20,6 +20,8 @@ from .realnum import (
     FormEvaluator,
     RealParam,
     log2_enclosure,
+    log2_ratio,
+    log2_scaled,
     neg_log2_enclosure,
     normalize_witness,
     precision_ladder,
@@ -251,8 +253,7 @@ def _log2log2_le_1(q: int) -> bool:
     return q <= 4
 
 
-def omega_schedule(q: int, c: Fraction,
-                   cap: int = DEFAULT_PRECISION_CAP) -> Fraction:
+def omega_schedule(q: int, c: Fraction) -> Fraction:
     """Shrinking-exponent schedule: 1 while log2 log2 q <= 1, then
     c / (log2 log2 log2 q)^(1/2), rounded down onto the 2^-32 grid.
 
@@ -267,8 +268,7 @@ def omega_schedule(q: int, c: Fraction,
     return _round_down_inv_sqrt(_loglog_enclosure(q, levels=3), c)
 
 
-def omega_schedule_lemma3(q: int, c: Fraction,
-                          cap: int = DEFAULT_PRECISION_CAP) -> Fraction:
+def omega_schedule_lemma3(q: int, c: Fraction) -> Fraction:
     """Companion schedule c / (log2 log2 q)^(1/2) used by the counting lemma
     with sigma(q) = O((log2 log2 q)^(1/2)); 1 on the degenerate head."""
     c = Fraction(c)
@@ -280,25 +280,15 @@ def omega_schedule_lemma3(q: int, c: Fraction,
 
 
 def _loglog_enclosure(q: int, levels: int, bits: int = 64) -> Enclosure:
-    """Iterated base-2 log of an integer, `levels` deep, as an enclosure."""
-    e = log2_enclosure(q, bits)
+    """Iterated base-2 log of an integer, `levels` deep, as an enclosure:
+    each level takes the log2 of the bounds [lo, hi] / 2^w of the last."""
+    lo, hi, w = log2_scaled(q, bits)
     for _ in range(levels - 1):
-        if e.lo <= 0:
+        if lo <= 0:
             raise ValueError("iterated log not positive")
-        e = Enclosure(_log2_frac_lo(e.lo, bits), _log2_frac_hi(e.hi, bits))
-    return e
-
-
-def _log2_frac_lo(x: Fraction, bits: int) -> Fraction:
-    lp = log2_enclosure(x.numerator, bits)
-    lq = log2_enclosure(x.denominator, bits)
-    return lp.lo - lq.hi
-
-
-def _log2_frac_hi(x: Fraction, bits: int) -> Fraction:
-    lp = log2_enclosure(x.numerator, bits)
-    lq = log2_enclosure(x.denominator, bits)
-    return lp.hi - lq.lo
+        lo = log2_ratio(lo, 1 << w, bits)[0]
+        hi = log2_ratio(hi, 1 << w, bits)[1]
+    return Enclosure.dyadic(lo, hi, w)
 
 
 def _round_down_inv_sqrt(e: Enclosure, c: Fraction) -> Fraction:

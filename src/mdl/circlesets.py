@@ -78,8 +78,6 @@ def _canonicalize(arcs) -> tuple:
                 merged[-1] = (merged[-1][0], b)
         else:
             merged.append((a, b))
-    if len(merged) >= 2 and merged[0][0] == 0 and merged[-1][1] == 1:
-        pass  # split representation at 0 is the canonical one; keep both
     return tuple(merged)
 
 

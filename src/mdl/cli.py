@@ -28,6 +28,7 @@ from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
     DependenceError,
+    Enclosure,
     parse_param,
 )
 
@@ -450,10 +451,10 @@ def _etk_sweep(params, ptxt, args) -> RunResult:
 
 
 @command("etk-auto", "ETK bound with the optimized truncation",
-         "gamma", "beta", "N", "sigma", CAP)
+         "gamma", "beta", "N", "sigma")
 def run_etk_auto(args) -> RunResult:
-    b = discrepancy.etk_autoH(args.gamma, args.beta, args.N, Fraction(args.sigma),
-                              cap=args.precision_bits)
+    # gamma and beta only label the record: the bound depends on N and sigma
+    b = discrepancy.etk_autoH(args.N, Fraction(args.sigma))
     ptxt = f"{args.gamma.canonical()};{args.beta.canonical()};sigma={args.sigma}"
     recs = [_rec("etk-auto-H", ptxt, args.N, b.H),
             _rec_enc("etk-auto-bound", ptxt, args.N, b.bound)]
@@ -469,7 +470,8 @@ def run_psi_prime(args) -> RunResult:
     ctx = gallagher.FibreContext(pp, cap=args.precision_bits)
     recs = []
     for q in args.q:
-        v, state = ctx.psi_prime(q)
+        state, lo, hi = ctx.psi_prime(q)
+        v = Enclosure.dyadic(lo, hi, gallagher.PSI_PRIME_BITS)
         und = int(state == gallagher.SupportState.UNDECIDED)
         recs.append(_rec_enc("psi-prime", pp.canonical(), q, v, und))
     return RunResult(recs, sum(r.undecided for r in recs), len(args.q))

@@ -342,8 +342,7 @@ def _shell_sums(params: Sequence[RealParam], N: int, Hmax: int, cap: int) -> lis
     return (_etk_shells_1d if len(params) == 1 else _etk_shells_2d)(fe, Hmax)
 
 
-def etk_autoH(gamma: RealParam, beta: RealParam, N: int, sigma_N: Fraction,
-              cap: int = DEFAULT_PRECISION_CAP) -> EtkBound:
+def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
     """Optimized truncation: H is the smallest positive integer with
     1/H <= (8000 sigma / N) * log2(H) * H^sigma, and the returned bound is
     9N(1/H + (8000 sigma/N) log2(H) H^sigma).

@@ -5,10 +5,12 @@ Borel-Cantelli ratios, union measures, and multiplicative hit counting.
 The central object is psi'(q) = psi(q) / ||q*beta - g'|| restricted to the
 support ||q*beta - g'|| in [q^-omega, 1); everything downstream (censuses,
 moment sums, second-moment ratios, Monte-Carlo surveys) consumes it through
-one shared per-q evaluation that carries rigorous enclosures and flags any
-membership the precision cap cannot decide.  Support and census cell are
-read from one number per q, the level floor(log2(||q*beta - g'|| q^omega))
-(clamped at -1), decided in one verdict.
+one route, `FibreContext.psi_prime`, which returns psi'(q) as a pair of ints
+on the 2^-PSI_PRIME_BITS grid and flags any membership the precision cap
+cannot decide; callers that need an `Enclosure` build it with
+`Enclosure.dyadic`.  Support and census cell are read from one number per
+q, the level floor(log2(||q*beta - g'|| q^omega)) (clamped at -1), decided
+in one verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .realnum import (
     lane_array,
     lane_margin,
     lane_threshold,
+    log2_ratio,
     log2_scaled,
     param_evaluator,
     rational_power,
@@ -176,10 +179,9 @@ class ApproxFunction:
         lg_lo, lg_hi, w = log2_scaled(q, bits)
         den_lo, den_hi, e = q ** a * lg_lo ** b, q ** a * lg_hi ** b, w * b
         if d:
-            # llg = log2 lg from log2 of the reduced bounds of lg, as
-            # neg_log2_enclosure takes it of 1/lg
-            ll_lo = _log2_dyadic(lg_lo, w, bits, 0)
-            ll_hi = _log2_dyadic(lg_hi, w, bits, 1)
+            # llg = log2 lg from the log2 of the bounds of lg on their grid
+            ll_lo = log2_ratio(lg_lo, 1 << w, bits)[0]
+            ll_hi = log2_ratio(lg_hi, 1 << w, bits)[1]
             if ll_lo <= 0:
                 raise ValueError(f"psi family {self.tag} undefined at q={q}")
             if d == HALF:
@@ -198,15 +200,6 @@ class ApproxFunction:
             items = ",".join(f"{q}={v}" for q, v in self.table)
             return f"table:{items}"
         return f"{self.tag}:{self.c}"
-
-
-def _log2_dyadic(x: int, w: int, bits: int, upper: int) -> int:
-    """A bound on log2(x / 2^w), on the 2^-(bits+19) grid of `log2_scaled`:
-    the lower one for upper=0, else the upper one.  The dyadic x / 2^w is
-    reduced first, so its power-of-two denominator is taken off exactly."""
-    t = min((x & -x).bit_length() - 1, w)
-    scaled = log2_scaled(x >> t, bits)
-    return scaled[upper] - ((w - t) << scaled[2])
 
 
 def parse_psi(text: str) -> ApproxFunction:
@@ -284,9 +277,14 @@ class FibreContext:
     l.  The level is one verdict on the evaluator's precision ladder, exact
     on ints for omega = p/s with s <= 64 and taken from 96-bit log2 bounds
     for the schedule exponents; what the cap cannot decide is flagged, never
-    guessed.  psi' divides the integer window of psi(q) by the evaluator's
-    positive window of the distance, which the level decision has usually
-    taken already, and is one pair of ints on the 2^-PSI_PRIME_BITS grid.
+    guessed.
+
+    `psi_prime` is the one route to psi': (state, lo, hi), one pair of ints
+    on the 2^-PSI_PRIME_BITS grid.  It divides the integer window of psi(q)
+    by the distance window that the level decision took at the first rung.
+    The last decision is kept in a one-entry slot (q, window, level), so
+    psi'(q) right after `cell_of(q)` or `support_state(q)` decides nothing
+    again.
     """
 
     def __init__(self, pp: PsiPrime, cap: int = DEFAULT_PRECISION_CAP):
@@ -303,6 +301,7 @@ class FibreContext:
         # the first window is taken at 128 bits, or at the cap below that
         self.fe = FormEvaluator(params, offset, bits=min(128, cap), cap=cap)
         self._first_scale = 1 << self.fe.bits
+        self._slot = None, None, None
 
     def _coeffs(self, q: int):
         return (q, -1) if self._gp_in_form else (q,)
@@ -313,24 +312,20 @@ class FibreContext:
     def support_state(self, q: int) -> str:
         """Is ||q beta - g'|| inside [q^-omega(q), 1)?  (1 is never reached:
         the distance is at most 1/2.)  The sign of the level, decided with
-        the level clamped to {-1, 0}."""
-        return self._support(q)[0]
-
-    def _support(self, q: int) -> tuple:
-        """(support state, the first-rung window of its level decision or
-        None)."""
+        the level clamped to {-1, 0}, or read from the slot where q's level
+        is already decided."""
         om = self.pp.omega_at(q)
         if om is None:
-            return SupportState.IN, None
+            return SupportState.IN
         if om <= 0:
-            return (SupportState.IN if not self.dist_is_zero(q)
-                    else SupportState.OUT), None
-        first = []
-        level = self._level(q, om, 0, first)
-        window = first[0] if first else None
+            return SupportState.IN if not self.dist_is_zero(q) \
+                else SupportState.OUT
+        slot_q, _, level = self._slot
+        if slot_q != q or level is None:
+            level = self._level(q, om, 0)
         if level is None:
-            return SupportState.UNDECIDED, window
-        return (SupportState.IN if level == 0 else SupportState.OUT), window
+            return SupportState.UNDECIDED
+        return SupportState.IN if level >= 0 else SupportState.OUT
 
     def cell_of(self, q: int) -> Optional[int]:
         """The level of q: the index l >= 0 with ||q beta - g'|| in
@@ -341,72 +336,59 @@ class FibreContext:
             raise ValueError("census cells need a positive omega")
         return self._level(q, om)
 
-    def _level(self, q: int, om: Fraction, top: Optional[int] = None,
-               first: Optional[list] = None):
-        """The level of q clamped to at most `top`, or None at the cap.  A
-        list `first` receives the distance window (lo, hi, scale) that the
-        ladder took at the evaluator's first rung, if it took one."""
+    def _level(self, q: int, om: Fraction, top: Optional[int] = None):
+        """The level of q clamped to at most `top`, or None at the cap.  The
+        slot receives (q, the distance window (lo, hi, scale) that the
+        ladder took at the evaluator's first rung or None, the level)."""
         p, s = om.numerator, om.denominator
         if s <= 64:
             level = partial(_pow_level, s=s, qp=q ** p)
         else:
             level = partial(_log_level, p=p, s=s, lgq=log2_scaled(q, 96))
         first_scale = self._first_scale
+        first = None
 
         def verdict(lo, hi, scale):
-            if first is not None and scale == first_scale:
-                first.append((lo, hi, scale))
+            nonlocal first
+            if scale == first_scale:
+                first = lo, hi, scale
             a, b = level(lo, scale, 0), level(hi, scale, 1)
             if top is not None:
                 a, b = min(a, top), min(b, top)
             return a if a == b else None
 
-        return self.fe._dist_decide(self._coeffs(q), 0, verdict)
+        result = self.fe._dist_decide(self._coeffs(q), 0, verdict)
+        self._slot = q, first, result
+        return result
 
-    def psi_prime(self, q: int):
-        """(value enclosure, support state).  Zero outside the support;
-        DependenceError where psi(q) > 0 meets a distance that vanishes or
-        cannot be separated from 0 at the cap."""
+    def psi_prime(self, q: int) -> tuple:
+        """(support state, lo, hi) with psi'(q) in [lo, hi] /
+        2^PSI_PRIME_BITS, (state, 0, 0) outside the support: psi(q) /
+        ||q beta - g'|| rounded outward once.  The distance window is the
+        first-rung window of q's level decision where that is positive;
+        else `positive_windows` takes it, first rung and ladder alike, so
+        the value is the same either way.  DependenceError where psi(q) > 0
+        meets a distance that vanishes or cannot be separated from 0 at the
+        cap."""
         state = self.support_state(q)
         if state != SupportState.IN:
-            return Enclosure.exact(0), state
-        return self.psi_prime_in_support(q), state
-
-    def psi_prime_window(self, q: int) -> tuple:
-        """(support state, lo, hi) with psi'(q) in [lo, hi] /
-        2^PSI_PRIME_BITS, (state, 0, 0) outside the support: `psi_prime` on
-        ints, dividing by the window its level decision took.  Raises as
-        `psi_prime` does."""
-        state, window = self._support(q)
-        if state != SupportState.IN:
             return state, 0, 0
-        return (state, *self._quotient(q, window))
-
-    def psi_prime_in_support(self, q: int) -> Enclosure:
-        """psi'(q) for a q already known to lie in the support (its level
-        is at least 0), without deciding the support again."""
-        return Enclosure.dyadic(*self._quotient(q, None), PSI_PRIME_BITS)
-
-    def _quotient(self, q: int, window) -> tuple:
-        """psi(q) / ||q beta - g'|| rounded outward once onto the
-        2^-PSI_PRIME_BITS grid, for q in the support.  The distance window
-        is the first-rung `window` of the level decision where that is
-        positive; else `positive_windows` takes it, first rung and ladder
-        alike, so the value is the same either way."""
         pl, ph, pd = self.pp.psi.window(q)
         if ph == 0:
-            return 0, 0
-        if window is None or window[0] == 0:
+            return state, 0, 0
+        slot_q, window, _ = self._slot
+        if slot_q != q or window is None or window[0] == 0:
             (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
             window = d_lo, d_hi, 1 << b
         d_lo, d_hi, scale = window
-        return round_outward(pl * scale, pd * d_hi, ph * scale, pd * d_lo,
-                             PSI_PRIME_BITS)
+        return (state, *round_outward(pl * scale, pd * d_hi, ph * scale,
+                                      pd * d_lo, PSI_PRIME_BITS))
 
 
 def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
     """max(-1, floor(log2((x/scale)^s q^p) / s)) for a distance x/scale
-    (x an int, or a Fraction on the exact path), exactly."""
+    (x an int, or a Fraction on the exact path), exactly.  `upper` is
+    unused: the signature is `_log_level`'s, which needs it."""
     n = x.numerator ** s * qp
     if n == 0:
         return -1
@@ -419,20 +401,12 @@ def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
 
 def _log_level(x, scale: int, upper: int, p: int, s: int, lgq: tuple) -> int:
     """max(-1, floor(B)) for a lower (upper=0) or an upper (upper=1)
-    bound B on log2(x/scale) + (p/s) log2 q, from 96-bit log2 bounds
-    (`log2_scaled` puts all of them on one grid)."""
+    bound B on log2(x/scale) + (p/s) log2 q, from 96-bit log2 bounds on
+    one grid (`log2_ratio`, and `log2_scaled` for lgq)."""
     if x == 0:
         return -1
-    num = log2_scaled(x.numerator, 96)
-    den = log2_scaled(x.denominator * scale, 96)
-    w = lgq[2]
-    return max(-1, ((num[upper] - den[1 - upper]) * s + p * lgq[upper])
-               // (s << w))
-
-
-def psi_prime(pp: PsiPrime, q: int, cap: int = DEFAULT_PRECISION_CAP):
-    """One-shot evaluation; sweeps should hold a FibreContext instead."""
-    return FibreContext(pp, cap=cap).psi_prime(q)
+    lx = log2_ratio(x.numerator, x.denominator * scale, 96)
+    return max(-1, (lx[upper] * s + p * lgq[upper]) // (s << lx[2]))
 
 
 @dataclass
@@ -446,20 +420,20 @@ class DivergenceResult:
 def divergence_sum(pp: PsiPrime, Q: int,
                    cap: int = DEFAULT_PRECISION_CAP) -> DivergenceResult:
     """sum over q <= Q on the support of psi(q)/||q beta - g'||; undecided
-    memberships are excluded from the sum and counted separately."""
+    memberships are excluded from the sum and counted separately.  The
+    terms share the 2^-PSI_PRIME_BITS grid, so they are summed as ints."""
     ctx = FibreContext(pp, cap=cap)
-    q0 = pp.psi.q0
-    terms = []
-    undecided = 0
-    for q in range(max(1, q0), Q + 1):
-        v, state = ctx.psi_prime(q)
+    lo = hi = contributing = undecided = 0
+    for q in range(max(1, pp.psi.q0), Q + 1):
+        state, t_lo, t_hi = ctx.psi_prime(q)
         if state == SupportState.UNDECIDED:
             undecided += 1
-        elif v.hi > 0:
-            terms.append(v)
-    total = Enclosure(exact_sum([v.lo for v in terms]),
-                      exact_sum([v.hi for v in terms]))
-    return DivergenceResult(Q, total, len(terms), undecided)
+        elif t_hi > 0:
+            lo += t_lo
+            hi += t_hi
+            contributing += 1
+    total = Enclosure.dyadic(lo, hi, PSI_PRIME_BITS)
+    return DivergenceResult(Q, total, contributing, undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +499,7 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
     gamma_fe = param_evaluator(gamma, cap)
     lo_band = -((-q) // (1 << (k + 1)))    # ceil(q / 2^(k+1))
     hi_band = q // (1 << k)
-    psq, st_q = ctx.psi_prime(q)
+    st_q, psq_lo, psq_hi = ctx.psi_prime(q)
     undecided = 1 if st_q == SupportState.UNDECIDED else 0
     members = []
     for qp in range(max(1, lo_band), hi_band + 1):
@@ -537,11 +511,13 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
             continue
         if level != l:
             continue
-        pspq = ctx.psi_prime_in_support(qp)
-        delta = pspq * q + psq * qp
+        # the level just decided puts q' in the support
+        _, lo, hi = ctx.psi_prime(qp)
+        # Delta / r = (psi'(q') q + psi'(q) q') / r, on the psi' grid
+        delta = Enclosure.dyadic(lo * q + psq_lo * qp, hi * q + psq_hi * qp,
+                                 PSI_PRIME_BITS) * Fraction(1, r)
         # None: the distance lands inside the threshold's own error bar
-        ind = gamma_fe.dist_below(((qp - q) // r,), delta * Fraction(1, r),
-                                  closed=True)
+        ind = gamma_fe.dist_below(((qp - q) // r,), delta, closed=True)
         if ind is None:
             undecided += 1
         elif ind:
@@ -599,12 +575,10 @@ def _radius_table(psi_or_pp, Q: int, cap: int):
             if q < q0:
                 values[q] = Enclosure.exact(0)
                 continue
-            v, state = ctx.psi_prime(q)
+            state, lo, hi = ctx.psi_prime(q)
             if state == SupportState.UNDECIDED:
                 undecided += 1
-                values[q] = Enclosure.exact(0)
-            else:
-                values[q] = v
+            values[q] = Enclosure.dyadic(lo, hi, PSI_PRIME_BITS)
     else:
         psi = psi_or_pp
         q0 = psi.q0
@@ -742,7 +716,7 @@ class _HitSweep:
                 lo, hi, den = pp.psi.window(q)
             else:
                 try:
-                    state, lo, hi = ctx.psi_prime_window(q)
+                    state, lo, hi = ctx.psi_prime(q)
                 except DependenceError:
                     if not ctx.dist_is_zero(q):
                         raise

@@ -18,7 +18,10 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   from the series lane `_log2_lane`, an atanh series on fixed-point ints
   with a table of log2(1 + j/64), wherever the lane's error bound certifies
   the digits that the bit-by-bit squaring loop `_log2_frac_floor` would
-  extract; the loop runs only for the rest.
+  extract; the loop runs only for the rest.  `log2_ratio` bounds the log2
+  of a positive rational num/den on the same grid, and every log2 of a
+  ratio in the package (`neg_log2_enclosure`, the iterated logs of the
+  omega schedules and of the psi families, the fibre levels) is one call.
 - `round_outward` rounds num 2^k / den outward to ints, and
   `Enclosure.dyadic` turns such a pair back into an enclosure.
 - `FormEvaluator` pins parameters as scaled integers and decides distances
@@ -422,6 +425,16 @@ def log2_enclosure(n: int, bits: int) -> Enclosure:
     return Enclosure.dyadic(*log2_scaled(n, bits))
 
 
+def log2_ratio(num: int, den: int, bits: int) -> tuple:
+    """(lo, hi, w) with log2(num / den) in [lo, hi] / 2^w, for ints num, den
+    >= 1: `log2_scaled(num)` minus `log2_scaled(den)` on their shared grid,
+    w = bits + 19.  A power-of-two factor common to num and den cancels
+    exactly, since log2_scaled(m 2^t) = log2_scaled(m) + t 2^w."""
+    n_lo, n_hi, w = log2_scaled(num, bits)
+    d_lo, d_hi, _ = log2_scaled(den, bits)
+    return n_lo - d_hi, n_hi - d_lo, w
+
+
 def nth_root_enclosure(x: Fraction, s: int, bits: int) -> Enclosure:
     """Enclosure of x**(1/s) for x >= 0 and integer s >= 1."""
     if x < 0:
@@ -432,7 +445,7 @@ def nth_root_enclosure(x: Fraction, s: int, bits: int) -> Enclosure:
     # floor(root) of x * 2^(s*bits), done on a single integer
     num = x.numerator * (scale ** s)
     whole = num // x.denominator
-    if hasattr(math, "isqrt") and s == 2:
+    if s == 2:
         r = math.isqrt(whole)
     else:
         r = _integer_nth_root(whole, s)
@@ -465,16 +478,12 @@ def rational_power(e: Enclosure, num: int, den: int, bits: int = 64) -> Enclosur
 
 
 def neg_log2_enclosure(x: Enclosure, bits: int = 64) -> Enclosure:
-    """-log2 of a positive rational interval via integer log2 of num/den."""
+    """-log2 of a positive rational interval (see `log2_ratio`)."""
     if x.lo <= 0:
         raise ValueError("-log2 needs a positive interval")
-
-    def neg_log2(fr: Fraction, round_up: bool) -> Fraction:
-        lq = log2_enclosure(fr.denominator, bits)
-        lp = log2_enclosure(fr.numerator, bits)
-        return lq.hi - lp.lo if round_up else lq.lo - lp.hi
-
-    return Enclosure(neg_log2(x.hi, False), neg_log2(x.lo, True))
+    _, hi, w = log2_ratio(x.hi.numerator, x.hi.denominator, bits)
+    lo, _, _ = log2_ratio(x.lo.numerator, x.lo.denominator, bits)
+    return Enclosure.dyadic(-hi, -lo, w)
 
 
 def _const_enclosure(name: str, bits: int) -> Enclosure:
@@ -614,18 +623,8 @@ def parse_param(text: str) -> RealParam:
         mid, _, rad = rest.partition("@")
         if not rad:
             raise ValueError(f"decimal literal {text!r} must declare a radius: dec:x@r")
-        return RealParam.decimal(mid, Fraction(_decimal_to_fraction(rad)))
+        return RealParam.decimal(mid, Fraction(rad))
     raise ValueError(f"unknown parameter kind {kind!r} in {text!r}")
-
-
-def _decimal_to_fraction(text: str) -> Fraction:
-    # Fraction() accepts "1e-7" only via Decimal-style parsing in 3.11+;
-    # normalize scientific notation by hand for 3.10.
-    text = text.strip().lower()
-    if "e" in text:
-        mant, _, expo = text.partition("e")
-        return Fraction(mant) * Fraction(10) ** int(expo)
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

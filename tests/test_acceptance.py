@@ -288,8 +288,8 @@ def test_criterion_9_partition_and_support():
                 ok = ok and cell_of[q] == oracles.fibre_level(ctx, q)
             if in_support:
                 supported += 1
-                v, st = ctx.psi_prime(q)
-                ok = ok and st == SupportState.IN and v.lo > 0
+                st, lo, _ = ctx.psi_prime(q)
+                ok = ok and st == SupportState.IN and lo > 0
         detail.append(f"{beta.canonical()}:{supported}/{Q}")
     gate("criterion-9 partition and support invariants", ok,
          " ".join(detail))

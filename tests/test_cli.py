@@ -244,6 +244,8 @@ def test_flag_at_its_default_beats_the_config(tmp_path, capsys):
     ("divisors --q 4", "--precision-bits 64"),
     ("f-avg --Q 5", "--precision-bits 64"),
     ("pairs --psi overq:1/4 --gamma sqrt:2 --Q 4", "--precision-bits 64"),
+    ("etk-auto --gamma sqrt:2 --beta sqrt:3 --N 20 --sigma 2",
+     "--precision-bits 64"),
     ("cf --alpha sqrt:2", "--threads 2"),
     ("disc --alpha sqrt:2 --Q 50", "--threads 2"),
     ("bc-ratio --psi const:1/10 --gamma rat:0 --Q 3", "--threads 2"),

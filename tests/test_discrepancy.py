@@ -262,8 +262,8 @@ def test_scaling_inequality_anchored(sqrt2, golden):
         assert scaled.lo * N <= 2 * n * N * base.hi
 
 
-def test_etk_autoH_example(sqrt2, sqrt3):
-    b = etk_autoH(sqrt2, sqrt3, 2, F(1))
+def test_etk_autoH_example():
+    b = etk_autoH(2, F(1))
     assert b.H == 2
     assert b.bound.lo >= F(9 * 2, 2)
     assert b.implied_constant is not None
@@ -275,6 +275,6 @@ def test_etk_autoH_sweep(sqrt2, sqrt3):
     for N in (10, 100, 1000):
         s = sigma_pair(sqrt2, sqrt3, min(N, 60)).value
         sN = F(math.ceil(float(s.hi) * 16), 16)
-        b = etk_autoH(sqrt2, sqrt3, N, sN)
+        b = etk_autoH(N, sN)
         assert b.implied_constant.hi < F(10**9)
         assert b.H >= 1

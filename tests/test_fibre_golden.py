@@ -18,7 +18,7 @@ import pytest
 
 from mdl import gallagher
 from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime
-from mdl.realnum import DependenceError, parse_param
+from mdl.realnum import DependenceError, Enclosure, parse_param
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "data" / "fibre_golden.json"
@@ -48,7 +48,8 @@ def _fibre(beta, gp, omega, cap):
     values = []
     for q in range(1, Q + 1):
         try:
-            v, state = ctx.psi_prime(q)
+            state, lo, hi = ctx.psi_prime(q)
+            v = Enclosure.dyadic(lo, hi, gallagher.PSI_PRIME_BITS)
             values.append(_enc(v) + [state])
         except DependenceError:
             values.append("refused")

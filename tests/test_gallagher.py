@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mdl.gallagher import (
     ApproxFunction,
     FibreContext,
+    PSI_PRIME_BITS,
     HitResult,
     NotADivisor,
     PsiPrime,
@@ -22,7 +23,6 @@ from mdl.gallagher import (
     hit_count,
     mc_survey,
     parse_psi,
-    psi_prime,
     sklr_sum,
     union_series,
     _HitSweep,
@@ -91,12 +91,18 @@ def test_parse_psi_round_trip():
 # psi'
 # ---------------------------------------------------------------------------
 
+def _psi_prime(ctx, q):
+    """psi'(q) as (enclosure, support state)."""
+    state, lo, hi = ctx.psi_prime(q)
+    return Enclosure.dyadic(lo, hi, PSI_PRIME_BITS), state
+
+
 def test_psi_prime_examples(sqrt2):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 2)), sqrt2, R0, F(1))
-    v, state = psi_prime(pp, 4)
+    v, state = _psi_prime(FibreContext(pp), 4)
     assert state == SupportState.IN
     assert float(v.mid) == pytest.approx(0.3642767, abs=1e-5)
-    v, state = psi_prime(pp, 2)
+    v, state = _psi_prime(FibreContext(pp), 2)
     assert state == SupportState.OUT and v.hi == 0
 
 
@@ -106,7 +112,7 @@ def test_psi_prime_support_invariant(sqrt2):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
     ctx = FibreContext(pp)
     for q in range(1, 400):
-        v, state = ctx.psi_prime(q)
+        v, state = _psi_prime(ctx, q)
         if v.lo > 0:
             # dist^2 * q >= 1, exactly
             assert dist_pow_compare(ctx.fe, (q,), 2, F(1, q)).name in ("GT", "EQ")
@@ -118,7 +124,7 @@ def test_psi_prime_bound_by_power(sqrt2):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
     ctx = FibreContext(pp)
     for q in range(1, 200):
-        v, _ = ctx.psi_prime(q)
+        v, _ = _psi_prime(ctx, q)
         if v.hi > 0:
             # q^(1/2) >= v/psi  <=>  q >= (v/psi)^2
             ratio = v.hi / (F(1, 4 * q))
@@ -203,13 +209,13 @@ def test_sklr_enumeration_oracle(sqrt2, sqrt3):
     r = sklr_sum(pp, sqrt3, 12, 1, 0, 4)
     # oracle: brute force over the dyadic band [3, 6]
     expected = []
-    psq, _ = ctx.psi_prime(12)
+    psq, _ = _psi_prime(ctx, 12)
     for qp in (3, 4, 5, 6):
         if qp == 12 or math.gcd(qp, 12) != 4:
             continue
         if ctx.support_state(qp) != SupportState.IN or ctx.cell_of(qp) != 0:
             continue
-        pspq, _ = ctx.psi_prime(qp)
+        pspq, _ = _psi_prime(ctx, qp)
         thr = (pspq * 12 + psq * qp) * F(1, 4)
         d = (qp - 12) // 4 * math.sqrt(3)
         dist = abs(d - round(d))
@@ -236,6 +242,38 @@ def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
     assert r.count == 11 and r.undecided == 0
     band = [qp for qp in range(60, 121) if math.gcd(qp, 120) == 1]
     assert seen == Counter({(q,): 1 for q in band + [120]})
+
+
+def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
+    """psi'(q) divides by the window its level decision took: one
+    `dist_window` per q, and no second window from `positive_windows`."""
+    calls = Counter()
+    for name in ("dist_window", "positive_windows"):
+        def counting(self, *args, _real=getattr(FormEvaluator, name),
+                     _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(FormEvaluator, name, counting)
+    pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
+    r = divergence_sum(pp, 2000)
+    assert (pp.psi.q0, r.contributing, r.undecided) == (2, 1208, 0)
+    assert calls == Counter(dist_window=1999)
+
+
+def test_hit_sweep_decides_each_support_once(monkeypatch, sqrt3):
+    """The fibred sweep takes psi' through `psi_prime`, which decides the
+    support of each q >= q0 once."""
+    seen = Counter()
+    real = FibreContext.support_state
+
+    def counting(self, q):
+        seen[q] += 1
+        return real(self, q)
+
+    monkeypatch.setattr(FibreContext, "support_state", counting)
+    pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
+    _HitSweep(sqrt3, pp, 300, direct=False)
+    assert seen == Counter({q: 1 for q in range(pp.psi.q0, 301)})
 
 
 def test_sklr_counts_an_undecided_cell(sqrt3):
@@ -437,7 +475,7 @@ def test_mc_survey_examples(sqrt2, sqrt3):
     # a single q with psi' >= 1/2 contributes exactly 1 to the expectation
     big = PsiPrime(ApproxFunction.from_table({1: F(2, 5)}), sqrt2, R0, None)
     ctx = FibreContext(big)
-    v, _ = ctx.psi_prime(1)
+    v, _ = _psi_prime(ctx, 1)
     assert v.lo > F(1, 2)          # 0.4 / ||sqrt2|| ~ 0.966
     r = mc_survey(sqrt3, big, 1, 20, seed=1)
     assert r.expected == Enclosure.exact(1)

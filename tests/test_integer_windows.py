@@ -1,6 +1,7 @@
 """The integer-window kernels against the Fraction reference route in
 `oracles`: the same values, the same DependenceError witnesses."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from mdl.realnum import (
     FormEvaluator,
     exact_sum,
     log2_enclosure,
+    log2_ratio,
+    log2_scaled,
     normalize_witness,
     parse_param,
     round_outward,
@@ -112,6 +115,27 @@ def test_log2_matches_the_fraction_padding(n, bits):
     assert log2_enclosure(n, bits) == oracles.log2_fraction(n, bits)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2**90), st.integers(0, 64), st.integers(1, 2**90),
+       st.sampled_from((16, 40, 64, 96)))
+@example(3, 1, 1, 64)
+@example(5, 5, 7, 96)
+@example(12345, 40, 3, 64)
+@example(99991, 40, 2**40, 40)
+def test_log2_ratio_cancels_a_power_of_two(m, t, den, bits):
+    """log2_scaled(m 2^t) is log2_scaled(m) plus t exactly, so a power of
+    two common to num and den leaves `log2_ratio` unchanged, and the bounds
+    hold the true log2(m / den)."""
+    lo, hi, w = log2_scaled(m, bits)
+    assert log2_scaled(m << t, bits) == (lo + (t << w), hi + (t << w), w)
+    r_lo, r_hi, w = log2_ratio(m, den, bits)
+    assert log2_ratio(m << t, den << t, bits) == (r_lo, r_hi, w)
+    # [r_lo, r_hi] / 2^w holds log2(m / den), checked in floating point
+    # with 2^-32 to spare
+    got = math.log2(m) - math.log2(den)
+    assert r_lo / 2**w - 2**-32 <= got <= r_hi / 2**w + 2**-32
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(("sqrt:2", "sqrt:3", "const:golden", "log2:3")),
        st.sampled_from(("rat:0", "rat:1/3", "sqrt:5", "sqrt:2")),
@@ -121,8 +145,8 @@ def test_log2_matches_the_fraction_padding(n, bits):
 # 2 golden - sqrt 5 = 1: a vanishing distance that is not syntactic
 @example("const:golden", "sqrt:5", "log2sq", None, 2)
 def test_psi_prime_matches_the_fraction_oracle(beta, gp, tag, omega, q):
-    """psi' as an enclosure and as the ints of `psi_prime_window`, which
-    divide by the window of the level decision."""
+    """psi' as the ints of `psi_prime`, which divide by the window of the
+    level decision."""
     psi = ApproxFunction._formula(tag, F(1, 5))
     assume(q >= psi.q0)
     pp = PsiPrime(psi, parse_param(beta), parse_param(gp), omega)
@@ -135,14 +159,11 @@ def test_psi_prime_matches_the_fraction_oracle(beta, gp, tag, omega, q):
         if state == SupportState.IN:
             with pytest.raises(DependenceError):
                 ctx.psi_prime(q)
-            with pytest.raises(DependenceError):
-                ctx.psi_prime_window(q)
         return
-    v, got = ctx.psi_prime(q)
-    got_w, lo, hi = ctx.psi_prime_window(q)
-    assert got == got_w == state
+    got, lo, hi = ctx.psi_prime(q)
+    assert got == state
     if state == SupportState.IN:
-        assert v == want == Enclosure.dyadic(lo, hi, 128)
+        assert want == Enclosure.dyadic(lo, hi, 128)
 
 
 @pytest.mark.parametrize("psi, omega, direct", [

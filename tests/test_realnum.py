@@ -131,6 +131,9 @@ def test_param_grammar_round_trip():
         parse_param("sqrt2")
     with pytest.raises(ValueError):
         parse_param("dec:1.5")     # missing radius
+    # the radius's exponent marker may be either case
+    assert parse_param("dec:1.4142@1E-3") == parse_param("dec:1.4142@1e-3") \
+        == RealParam.decimal("1.4142", F(1, 1000))
 
 
 def test_rational_param_exact():

@@ -19,7 +19,7 @@ import pytest
 
 from mdl import discrepancy, gallagher
 from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime
-from mdl.realnum import RealParam, parse_param
+from mdl.realnum import Enclosure, RealParam, parse_param
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "data" / "shell_golden.json"
@@ -91,7 +91,8 @@ def _psi_prime():
         ctx = FibreContext(pp)
         vals = []
         for q in range(pp.psi.q0, 1201):
-            v, state = ctx.psi_prime(q)
+            state, lo, hi = ctx.psi_prime(q)
+            v = Enclosure.dyadic(lo, hi, gallagher.PSI_PRIME_BITS)
             vals.append(_enc(v) + [state])
         rows[gp.canonical()] = _digest(vals)
         rows[gp.canonical() + ":divergence"] = _enc(

@@ -1,0 +1,41 @@
+"""Every parameter of a function in `src/mdl` is read in the function's
+body.  A parameter that is accepted and never read is a knob that does
+nothing, and its caller is told something false."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mdl"
+
+#: (file, function, parameter) -> why it stays unread
+ALLOWED = {
+    ("gallagher.py", "_pow_level", "upper"):
+        "shares _log_level's signature: FibreContext._level binds either one "
+        "with functools.partial and calls it as level(x, scale, upper)",
+}
+
+
+def _unread_parameters():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found |= {(path.name, name, p.arg) for p in params
+                      if p.arg not in ("self", "cls") and p.arg not in read}
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert sorted(unread - ALLOWED.keys()) == []
+    # an entry whose parameter is read again, or gone, is dropped here too
+    assert sorted(ALLOWED.keys() - unread) == []
