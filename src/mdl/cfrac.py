@@ -24,6 +24,7 @@ from .realnum import (
     log2_scaled,
     neg_log2_enclosure,
     normalize_witness,
+    param_evaluator,
     precision_ladder,
 )
 
@@ -123,8 +124,7 @@ def min_dist(alpha: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP):
     for _, q in cf.convergents:
         if 1 <= q <= N:
             best_q = max(best_q, q)
-    fe = FormEvaluator([alpha], 0, cap=cap)
-    return fe.dist_enclosure([best_q]), best_q
+    return param_evaluator(alpha, cap).dist_enclosure([best_q]), best_q
 
 
 @dataclass
@@ -201,8 +201,8 @@ def sigma_single(gamma: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP,
     if gamma.is_decimal and not allow_decimal:
         raise ValueError("decimal literal is secretly rational; sigma needs "
                          "a certified irrational (allow_decimal=True to override)")
-    fe = FormEvaluator([gamma], 0, cap=cap)
-    enc, witness = _best_candidate([(n,) for n in range(2, N + 1)], fe, cap)
+    enc, witness = _best_candidate([(n,) for n in range(2, N + 1)],
+                                   param_evaluator(gamma, cap), cap)
     return SigmaEntry(N, enc, witness)
 
 
@@ -248,11 +248,6 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
 _OMEGA_GRID_BITS = 32
 
 
-def _log2log2_le_1(q: int) -> bool:
-    # log2 log2 q <= 1  <=>  log2 q <= 2  <=>  q <= 4 (q >= 1)
-    return q <= 4
-
-
 def omega_schedule(q: int, c: Fraction) -> Fraction:
     """Shrinking-exponent schedule: 1 while log2 log2 q <= 1, then
     c / (log2 log2 log2 q)^(1/2), rounded down onto the 2^-32 grid.
@@ -260,23 +255,24 @@ def omega_schedule(q: int, c: Fraction) -> Fraction:
     Rounding down only shrinks the support [q^-omega, 1) it gates, which is
     the safe direction for a truncation.
     """
-    c = Fraction(c)
-    if q < 1 or c <= 0:
-        raise ValueError("need q >= 1 and c > 0")
-    if _log2log2_le_1(q):
-        return Fraction(1)
-    return _round_down_inv_sqrt(_loglog_enclosure(q, levels=3), c)
+    return _omega(q, c, levels=3)
 
 
 def omega_schedule_lemma3(q: int, c: Fraction) -> Fraction:
     """Companion schedule c / (log2 log2 q)^(1/2) used by the counting lemma
     with sigma(q) = O((log2 log2 q)^(1/2)); 1 on the degenerate head."""
+    return _omega(q, c, levels=2)
+
+
+def _omega(q: int, c: Fraction, levels: int) -> Fraction:
+    """c / (the `levels`-deep iterated log2 of q)^(1/2) rounded down onto
+    the 2^-32 grid, and 1 while log2 log2 q <= 1, that is q <= 4."""
     c = Fraction(c)
     if q < 1 or c <= 0:
         raise ValueError("need q >= 1 and c > 0")
-    if q <= 4:  # log2 log2 q <= 1 -> schedule value would exceed c
+    if q <= 4:
         return Fraction(1)
-    return _round_down_inv_sqrt(_loglog_enclosure(q, levels=2), c)
+    return _round_down_inv_sqrt(_loglog_enclosure(q, levels), c)
 
 
 def _loglog_enclosure(q: int, levels: int, bits: int = 64) -> Enclosure:

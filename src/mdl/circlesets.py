@@ -369,7 +369,7 @@ class AqFamily:
         return lo, hi
 
 
-def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
+def pair_sum(psi, gamma, Q: int) -> Enclosure:
     """Exact sum over 1 <= q' < q <= Q of |A_q intersect A_q'|.
 
     Exact-rational accumulation when gamma is rational; otherwise the per
@@ -378,7 +378,7 @@ def pair_sum(psi, gamma, Q: int, bits: int = 64) -> Enclosure:
     """
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    fam = AqFamily(psi, gamma, Q, bits=bits)
+    fam = AqFamily(psi, gamma, Q)
     lo = hi = 0
     for q in range(2, Q + 1):
         dlo, dhi = fam.row(q)
@@ -430,7 +430,7 @@ class IntersectionReport:
 
 
 def master_check(psi, gamma, q: int, qp: int, H: int = 3,
-                 C0: RationalLike = 2, bits: int = 64,
+                 C0: RationalLike = 2,
                  cap: int = DEFAULT_PRECISION_CAP) -> IntersectionReport:
     """Check |A_q intersect A_q'| against the two-case bound.
 
@@ -484,7 +484,7 @@ def master_check(psi, gamma, q: int, qp: int, H: int = 3,
 
     rho, rhop = _radius(psi_q, q), _radius(psi_qp, qp)
     verdict = None
-    for b in precision_ladder(bits, cap):
+    for b in precision_ladder(64, cap):
         lo_i, hi_i, CD = aq_pair_measure_raw(rho, rhop, q, qp,
                                              _gamma_pin(gamma, b))
         if hi_i * bd <= bn * CD:

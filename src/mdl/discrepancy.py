@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -19,12 +20,12 @@ import numpy as np
 from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
-    Comparison,
     Enclosure,
     FormEvaluator,
     RealParam,
     log2_enclosure,
     orbit_lane,
+    param_evaluator,
     precision_ladder,
     rational_power,
     round_outward,
@@ -38,7 +39,6 @@ class BoxCountResult:
     Q: int
     box: tuple                 # ((a, b), ...) half-open per axis
     count: int
-    error: Fraction            # count - Q * volume
     undecided: int = 0
 
     @property
@@ -48,38 +48,37 @@ class BoxCountResult:
             v *= (b - a)
         return v
 
+    @property
+    def error(self) -> Fraction:
+        """count - Q * volume."""
+        return self.count - self.Q * self.volume
 
-def _in_interval(fe: FormEvaluator, q: int, a: Fraction, b: Fraction) -> Comparison:
-    """Decide {q x} in [a, b) for the single parameter x of `fe`: LT inside,
-    GT outside.  At the cap a rational x is decided exactly, a decimal
-    literal raises CapExceeded and an irrational x is UNDECIDED."""
-    for bits in precision_ladder(fe.bits, fe.cap):
-        s, err, bb = fe.frac_window((q,), bits)
-        scale = 1 << bb
-        asc, bsc = a * scale, b * scale
-        # the pin is a floor and q > 0, so {q x} lies in [u, u + err] modulo
-        # one period: compare it and its shift by one period against [a, b)
-        # and against the complement [b, a + 1)
-        u = s % scale
-        for lo in (u, u + scale):
-            hi = lo + err
-            if lo >= asc and hi < bsc:
-                return Comparison.LT
-            if lo >= bsc and hi < asc + scale:
-                return Comparison.GT
-    x = fe.params[0]
-    if x.is_rational:
-        return Comparison.LT if a <= q * x.value % 1 < b else Comparison.GT
-    if x.is_decimal:
-        raise CapExceeded(f"{{{q}*{x}}} in [{a}, {b}) undecided at the precision cap")
-    return Comparison.UNDECIDED
+
+def _in_box(a: Fraction, b: Fraction, s, err, scale: int) -> Optional[bool]:
+    """Is {q x} in [a, b), for q > 0 and the window (s, err, scale) of
+    `FormEvaluator.decide`?  The pin is a floor and q > 0, so {q x} lies in
+    [u, u + err] / scale modulo one period, u = s mod scale: compare it and
+    its shift by one period against [a, b) and against the complement
+    [b, a + 1), cross-multiplied.  None when neither holds the whole
+    window."""
+    u = s % scale
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    asc, bsc = an * scale, bn * scale
+    for lo in (u, u + scale):
+        hi = lo + err
+        if lo * ad >= asc and hi * bd < bsc:
+            return True
+        if lo * bd >= bsc and hi * ad < asc + ad * scale:
+            return False
+    return None
 
 
 def box_count(params: Sequence[RealParam], Q: int, box,
               cap: int = DEFAULT_PRECISION_CAP) -> BoxCountResult:
     """Exact count of q <= Q with ({q a_1}, ..., {q a_k}) in the half-open
-    box; memberships are decided rigorously, undecidable ones (possible only
-    at the precision cap) are counted separately."""
+    box; memberships are decided rigorously, at once for a rational
+    parameter.  At the precision cap an irrational membership is counted
+    as undecided, and a decimal literal raises CapExceeded."""
     params = list(params)
     if not 1 <= len(params) <= 2:
         raise ValueError("box counting supports dimension 1 or 2")
@@ -89,7 +88,7 @@ def box_count(params: Sequence[RealParam], Q: int, box,
     for a, b in boxes:
         if not (0 <= a <= b <= 1):
             raise ValueError("box sides must satisfy 0 <= a <= b <= 1")
-    evaluators = [FormEvaluator([p], cap=cap) for p in params]
+    evaluators = [param_evaluator(p, cap) for p in params]
     count = 0
     undecided = 0
     for q in range(1, Q + 1):
@@ -98,24 +97,25 @@ def box_count(params: Sequence[RealParam], Q: int, box,
                 break
             if a == 0 and b == 1:
                 continue
-            res = _in_interval(fe, q, a, b)
-            if res == Comparison.UNDECIDED:
+            inside = fe.decide((q,), partial(_in_box, a, b))
+            if inside is None:
+                x = fe.params[0]
+                if x.is_decimal:
+                    raise CapExceeded(f"{{{q}*{x}}} in [{a}, {b}) undecided "
+                                      "at the precision cap")
                 undecided += 1
-            if res != Comparison.LT:
+            if not inside:
                 break
         else:
             count += 1
-    vol = Fraction(1)
-    for a, b in boxes:
-        vol *= (b - a)
-    return BoxCountResult(Q, tuple(boxes), count, count - Q * vol, undecided)
+    return BoxCountResult(Q, tuple(boxes), count, undecided)
 
 
 # ---------------------------------------------------------------------------
 # Exact star discrepancy (1D)
 # ---------------------------------------------------------------------------
 
-def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
+def star_discrepancy_1d(alpha: RealParam, Q: int,
                         cap: int = DEFAULT_PRECISION_CAP,
                         allow_decimal: bool = False) -> Enclosure:
     """Exact anchored (star) discrepancy D* of {q*alpha}, q = 1..Q:
@@ -138,11 +138,11 @@ def star_discrepancy_1d(alpha: RealParam, Q: int, bits: int = 128,
                          "allow_decimal=True to accept the approximation")
     if not alpha.is_irrational and not alpha.is_decimal:
         raise ValueError("star discrepancy needs an irrational parameter")
-    fe = FormEvaluator([alpha], bits=bits, cap=cap)
-    b = next(precision_ladder(bits, cap))
+    fe = param_evaluator(alpha, cap)
+    b = next(precision_ladder(fe.bits, cap))
     lane = orbit_lane(fe, Q, b)
     if lane is None:
-        for b in precision_ladder(bits, cap):
+        for b in precision_ladder(fe.bits, cap):
             lo_pin, spread = fe.pin(b)[0][0]
             scale = 1 << b
             err = Q * spread  # absolute window width in grid units
@@ -194,14 +194,19 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     """(lower, upper) bracket for the free-box count-error supremum of the
     orbit ({q a}, {q b}) at resolution m: `lower` is the exact maximum of
     |E| over all grid-aligned boxes [a1/m,b1/m) x [a2/m,b2/m); `upper` adds
-    the 4Q/m slack covering boxes with off-grid sides."""
+    the 4Q/m slack covering boxes with off-grid sides.  A rational
+    parameter's cells are exact; CapExceeded where a point's cell is still
+    undecided at the cap."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    ta, tb = FormEvaluator([alpha], cap=cap), FormEvaluator([beta], cap=cap)
+    cell = partial(_cell, m)
+    ta, tb = param_evaluator(alpha, cap), param_evaluator(beta, cap)
     cells = np.zeros((m, m), dtype=np.int64)
     for q in range(1, Q + 1):
-        i = _cell_index(ta, q, m)
-        j = _cell_index(tb, q, m)
+        i = ta.decide((q,), cell)
+        j = tb.decide((q,), cell)
+        if i is None or j is None:
+            raise CapExceeded("orbit point sits on a grid line at the cap")
         cells[i, j] += 1
     pref = np.zeros((m + 1, m + 1), dtype=np.int64)
     pref[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
@@ -225,14 +230,12 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     return lower, upper
 
 
-def _cell_index(fe: FormEvaluator, q: int, m: int) -> int:
-    for bits in precision_ladder(fe.bits, fe.cap):
-        s, err, b = fe.frac_window((q,), bits)
-        # the pin is a floor and q > 0: {q x} lies in [s, s + err] modulo one
-        i = s * m >> b                # floor: cells are indexed over Z
-        if i == (s + err) * m >> b:
-            return i % m
-    raise CapExceeded("orbit point sits on a grid line at the cap")
+def _cell(m: int, s, err, scale: int) -> Optional[int]:
+    """The column floor({q x} m) of a point whose window (s, err, scale) of
+    `FormEvaluator.decide` lies in [s, s + err] modulo one (the pin is a
+    floor and q > 0), or None when the window meets a grid line."""
+    i = s * m // scale                # floor: cells are indexed over Z
+    return i % m if i == (s + err) * m // scale else None
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +369,9 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
             lg = log2_enclosure(H, 96)
             hpow = rational_power(Enclosure.exact(H), p + s, s, bits=96)
             rhs = lg * hpow * coef
-            c = rhs.compare(1)
-            if c == Comparison.UNDECIDED:
+            ok = rhs.lo > 1 or rhs.lo == rhs.hi == 1
+            if not ok and rhs.hi >= 1:
                 raise CapExceeded(f"H-threshold comparison undecided at H={H}")
-            ok = c in (Comparison.GT, Comparison.EQ)
         if ok:
             break
         H += 1

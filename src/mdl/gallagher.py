@@ -40,6 +40,7 @@ from .realnum import (
     RealParam,
     ball_lane,
     exact_sum,
+    frac_to_dist,
     lane_array,
     lane_margin,
     lane_threshold,
@@ -342,22 +343,23 @@ class FibreContext:
         ladder took at the evaluator's first rung or None, the level)."""
         p, s = om.numerator, om.denominator
         if s <= 64:
-            level = partial(_pow_level, s=s, qp=q ** p)
+            levels = partial(_pow_levels, s=s, qp=q ** p)
         else:
-            level = partial(_log_level, p=p, s=s, lgq=log2_scaled(q, 96))
+            levels = partial(_log_levels, p=p, s=s, lgq=log2_scaled(q, 96))
         first_scale = self._first_scale
         first = None
 
-        def verdict(lo, hi, scale):
+        def verdict(fr, err, scale):
             nonlocal first
+            lo, hi, _ = window = frac_to_dist(fr, err, scale)
             if scale == first_scale:
-                first = lo, hi, scale
-            a, b = level(lo, scale, 0), level(hi, scale, 1)
+                first = window
+            a, b = levels(lo, hi, scale)
             if top is not None:
                 a, b = min(a, top), min(b, top)
             return a if a == b else None
 
-        result = self.fe._dist_decide(self._coeffs(q), 0, verdict)
+        result = self.fe.decide(self._coeffs(q), verdict)
         self._slot = q, first, result
         return result
 
@@ -385,28 +387,36 @@ class FibreContext:
                                       pd * d_lo, PSI_PRIME_BITS))
 
 
-def _pow_level(x, scale: int, upper: int, s: int, qp: int) -> int:
-    """max(-1, floor(log2((x/scale)^s q^p) / s)) for a distance x/scale
-    (x an int, or a Fraction on the exact path), exactly.  `upper` is
-    unused: the signature is `_log_level`'s, which needs it."""
-    n = x.numerator ** s * qp
-    if n == 0:
-        return -1
-    d = (x.denominator * scale) ** s
-    k = n.bit_length() - d.bit_length()     # floor(log2(n/d)) is k or k-1
-    if (n >> k if k >= 0 else n << -k) < d:
-        k -= 1
-    return max(-1, k // s)
+def _pow_levels(lo: int, hi: int, scale: int, s: int, qp: int) -> list:
+    """max(-1, floor(log2((x/scale)^s q^p) / s)) for the distances x = lo
+    and x = hi, exactly."""
+    out = []
+    d = scale ** s
+    for x in (lo, hi):
+        n = x ** s * qp
+        if n == 0:
+            out.append(-1)
+            continue
+        k = n.bit_length() - d.bit_length()     # floor(log2(n/d)) is k or k-1
+        if (n >> k if k >= 0 else n << -k) < d:
+            k -= 1
+        out.append(max(-1, k // s))
+    return out
 
 
-def _log_level(x, scale: int, upper: int, p: int, s: int, lgq: tuple) -> int:
-    """max(-1, floor(B)) for a lower (upper=0) or an upper (upper=1)
-    bound B on log2(x/scale) + (p/s) log2 q, from 96-bit log2 bounds on
-    one grid (`log2_ratio`, and `log2_scaled` for lgq)."""
-    if x == 0:
-        return -1
-    lx = log2_ratio(x.numerator, x.denominator * scale, 96)
-    return max(-1, (lx[upper] * s + p * lgq[upper]) // (s << lx[2]))
+def _log_levels(lo: int, hi: int, scale: int, p: int, s: int, lgq: tuple) -> list:
+    """max(-1, floor(B)) for a lower bound B on log2(lo/scale) + (p/s)
+    log2 q and for an upper bound B on log2(hi/scale) + (p/s) log2 q, from
+    96-bit log2 bounds on one grid (`log2_ratio`, and `log2_scaled` for
+    lgq)."""
+    out = []
+    for upper, x in enumerate((lo, hi)):
+        if x == 0:
+            out.append(-1)
+            continue
+        lx = log2_ratio(x, scale, 96)
+        out.append(max(-1, (lx[upper] * s + p * lgq[upper]) // (s << lx[2])))
+    return out
 
 
 @dataclass
@@ -451,13 +461,13 @@ class GlCensus:
 
 
 def gl_census(beta: RealParam, gamma_prime, omega, Q: int,
-              psi: Optional[ApproxFunction] = None,
               cap: int = DEFAULT_PRECISION_CAP) -> GlCensus:
     """Half-open census: q is in cell l iff ||q beta - g'|| lands in
-    [2^l q^-omega, 2^(l+1) q^-omega); the cells partition the support."""
+    [2^l q^-omega, 2^(l+1) q^-omega); the cells partition the support.
+    A census reads no psi; the PsiPrime it builds carries a placeholder."""
     gp = gamma_prime if isinstance(gamma_prime, RealParam) \
         else RealParam.rational(Fraction(gamma_prime))
-    pp = PsiPrime(psi or ApproxFunction.const(Fraction(1, 4)), beta, gp, omega)
+    pp = PsiPrime(ApproxFunction.const(Fraction(1, 4)), beta, gp, omega)
     ctx = FibreContext(pp, cap=cap)
     cells: dict = {}
     undecided = []
@@ -531,6 +541,8 @@ def f_moment_sum(beta: RealParam, gamma_prime, omega, Q: int, l: int, K: int,
     reference value Q^(1-omega) 2^(l+1)) as enclosures."""
     if Q < 2 or K < 1:
         raise ValueError("need Q >= 2 and K >= 1")
+    if l < 0:
+        raise ValueError("l must be >= 0: level -1 lies outside the support")
     if isinstance(omega, tuple):
         raise ValueError("moment sums need a constant omega exponent")
     om = Fraction(omega)
@@ -604,8 +616,7 @@ class BCSeries:
         return self.pair_mass[-1]
 
 
-def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
-             cap: int = DEFAULT_PRECISION_CAP,
+def bc_ratio(psi_or_pp, gamma, Q: int, cap: int = DEFAULT_PRECISION_CAP,
              checkpoint_every: int = 0) -> BCSeries:
     """(sum |A_q|)^2 / sum |A_q intersect A_q'| over q, q' <= Q with the
     diagonal included; the divergence-type lower bound for the limsup mass.
@@ -617,7 +628,7 @@ def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
     if Q < 2:
         raise ValueError("Q must be >= 2")
     values, undecided = _radius_table(psi_or_pp, Q, cap)
-    fam = AqFamily(values, gamma, Q, bits=bits)
+    fam = AqFamily(values, gamma, Q, bits=96)
     mass_list = []
     pair_list = []
     mass_lo = mass_hi = Fraction(0)
@@ -646,11 +657,11 @@ def bc_ratio(psi_or_pp, gamma, Q: int, bits: int = 96,
     return BCSeries(Q, mass_list, pair_list, ratio, undecided)
 
 
-def union_series(psi_or_pp, gamma, Q0: int, Q: int, bits: int = 64,
+def union_series(psi_or_pp, gamma, Q0: int, Q: int,
                  cap: int = DEFAULT_PRECISION_CAP) -> Enclosure:
     """Measure of the union of A_q for Q0 <= q <= Q, by exact arc folding."""
-    if Q0 > Q:
-        raise ValueError("need Q0 <= Q")
+    if not 1 <= Q0 <= Q:
+        raise ValueError("need 1 <= Q0 <= Q")
     values, _ = _radius_table(psi_or_pp, Q, cap)
     acc = CircleSet.empty()
     for q in range(Q0, Q + 1):
@@ -659,7 +670,7 @@ def union_series(psi_or_pp, gamma, Q0: int, Q: int, bits: int = 64,
             continue
         if 2 * v.lo >= 1:
             return Enclosure.exact(1)
-        s = build_Aq(v, gamma, q, bits=bits)
+        s = build_Aq(v, gamma, q)
         acc = arc_union(acc, s)
     return acc.measure_bounds()
 
@@ -762,11 +773,16 @@ class _HitSweep:
     def count_for(self, k: int) -> HitResult:
         sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
                                    self.thr_lo, self.thr_hi)
-        count = int(np.count_nonzero(sure))
+        return self._exact_count(np.nonzero(maybe)[0].tolist(),
+                                Fraction(k, _U64),
+                                int(np.count_nonzero(sure)))
+
+    def _exact_count(self, qs, x: Fraction, count: int = 0) -> HitResult:
+        """The HitResult of `count` hits already certain plus the hits
+        among qs, each decided exactly at the sample x."""
         undecided = 0
-        x = Fraction(k, _U64)
-        for q in np.nonzero(maybe)[0]:
-            res = self._exact_hit(int(q), x)
+        for q in qs:
+            res = self._exact_hit(q, x)
             if res is None:
                 undecided += 1
             elif res:
@@ -804,16 +820,7 @@ def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
         k = x.numerator * (_U64 // x.denominator) % _U64
         return sweep.count_for(k)
     # non-dyadic sample: exact per-q path
-    count = 0
-    undecided = 0
-    for q in range(1, Q + 1):
-        res = sweep._exact_hit(q, x)
-        if res is None:
-            undecided += 1
-        elif res:
-            count += 1
-    return HitResult(count, undecided + len(sweep.undecided_q),
-                     list(sweep.degenerate))
+    return sweep._exact_count(range(1, Q + 1), x)
 
 
 @dataclass

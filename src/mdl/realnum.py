@@ -24,10 +24,13 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   omega schedules and of the psi families, the fibre levels) is one call.
 - `round_outward` rounds num 2^k / den outward to ints, and
   `Enclosure.dyadic` turns such a pair back into an enclosure.
-- `FormEvaluator` pins parameters as scaled integers and decides distances
-  to the nearest integer along one precision ladder; `dist_window` gives
-  one integer window and `positive_windows` the windows, certified
-  positive, of many coefficient vectors at once.
+- `FormEvaluator` pins parameters as scaled integers.  `decide` is the one
+  ladder for a predicate on a form: it hands a verdict the window of the
+  form's signed fractional part, rung after rung, until the verdict
+  answers; orbit boxes, grid cells, fibre levels and distance balls are
+  all verdicts on it.  `dist_window` gives one integer distance window and
+  `positive_windows` the windows, certified positive, of many coefficient
+  vectors at once.
 - Two certified uint64 lanes share one wrap-around product on the 2^-64
   grid.  `ball_lane` decides many distances at once and leaves only the
   entries that straddle a wall to `FormEvaluator.dist_below`; `orbit_lane`
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
@@ -51,13 +53,8 @@ import numpy as np
 RationalLike = Union[int, Fraction]
 
 #: Hard ceiling for refinement; predicates that cannot be decided at this
-#: precision return UNDECIDED instead of looping forever.
+#: precision are reported undecided instead of looping forever.
 DEFAULT_PRECISION_CAP = 4096
-
-#: Starting precision of the ladder in `compare`.
-START_BITS = 64
-
-HALF = Fraction(1, 2)
 
 
 class CapExceeded(Exception):
@@ -76,13 +73,6 @@ class DependenceError(Exception):
 
     def __str__(self):
         return f"{self.message}: witness {self.witness}"
-
-
-class Comparison(Enum):
-    LT = "LT"
-    GT = "GT"
-    EQ = "EQ"
-    UNDECIDED = "UNDECIDED"
 
 
 def _mpf_to_fraction(raw) -> Fraction:
@@ -202,16 +192,6 @@ class Enclosure:
         return Enclosure.dyadic(*round_outward(
             lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits),
             bits)
-
-    def compare(self, t: RationalLike) -> Comparison:
-        t = Fraction(t)
-        if self.hi < t:
-            return Comparison.LT
-        if self.lo > t:
-            return Comparison.GT
-        if self.lo == t == self.hi:
-            return Comparison.EQ
-        return Comparison.UNDECIDED
 
     def __float__(self):
         return float(self.mid)
@@ -697,9 +677,6 @@ class RealExpr:
             return self + (-other)
         return self + (-Fraction(other))
 
-    def scale(self, k: int) -> "RealExpr":
-        return RealExpr.build([(k * c, p) for c, p in self.terms], k * self.offset)
-
     def eval(self, bits: int, cap: int = DEFAULT_PRECISION_CAP) -> Enclosure:
         """Enclosure of width <= 2^-bits (unless limited by decimal literals)."""
         if bits > cap:
@@ -712,17 +689,6 @@ class RealExpr:
         for coeff, param in self.terms:
             acc = acc + param.enclosure(inner) * coeff
         return acc
-
-    def canonical(self) -> str:
-        parts = []
-        for c, p in self.terms:
-            parts.append(f"{c:+d}*{p.canonical()}")
-        if self.offset or not parts:
-            parts.append(f"{'+' if self.offset >= 0 else ''}{self.offset}")
-        return "".join(parts)
-
-    def __str__(self):
-        return self.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -741,86 +707,6 @@ def precision_ladder(start: int, cap: int):
         b *= 2
 
 
-def _order(a: Fraction, b: Fraction) -> Comparison:
-    return Comparison.LT if a < b else Comparison.GT if a > b else Comparison.EQ
-
-
-def compare(x: RealExpr, t: RationalLike, cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
-    """Decide x <=> t.  EQ is only reported on the exact rational path;
-    an irrational x is separated from t by refinement or, at the cap,
-    reported UNDECIDED."""
-    t = Fraction(t)
-    if x.is_rational:
-        return _order(x.rational_value, t)
-    for bits in precision_ladder(START_BITS, cap):
-        e = x.eval(bits, cap=cap)
-        if e.hi < t:
-            return Comparison.LT
-        if e.lo > t:
-            return Comparison.GT
-        if e.width == 0:
-            break
-    return Comparison.UNDECIDED
-
-
-def _nearest_int_window(e: Enclosure):
-    """Candidate nearest integers for values in e under the (-1/2, 1/2]
-    signed-fractional-part convention (ties resolved downward)."""
-    zlo = math.ceil(e.lo - HALF)
-    zhi = math.ceil(e.hi - HALF)
-    return zlo, zhi
-
-
-def _dist_of_interval(e: Enclosure) -> Enclosure:
-    """Exact interval image of x -> distance to nearest integer over e.
-
-    The map is continuous and piecewise linear with minima 0 at integers
-    and maxima 1/2 at half-odd-integers, so the image is determined by the
-    endpoint values plus whether either kind of critical point lies inside.
-    """
-    if e.width >= 1:
-        return Enclosure(Fraction(0), HALF)
-
-    def d(v: Fraction) -> Fraction:
-        fr = v - math.floor(v)
-        return min(fr, 1 - fr)
-
-    lo = min(d(e.lo), d(e.hi))
-    hi = max(d(e.lo), d(e.hi))
-    if math.ceil(e.lo) <= math.floor(e.hi):          # integer inside
-        lo = Fraction(0)
-    two_lo, two_hi = math.ceil(2 * e.lo), math.floor(2 * e.hi)
-    if any(k % 2 != 0 for k in range(two_lo, two_hi + 1)):  # half-odd inside
-        hi = HALF
-    return Enclosure(lo, min(hi, HALF))
-
-
-def frac_and_dist(x: RealExpr, bits: int,
-                  cap: int = DEFAULT_PRECISION_CAP):
-    """Signed fractional part {x} in (-1/2, 1/2] and distance ||x|| in [0, 1/2].
-
-    For rational x both are exact.  Otherwise the nearest integer is decided
-    by refinement starting from `bits`; if it cannot be separated within the
-    cap, a widened pair of enclosures still containing the truth is returned
-    (||x|| stays tight because it is continuous across the tie).
-    """
-    if x.is_rational:
-        v = x.rational_value
-        z = math.ceil(v - HALF)
-        fr = v - z
-        return Enclosure.exact(fr), Enclosure.exact(abs(fr))
-    e = None
-    for b in precision_ladder(bits, cap):
-        e = x.eval(b, cap=cap)
-        zlo, zhi = _nearest_int_window(e)
-        if zlo == zhi:
-            fr = e - zlo
-            dist = _dist_of_interval(e)
-            return fr, dist
-    dist = _dist_of_interval(e)
-    return Enclosure(Fraction(-1, 2), HALF), dist
-
-
 # ---------------------------------------------------------------------------
 # Scaled-integer evaluator
 # ---------------------------------------------------------------------------
@@ -832,8 +718,9 @@ class FormEvaluator:
     Each parameter is pinned once per precision as a scaled integer
     floor(x * 2^B) plus a spread from a certified enclosure; a coefficient
     vector then costs a handful of big-int operations, with a rigorous error
-    window that callers escalate along `precision_ladder` when a decision is
-    too close to call.
+    window.  `decide` is the one ladder of a predicate on a form: it raises
+    the precision along `precision_ladder` until the predicate's verdict on
+    the window answers, or the cap is reached.
 
     Syntactic dependence is decided once, on construction: parameters with
     the same canonical form share a group and rational parameters only shift
@@ -899,9 +786,8 @@ class FormEvaluator:
         """(d_lo, d_hi, scale_bits): rigorous integer window for
         ||sum k_i x_i + c + shift|| scaled by 2^scale_bits."""
         s, err, b = self.frac_window(coeffs, bits, shift)
-        d = abs(s)
-        # distance to nearest integer is 1-Lipschitz in the argument
-        return max(0, d - err), min((1 << b) >> 1, d + err), b
+        lo, hi, _ = frac_to_dist(s, err, 1 << b)
+        return lo, hi, b
 
     def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None,
                        shift: RationalLike = 0) -> Enclosure:
@@ -952,18 +838,23 @@ class FormEvaluator:
                 return None
         return self.offset + sum(coeffs[i] * v for i, v in self._rational)
 
-    def _dist_decide(self, coeffs: Sequence[int], shift: RationalLike, verdict):
-        """The first non-None verdict(lo, hi, scale) on a window
-        [lo, hi]/scale of ||form + shift||: exact for a form that collapses
-        to a rational, else along `precision_ladder`; None at the cap."""
+    def decide(self, coeffs: Sequence[int], verdict, shift: RationalLike = 0):
+        """The first non-None verdict(s, err, scale), where s, err and scale
+        are ints and the signed fractional part of form + shift lies within
+        err / scale of s / scale: the exact window (s, 0, den) on the
+        denominator of the value of a form that collapses to a rational,
+        else `frac_window`'s on each rung of `precision_ladder`; None at the
+        cap.  The one ladder of every predicate on a form."""
         v = self._rational_value(coeffs)
         if v is not None:
-            v += shift
-            d = abs(v - math.ceil(v - HALF))
-            return verdict(d, d, 1)
+            if shift:
+                v += shift
+            den = v.denominator
+            m = v.numerator % den
+            return verdict(m if 2 * m <= den else m - den, 0, den)
         for bits in precision_ladder(self.bits, self.cap):
-            lo, hi, b = self.dist_window(coeffs, bits, shift)
-            answer = verdict(lo, hi, 1 << b)
+            s, err, b = self.frac_window(coeffs, bits, shift)
+            answer = verdict(s, err, 1 << b)
             if answer is not None:
                 return answer
         return None
@@ -974,7 +865,7 @@ class FormEvaluator:
         threshold known as the enclosure t: True, False, or None when the
         distance cannot be separated from t (a rational form is decided
         exactly, so None there means t itself straddles the distance)."""
-        return self._dist_decide(coeffs, shift, partial(_ball_verdict, t, closed))
+        return self.decide(coeffs, partial(_ball_verdict, t, closed), shift)
 
     def dist_is_zero_exact(self, coeffs: Sequence[int]) -> bool:
         """True iff the linear form collapses syntactically to an integer."""
@@ -998,9 +889,19 @@ def param_evaluator(param, cap: int = DEFAULT_PRECISION_CAP) -> FormEvaluator:
     return FormEvaluator([p], 0, cap=cap)
 
 
-def _ball_verdict(t: Enclosure, closed: bool, lo, hi, scale: int) -> Optional[bool]:
-    """Is a distance in [lo, hi]/scale below t (at most t when closed)?
-    Cross-multiplied, so an integer window builds no Fraction."""
+def frac_to_dist(s, err, scale: int) -> tuple:
+    """(lo, hi, scale): the window [lo, hi] / scale of ||x|| for a signed
+    fractional part of x in [s - err, s + err] / scale.  The distance to
+    the nearest integer is 1-Lipschitz, and lies in [0, 1/2]."""
+    d = abs(s)
+    hi = d + err
+    return max(0, d - err), hi if 2 * hi <= scale else scale >> 1, scale
+
+
+def _ball_verdict(t: Enclosure, closed: bool, s, err, scale: int) -> Optional[bool]:
+    """Is ||x|| below t (at most t when closed), for x's window (s, err,
+    scale)?  Cross-multiplied, so an integer window builds no Fraction."""
+    lo, hi, _ = frac_to_dist(s, err, scale)
     below = hi * t.lo.denominator - t.lo.numerator * scale
     if below < 0 or (closed and below == 0):
         return True

@@ -1,6 +1,6 @@
 """Test-side helpers: checks that only the tests call, the `Fraction`
-reference route of the integer-window kernels, and the wall-comparison
-route of the fibre level.
+reference route of the integer-window kernels, the comparison route of
+real expressions, and the wall-comparison route of the fibre level.
 
 The reference functions build, normalise and compare a `Fraction` per
 term, as the library did before its hot loops ran on integer windows.
@@ -9,6 +9,7 @@ library to them value for value."""
 
 import math
 from collections import namedtuple
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +26,12 @@ from mdl.gallagher import _FAMILY_EXPONENTS, HALF
 from mdl.realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
-    Comparison,
     DependenceError,
     Enclosure,
     FormEvaluator,
+    RealExpr,
     _log2_frac_floor,
+    frac_to_dist,
     log2_enclosure,
     neg_log2_enclosure,
     param_evaluator,
@@ -333,6 +335,100 @@ def master_check_fraction(psi, gamma, q: int, qp: int, H: int = 3, C0=2,
 
 
 # ---------------------------------------------------------------------------
+# The comparison route of real expressions
+# ---------------------------------------------------------------------------
+
+class Comparison(Enum):
+    LT = "LT"
+    GT = "GT"
+    EQ = "EQ"
+    UNDECIDED = "UNDECIDED"
+
+
+#: Starting precision of the ladder in `compare`.
+START_BITS = 64
+
+
+def _order(a: Fraction, b: Fraction) -> Comparison:
+    return Comparison.LT if a < b else Comparison.GT if a > b else Comparison.EQ
+
+
+def compare(x: RealExpr, t, cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
+    """Decide x <=> t.  EQ is only reported on the exact rational path;
+    an irrational x is separated from t by refinement or, at the cap,
+    reported UNDECIDED."""
+    t = Fraction(t)
+    if x.is_rational:
+        return _order(x.rational_value, t)
+    for bits in precision_ladder(START_BITS, cap):
+        e = x.eval(bits, cap=cap)
+        if e.hi < t:
+            return Comparison.LT
+        if e.lo > t:
+            return Comparison.GT
+        if e.width == 0:
+            break
+    return Comparison.UNDECIDED
+
+
+def _nearest_int_window(e: Enclosure):
+    """Candidate nearest integers for values in e under the (-1/2, 1/2]
+    signed-fractional-part convention (ties resolved downward)."""
+    zlo = math.ceil(e.lo - HALF)
+    zhi = math.ceil(e.hi - HALF)
+    return zlo, zhi
+
+
+def _dist_of_interval(e: Enclosure) -> Enclosure:
+    """Exact interval image of x -> distance to nearest integer over e.
+
+    The map is continuous and piecewise linear with minima 0 at integers
+    and maxima 1/2 at half-odd-integers, so the image is determined by the
+    endpoint values plus whether either kind of critical point lies inside.
+    """
+    if e.width >= 1:
+        return Enclosure(Fraction(0), HALF)
+
+    def d(v: Fraction) -> Fraction:
+        fr = v - math.floor(v)
+        return min(fr, 1 - fr)
+
+    lo = min(d(e.lo), d(e.hi))
+    hi = max(d(e.lo), d(e.hi))
+    if math.ceil(e.lo) <= math.floor(e.hi):          # integer inside
+        lo = Fraction(0)
+    two_lo, two_hi = math.ceil(2 * e.lo), math.floor(2 * e.hi)
+    if any(k % 2 != 0 for k in range(two_lo, two_hi + 1)):  # half-odd inside
+        hi = HALF
+    return Enclosure(lo, min(hi, HALF))
+
+
+def frac_and_dist(x: RealExpr, bits: int, cap: int = DEFAULT_PRECISION_CAP):
+    """Signed fractional part {x} in (-1/2, 1/2] and distance ||x|| in [0, 1/2].
+
+    For rational x both are exact.  Otherwise the nearest integer is decided
+    by refinement starting from `bits`; if it cannot be separated within the
+    cap, a widened pair of enclosures still containing the truth is returned
+    (||x|| stays tight because it is continuous across the tie).
+    """
+    if x.is_rational:
+        v = x.rational_value
+        z = math.ceil(v - HALF)
+        fr = v - z
+        return Enclosure.exact(fr), Enclosure.exact(abs(fr))
+    e = None
+    for b in precision_ladder(bits, cap):
+        e = x.eval(b, cap=cap)
+        zlo, zhi = _nearest_int_window(e)
+        if zlo == zhi:
+            fr = e - zlo
+            dist = _dist_of_interval(e)
+            return fr, dist
+    dist = _dist_of_interval(e)
+    return Enclosure(Fraction(-1, 2), HALF), dist
+
+
+# ---------------------------------------------------------------------------
 # The comparison route of the fibre level
 # ---------------------------------------------------------------------------
 
@@ -341,7 +437,8 @@ def dist_pow_compare(fe, coeffs, s: int, threshold) -> Comparison:
     t = Fraction(threshold)
     tn, td = t.numerator, t.denominator
 
-    def verdict(lo, hi, scale):
+    def verdict(fr, err, scale):
+        lo, hi, _ = frac_to_dist(fr, err, scale)
         # cross-multiplied: (hi/scale)^s < t  <=>  hi^s td < tn scale^s
         ts = tn * scale ** s
         if hi ** s * td < ts:
@@ -350,7 +447,7 @@ def dist_pow_compare(fe, coeffs, s: int, threshold) -> Comparison:
             return Comparison.GT
         return Comparison.EQ if lo == hi else None
 
-    answer = fe._dist_decide(coeffs, 0, verdict)
+    answer = fe.decide(coeffs, verdict)
     return Comparison.UNDECIDED if answer is None else answer
 
 

@@ -342,12 +342,23 @@ def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
     ("master-sweep --psi log2sq:1/2 --gamma sqrt:2 --Q 6",
      "psi family log2sq is not rational: the two-case bound needs rational "
      "psi values"),
+    ("union --psi overq:1/4 --gamma sqrt:2 --Q0 0 --Q 3", "need 1 <= Q0 <= Q"),
+    ("f-moments --beta sqrt:2 --omega 1/2 --Q 50 --l -1 --K 1",
+     "l must be >= 0: level -1 lies outside the support"),
 ])
 def test_unusable_input_is_a_config_error(argv, message, capsys):
     assert main(shlex.split(argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {message}" in captured.err
+
+
+def test_disc_on_a_rational_orbit(capsys):
+    """{q/3} sits on the grid lines of m = 3 and is decided exactly."""
+    assert main(shlex.split("disc --alpha rat:1/3 --beta sqrt:2 --Q 5 --m 3")) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "disc2d-lower,rat:1/3;sqrt:2;m=3,5,13,9,0,1,0",
+        "disc2d-upper,rat:1/3;sqrt:2;m=3,5,73,9,0,1,0"]
 
 
 def test_const_half_pairs_keeps_its_output(capsys):

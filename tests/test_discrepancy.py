@@ -69,15 +69,54 @@ def test_box_count_identity():
 
 
 def test_box_count_at_the_cap():
-    """{q/3} = 1/3 sits on the wall of [1/3, 2/3): the windows straddle it
-    up to the cap, where the exact rational decision takes over; a decimal
-    literal on a wall cannot be decided at all."""
+    """{q/3} = 1/3 sits on the wall of [1/3, 2/3): a rational parameter
+    is decided exactly at once, on the wall too; a decimal literal on a
+    wall cannot be decided at all."""
     r = box_count([RealParam.rational(F(1, 3))], 30, [(F(1, 3), F(2, 3))],
                   cap=256)
     assert r.count == 10 and r.undecided == 0
     quarter = RealParam.decimal("0.25", F(1, 10**12))
     with pytest.raises(CapExceeded):
         box_count([quarter], 2, [(F(0), F(1, 2))], cap=256)
+
+
+def _exact_disc2d(xs, ys, Q, m):
+    """disc2d_grid's lower bracket by Fraction arithmetic: every
+    grid-aligned box, every point."""
+    pts = [(q * xs % 1, q * ys % 1) for q in range(1, Q + 1)]
+    best = F(0)
+    for a1 in range(m):
+        for b1 in range(a1 + 1, m + 1):
+            for a2 in range(m):
+                for b2 in range(a2 + 1, m + 1):
+                    c = sum(1 for u, v in pts if F(a1, m) <= u < F(b1, m)
+                            and F(a2, m) <= v < F(b2, m))
+                    best = max(best, abs(c - F(Q * (b1 - a1) * (b2 - a2),
+                                               m * m)))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_rational_orbits_match_exact_fractions(d1, d2, data):
+    """Rational parameters are decided exactly at once, also on a wall:
+    box counts and grid brackets against Fraction arithmetic, with every
+    wall drawn from the parameters' own denominators."""
+    xs = F(data.draw(st.integers(-2 * d1, 2 * d1)), d1)
+    ys = F(data.draw(st.integers(-2 * d2, 2 * d2)), d2)
+    Q = data.draw(st.integers(1, 25))
+    box = []
+    for d in (d1, d2):
+        i = data.draw(st.integers(0, d))
+        box.append((F(i, d), F(data.draw(st.integers(i, d)), d)))
+    r = box_count([RealParam.rational(xs), RealParam.rational(ys)], Q, box)
+    want = sum(1 for q in range(1, Q + 1)
+               if all(a <= q * x % 1 < b for x, (a, b) in zip((xs, ys), box)))
+    assert (r.count, r.undecided) == (want, 0)
+    assert r.error == want - Q * (box[0][1] - box[0][0]) * (box[1][1] - box[1][0])
+    m = data.draw(st.sampled_from((d1, d2)))
+    lo, up = disc2d_grid(RealParam.rational(xs), RealParam.rational(ys), Q, m)
+    assert lo == _exact_disc2d(xs, ys, Q, m) and up == lo + F(4 * Q, m)
 
 
 def test_decimal_near_a_wall():

@@ -230,14 +230,14 @@ def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
     support, and psi'(q') does not decide it again."""
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
     seen = Counter()
-    real = FormEvaluator._dist_decide
+    real = FormEvaluator.decide
 
-    def counting(self, coeffs, shift, verdict):
+    def counting(self, coeffs, verdict, shift=0):
         if self.params == (sqrt2,):     # the fibre, not gamma's indicator
             seen[tuple(coeffs)] += 1
-        return real(self, coeffs, shift, verdict)
+        return real(self, coeffs, verdict, shift)
 
-    monkeypatch.setattr(FormEvaluator, "_dist_decide", counting)
+    monkeypatch.setattr(FormEvaluator, "decide", counting)
     r = sklr_sum(pp, sqrt3, 120, 0, 1, 1)
     assert r.count == 11 and r.undecided == 0
     band = [qp for qp in range(60, 121) if math.gcd(qp, 120) == 1]
@@ -246,9 +246,9 @@ def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
 
 def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
     """psi'(q) divides by the window its level decision took: one
-    `dist_window` per q, and no second window from `positive_windows`."""
+    `frac_window` per q, and no second window from `positive_windows`."""
     calls = Counter()
-    for name in ("dist_window", "positive_windows"):
+    for name in ("frac_window", "positive_windows"):
         def counting(self, *args, _real=getattr(FormEvaluator, name),
                      _name=name, **kwargs):
             calls[_name] += 1
@@ -257,7 +257,7 @@ def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
     r = divergence_sum(pp, 2000)
     assert (pp.psi.q0, r.contributing, r.undecided) == (2, 1208, 0)
-    assert calls == Counter(dist_window=1999)
+    assert calls == Counter(frac_window=1999)
 
 
 def test_hit_sweep_decides_each_support_once(monkeypatch, sqrt3):

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdl.realnum import (
-    Comparison,
     DependenceError,
     Enclosure,
     FormEvaluator,
     RealExpr,
     RealParam,
     ball_lane,
-    compare,
-    frac_and_dist,
     lane_array,
     lane_margin,
     log2_enclosure,
@@ -26,7 +23,7 @@ from mdl.realnum import (
     rational_power,
     sqrt_enclosure,
 )
-from oracles import dist_pow_compare
+from oracles import Comparison, compare, dist_pow_compare, frac_and_dist
 
 F = Fraction
 

@@ -8,11 +8,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "mdl"
 
 #: (file, function, parameter) -> why it stays unread
-ALLOWED = {
-    ("gallagher.py", "_pow_level", "upper"):
-        "shares _log_level's signature: FibreContext._level binds either one "
-        "with functools.partial and calls it as level(x, scale, upper)",
-}
+ALLOWED: dict = {}
 
 
 def _unread_parameters():
