@@ -1,7 +1,8 @@
 """ETK shells, psi families, expectation sums and the 1D star discrepancy
 pinned byte for byte in data/shell_golden.json, as computed when each of
 them still built a `Fraction` per term (the star discrepancy: a Python int
-per orbit point).
+per orbit point; the sigma profiles: a 128-bit window per coefficient
+vector).
 
 After an intended change to these values, rewrite the file from the
 current code with
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from mdl import discrepancy, gallagher
+from mdl import cfrac, discrepancy, gallagher
 from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime
-from mdl.realnum import Enclosure, RealParam, parse_param
+from mdl.realnum import DependenceError, Enclosure, RealParam, parse_param
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "data" / "shell_golden.json"
@@ -37,6 +38,22 @@ STAR_QS = (1, 2, 3, 10, 10**3, 10**4, 10**5)
 STAR_EXTRA = (("dec:1.41421356237@1e-11", 1000, {"allow_decimal": True}),
               ("sqrt:2", 1000, {"cap": 64}),
               ("sqrt:2", 10**4, {"cap": 128}))
+SIGMA_PAIRS = (("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"),
+               ("const:pi", "const:e"), ("sqrt:2", "sqrt:5"))
+SIGMA_PAIR_NS = (2, 3, 10, 60, 120, 200)
+SIGMA_SINGLE_NS = (2, 5, 100, 1000, 5000)
+DEC = {"allow_decimal": True}
+# (params, N, keyword arguments): decimals, two precision caps, a decimal
+# too wide for the uint64 lane, and two dependences
+SIGMA_EXTRA = ((("sqrt:2", "dec:1.7320508075688772935@1e-19"), 40, DEC),
+               (("dec:1.41421356237@1e-11",), 300, DEC),
+               (("dec:1.41421356@1e-3",), 200, DEC),
+               (("sqrt:2", "sqrt:3"), 60, {"cap": 64}),
+               (("sqrt:2", "sqrt:3"), 120, {"cap": 96}),
+               (("const:pi",), 1000, {"cap": 64}),
+               (("sqrt:2",), 5000, {"cap": 96}),
+               (("sqrt:2", "sqrt:8"), 5, {}),
+               (("dec:1.5@1e-3", "dec:1.5@1e-3"), 5, DEC))
 
 
 def _enc(e):
@@ -111,6 +128,26 @@ def _star_disc():
     return rows
 
 
+def _sigma():
+    """sigma_pair and sigma_single: the enclosure and witness, or the
+    DependenceError's witness and message."""
+    cases = ([(p, N, {}) for p in SIGMA_PAIRS for N in SIGMA_PAIR_NS]
+             + [((a,), N, {}) for a in STAR_ALPHAS for N in SIGMA_SINGLE_NS]
+             + list(SIGMA_EXTRA))
+    rows = {}
+    for params, N, kw in cases:
+        key = ";".join(list(params) + [f"N={N}"]
+                       + [f"{k}={v}" for k, v in kw.items()])
+        f = cfrac.sigma_pair if len(params) == 2 else cfrac.sigma_single
+        try:
+            e = f(*map(parse_param, params), N, **kw)
+        except DependenceError as err:
+            rows[key] = {"dependence": list(err.witness), "message": err.message}
+            continue
+        rows[key] = _enc(e.value) + [list(e.witness)]
+    return rows
+
+
 def compute():
     out = {}
     for params in ETK_1D:
@@ -123,6 +160,7 @@ def compute():
         out["sweep:" + name] = _sweep(pp, Q, direct)
     out["psi_prime"] = _psi_prime()
     out["star-disc"] = _star_disc()
+    out["sigma"] = _sigma()
     out["union_bound:50:3"] = _enc(gallagher.doubly_metric_union_bound(50, 3))
     out["union_bound:30:5/2"] = _enc(
         gallagher.doubly_metric_union_bound(30, F(5, 2)))
