@@ -173,14 +173,6 @@ def divisor_table(q: int) -> DivisorTable:
     return DivisorTable(q, tuple(divs), len(divs), F_of(q))
 
 
-def divisor_counts(N: int) -> np.ndarray:
-    """d(q) for q = 0..N (index 0 unused), by harmonic slice sweeps."""
-    d = np.zeros(N + 1, dtype=np.int32)
-    for r in range(1, N + 1):
-        d[r::r] += 1
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Rigorous bulk log2 (table-driven, vectorized)
 # ---------------------------------------------------------------------------
@@ -258,15 +250,3 @@ def F_average(Q: int) -> Enclosure:
     hi_b = Fraction(hi_sum) * Fraction(slack) / Q
     return Enclosure(lo_b, hi_b)
 
-
-def F_sum_direct(Q: int, width_bits: int = 24) -> Enclosure:
-    """sum_{q <= Q} F(q) by per-q divisor enumeration; the independent slow
-    route used to cross-check the divisor-swap identity."""
-    shift = 64
-    lo_acc = 0
-    hi_acc = 0
-    for q in range(1, Q + 1):
-        e = F_of(q, width_bits=width_bits)
-        lo_acc += math.floor(e.lo * (1 << shift))
-        hi_acc += math.ceil(e.hi * (1 << shift))
-    return Enclosure(Fraction(lo_acc, 1 << shift), Fraction(hi_acc, 1 << shift))

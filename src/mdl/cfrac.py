@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
@@ -19,6 +21,7 @@ from .realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    form_lane,
     log2_enclosure,
     log2_ratio,
     log2_scaled,
@@ -102,31 +105,6 @@ def expand(alpha: RealParam, terms: int,
                       f"bits for {terms} quotients")
 
 
-def min_dist(alpha: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP):
-    """(min over 1 <= n <= N of ||n*alpha||, argmin).
-
-    Best approximations are continued-fraction denominators, so the minimum
-    sits at the largest convergent denominator <= N; the returned value is a
-    rigorous enclosure and the argmin is exact.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not alpha.is_irrational:
-        raise ValueError("min_dist needs an irrational parameter")
-    # grow the expansion until a denominator passes N
-    terms = 8
-    while True:
-        cf = expand(alpha, terms, cap=cap)
-        if cf.convergents[-1][1] > N:
-            break
-        terms *= 2
-    best_q = 1
-    for _, q in cf.convergents:
-        if 1 <= q <= N:
-            best_q = max(best_q, q)
-    return param_evaluator(alpha, cap).dist_enclosure([best_q]), best_q
-
-
 @dataclass
 class SigmaEntry:
     """One height-N row of a Diophantine profile."""
@@ -136,51 +114,95 @@ class SigmaEntry:
     witness: tuple  # (n,) for a single parameter, (k1, k2) for a pair
 
 
-def _exponent_enclosure(dist: Enclosure, height: int, bits: int = 96) -> Enclosure:
-    """-log2(dist) / log2(height) with outward rounding."""
-    if dist.lo <= 0:
-        raise ValueError("exponent undefined on a distance window touching 0")
-    neg_log = neg_log2_enclosure(dist, bits)
-    lh = log2_enclosure(height, bits)
+def _exponent(window, coeffs, bits: int = 96):
+    """-log2(dist) / log2(height) with outward rounding, for a distance
+    window (lo, hi, b) of the vector `coeffs`; None when it touches 0."""
+    lo, hi, b = window
+    if lo <= 0:
+        return None
+    neg_log = neg_log2_enclosure(Enclosure.dyadic(lo, hi, b), bits)
+    lh = log2_enclosure(max(map(abs, coeffs)), bits)
     return Enclosure(neg_log.lo / lh.hi, neg_log.hi / lh.lo)
 
 
+#: `_top_band` keeps exponents within _BAND of the best certified lower
+#: bound; `_best_candidate` races runners-up within _RUNNER_UP of its best.
+_BAND, _RUNNER_UP = 1e-3, 1e-6
+
+
+def _top_band(vectors: np.ndarray, fe: FormEvaluator, cap: int) -> np.ndarray:
+    """The rows of `vectors`, in scan order, that the exact scan of
+    `_best_candidate` can touch, sorted out on the uint64 lane `form_lane`;
+    all of them when the lane refuses or the band is not certified.
+
+    Kept: every vector whose lane window [d - m, d + m] touches 0 (only
+    there can positive_windows climb or raise), and every other whose U =
+    (64 - log2(d - m)) / log2(height) reaches max L - _BAND, with L = (64 -
+    log2(d + m)) / log2(height).  The lane window holds the window whose
+    upper end hi gives the scan's exponent e = (b - log2 hi) / log2(height),
+    so L <= e <= U.  Each log2 is of a value below 2^B, B = max(cap, bits),
+    and each float rounding or libm call is within 4 ulp, so float e, U
+    and L are within (B + 64) 2^-46 of the exact ones; `slack` is 16 times
+    the four such errors summed below.  Each replacement of the best lowers
+    the scan's cutoff by at most _RUNNER_UP, so the j-th runner-up raced
+    has e >= e_top - j _RUNNER_UP >= max L - j _RUNNER_UP - slack: kept
+    while j _RUNNER_UP + slack < _BAND.  So if (kept + 1) _RUNNER_UP + slack
+    < _BAND, every vector raced is kept, by induction on j, and the kept
+    ones sort as in the full scan, which therefore races the same ones."""
+    lane = form_lane(fe, vectors)
+    if lane is None:
+        return vectors
+    d, m = lane
+    log_h = np.log2(np.maximum.reduce(np.abs(vectors.T)))
+    pos = d > m
+    upper = (64 - np.log2(np.where(pos, d - m, 1))) / log_h
+    top = ((64 - np.log2(d + m)) / log_h)[pos].max(initial=-np.inf)
+    keep = ~pos | (upper >= top - _BAND)
+    slack = (max(cap, fe.bits) + 64) * 2.0 ** -40
+    if (keep.sum() + 1) * _RUNNER_UP + slack >= _BAND:
+        return vectors
+    return vectors[keep]
+
+
 def _best_candidate(cands, fe: FormEvaluator, cap: int):
-    """Max of exponent candidates with a float prefilter and rigorous
-    confirmation; ties broken by lexicographic witness.  Candidates still
-    tied at the cap return the hull of their enclosures, which holds the
-    maximum whichever of them attains it."""
+    """Max of exponent candidates, the rows of an int64 array in scan
+    order, with a float prefilter and rigorous confirmation on the rows
+    `_top_band` keeps; ties broken by lexicographic witness.  Candidates
+    still tied at the cap return the hull of their enclosures, which holds
+    the maximum whichever of them attains it."""
+    vectors = list(map(tuple, _top_band(np.asarray(cands, dtype=np.int64),
+                                        fe, cap).tolist()))
     scored = []
     # DependenceError also catches non-syntactic dependences such as
     # 2*sqrt2 - sqrt8, whose distance never separates from 0
-    for coeffs, (_, hi, b) in zip(cands, fe.positive_windows(cands)):
-        height = max(abs(k) for k in coeffs)
-        approx = -(math.log2(hi) - b) / math.log2(height)
-        scored.append((approx, coeffs))
+    for coeffs, (lo, hi, b) in zip(vectors, fe.positive_windows(vectors)):
+        approx = -(math.log2(hi) - b) / math.log2(max(map(abs, coeffs)))
+        scored.append((approx, coeffs, (lo, hi, b)))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    best = scored[0]
-    # rigorously confirm the winner against close runners-up
-    best_enc = _exponent_enclosure(fe.dist_enclosure(best[1]), max(map(abs, best[1])))
+    best_approx, best, window = scored[0]
+    # from the window positive_windows certified, which may lie past fe.bits
+    best_enc = _exponent(window, best)
     tied = None     # hull of the enclosures of candidates tied at the cap
-    for approx, coeffs in scored[1:]:
-        if approx < best[0] - 1e-6:
+    # rigorously confirm the winner against close runners-up
+    for approx, coeffs, window in scored[1:]:
+        if approx < best_approx - _RUNNER_UP:
             break
         for bits in precision_ladder(96, cap):
-            other = _exponent_enclosure(fe.dist_enclosure(coeffs, bits),
-                                        max(map(abs, coeffs)), bits=bits)
-            cur = _exponent_enclosure(fe.dist_enclosure(best[1], bits),
-                                      max(map(abs, best[1])), bits=bits)
+            other = _exponent(fe.dist_window(coeffs, bits), coeffs, bits)
+            cur = _exponent(fe.dist_window(best, bits), best, bits)
+            if other is None or cur is None:
+                continue    # a window touching 0 is unresolved: climb
             if other.hi < cur.lo:
                 break
             if other.lo > cur.hi:
-                best = (approx, coeffs)
+                best_approx, best = approx, coeffs
                 best_enc = other if tied is None else _hull(tied, other)
                 break
         else:  # numerically tied at the cap; keep lexicographic winner
-            tied = best_enc = _hull(best_enc, other)
-            if coeffs < best[1]:
-                best = (approx, coeffs)
-    return best_enc, best[1]
+            tied = best_enc = _hull(best_enc, other or _exponent(window, coeffs))
+            if coeffs < best:
+                best_approx, best = approx, coeffs
+    return best_enc, best
 
 
 def _hull(a: Enclosure, b: Enclosure) -> Enclosure:
@@ -201,7 +223,7 @@ def sigma_single(gamma: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP,
     if gamma.is_decimal and not allow_decimal:
         raise ValueError("decimal literal is secretly rational; sigma needs "
                          "a certified irrational (allow_decimal=True to override)")
-    enc, witness = _best_candidate([(n,) for n in range(2, N + 1)],
+    enc, witness = _best_candidate(np.arange(2, N + 1, dtype=np.int64)[:, None],
                                    param_evaluator(gamma, cap), cap)
     return SigmaEntry(N, enc, witness)
 
@@ -212,8 +234,13 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
     """sigma_(gamma,beta)(N): max over pairs with max(|k1|,|k2|) in [2, N],
     not both zero, of -log2||k1*g + k2*b|| / log2 max(|k1|,|k2|).
 
-    Raises DependenceError when some ||k1*g + k2*b|| is exactly 0 (detected
-    syntactically, e.g. gamma == beta at (1,-1)).
+    Every vector goes through the uint64 lane on the 2^-64 grid; only the
+    top band near the maximum, and the vectors the lane cannot separate
+    from 0, reach the exact windows and the ladder (`_best_candidate`).
+    Raises DependenceError, naming the first such vector of the scan, when
+    some ||k1*g + k2*b|| is exactly 0 (detected syntactically, e.g. gamma ==
+    beta at (1,-1)) or cannot be separated from 0 at the cap (e.g. sqrt 2
+    and sqrt 8 at (2,-1)).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -229,14 +256,13 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
     # collapsing vector of the scan k2 = 1.., k1 = -N..N is (-1, 1)
     if fe.dist_is_zero_exact((-1, 1)):
         raise DependenceError(normalize_witness((-1, 1)))
-    cands = []
-    # (k1,k2) and (-k1,-k2) share a distance: scan k2 > 0 plus the k2 = 0 axis
-    for k2 in range(1, N + 1):
-        for k1 in range(-N, N + 1):
-            if max(abs(k1), k2) >= 2:
-                cands.append((k1, k2))
-    for k1 in range(2, N + 1):
-        cands.append((k1, 0))
+    # (k1,k2) and (-k1,-k2) share a distance: scan k2 > 0 plus the k2 = 0
+    # axis, in the order k2 = 1..N, k1 = -N..N, then k1 = 2..N
+    k1 = np.tile(np.arange(-N, N + 1, dtype=np.int64), N)
+    k2 = np.repeat(np.arange(1, N + 1, dtype=np.int64), 2 * N + 1)
+    keep = np.maximum(np.abs(k1), k2) >= 2
+    cands = np.stack([np.concatenate([k1[keep], np.arange(2, N + 1)]),
+                      np.concatenate([k2[keep], np.zeros(N - 1, np.int64)])]).T
     enc, witness = _best_candidate(cands, fe, cap)
     return SigmaEntry(N, enc, normalize_witness(witness))
 

@@ -91,10 +91,6 @@ class CircleSet:
     slack: Fraction = Fraction(0)
 
     @staticmethod
-    def from_arcs(arcs, slack: RationalLike = 0) -> "CircleSet":
-        return CircleSet(_canonicalize(arcs), Fraction(slack))
-
-    @staticmethod
     def empty() -> "CircleSet":
         return CircleSet((), Fraction(0))
 
@@ -130,24 +126,6 @@ class CircleSet:
             out.append([a.numerator, a.denominator])
             out.append([b.numerator, b.denominator])
         return out
-
-
-def intersect(s: CircleSet, t: CircleSet) -> CircleSet:
-    """Exact intersection of the stored arc systems (slacks add)."""
-    out = []
-    i = j = 0
-    A, B = s.arcs, t.arcs
-    while i < len(A) and j < len(B):
-        a1, b1 = A[i]
-        a2, b2 = B[j]
-        lo, hi = max(a1, a2), min(b1, b2)
-        if hi > lo:
-            out.append((lo, hi))
-        if b1 < b2:
-            i += 1
-        else:
-            j += 1
-    return CircleSet(_canonicalize(out), s.slack + t.slack)
 
 
 def union(s: CircleSet, t: CircleSet) -> CircleSet:

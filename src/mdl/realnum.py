@@ -31,11 +31,13 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   all verdicts on it.  `dist_window` gives one integer distance window and
   `positive_windows` the windows, certified positive, of many coefficient
   vectors at once.
-- Two certified uint64 lanes share one wrap-around product on the 2^-64
+- Three certified uint64 lanes share one wrap-around product on the 2^-64
   grid.  `ball_lane` decides many distances at once and leaves only the
   entries that straddle a wall to `FormEvaluator.dist_below`; `orbit_lane`
   sorts the points {q x}, q <= Q, and answers None where it cannot certify
-  the order that the exact ladder would find.
+  the order that the exact ladder would find; `form_lane` encloses the
+  distances of many coefficient vectors, so that the sigma profiles take
+  exact windows only near their maximum.
 - `exact_sum` adds many rationals exactly by a pairwise tree.
 """
 
@@ -130,9 +132,6 @@ class Enclosure:
     def contains(self, value: RationalLike) -> bool:
         return self.lo <= value <= self.hi
 
-    def overlaps(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __add__(self, other):
         if isinstance(other, Enclosure):
             return Enclosure(self.lo + other.lo, self.hi + other.hi)
@@ -181,17 +180,6 @@ class Enclosure:
             else:
                 lo, hi = Fraction(0), max(hi, self.lo ** k)
         return Enclosure(min(lo, hi), max(lo, hi))
-
-    def quantize(self, bits: int) -> "Enclosure":
-        """Round outward onto the 2^-bits grid.
-
-        Keeps denominators bounded in long accumulations without losing
-        rigor: the result contains the original interval.
-        """
-        lo, hi = self.lo, self.hi
-        return Enclosure.dyadic(*round_outward(
-            lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits),
-            bits)
 
     def __float__(self):
         return float(self.mid)
@@ -966,6 +954,34 @@ def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi):
     sure = d + margin < thr_lo
     maybe = (d < thr_hi + margin) & ~sure
     return sure, maybe, d
+
+
+def form_lane(fe: FormEvaluator, vectors: np.ndarray) -> Optional[tuple]:
+    """(d, m): uint64 arrays with ||form_i|| 2^64 in [d_i - m_i, d_i + m_i]
+    for the rows of the int64 array `vectors`, from `fe.pin(64)` and the
+    offset; None when a margin reaches 2^62 (`lane_margin`).
+
+    The window also holds the one `positive_windows` takes at b = fe.bits,
+    so d_i > m_i certifies that one positive.  Both pinned boxes hold a
+    point y (the parameters, or a decimal's whole interval); with E = err /
+    2^bits, the b-window lies within 2 E_b of form(y), and form(y) within
+    E_64 of the 64-bit value.  So m = err_64 + ceil(2 err_b 2^(64 - b))
+    suffices: |k| times s_64 + ceil(2 s_b 2^(64 - b)) summed over the pins'
+    spreads s, plus that weight of the offset's."""
+    pins, off, off_err = fe.pin(64)
+    wide, _, wide_err = fe.pin(fe.bits)
+    spreads = [(off_err, wide_err)] + [(s, t) for (_, s), (_, t) in zip(pins, wide)]
+    w = [s - (-2 * sb << 64 >> fe.bits) for s, sb in spreads]
+    cols = np.abs(vectors.T)
+    top = w[0] + sum(x * int(c.max(initial=0)) for x, c in zip(w[1:], cols))
+    if lane_margin([top]) is None:
+        return None
+    M = np.full(len(vectors), off % _U64, dtype=np.uint64)
+    m = np.full(len(vectors), w[0], dtype=np.uint64)
+    for (pin, _), x, k, c in zip(pins, w[1:], vectors.T, cols):
+        M = _wrap(M, np.uint64(pin % _U64), k.astype(np.uint64))
+        m += np.uint64(x) * c.astype(np.uint64)
+    return np.minimum(M, -M), m
 
 
 def orbit_lane(fe: FormEvaluator, Q: int, b: int) -> Optional[tuple]:

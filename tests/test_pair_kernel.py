@@ -16,13 +16,12 @@ from mdl.circlesets import (
     AqFamily,
     CircleSet,
     build_Aq,
-    intersect,
     master_check,
     pair_sum,
 )
 from mdl.gallagher import ApproxFunction, PsiPrime
 from mdl.realnum import Enclosure, RealParam
-from oracles import master_check_fraction, pair_measure
+from oracles import intersect, master_check_fraction, pair_measure
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "pair_kernel_golden.json"
