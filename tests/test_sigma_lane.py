@@ -74,7 +74,7 @@ def test_the_lane_window_holds_the_exact_one(params, vec):
 
 
 def test_only_the_top_band_reaches_the_exact_windows(sqrt2, sqrt3):
-    """sigma_pair(sqrt 2, sqrt 3, 200) scans 80,199 vectors; a lane that
+    """sigma_pair(sqrt 2, sqrt 3, 200) scans 80,396 vectors; a lane that
     stopped filtering would send all of them to positive_windows."""
     seen = []
     exact = FormEvaluator.positive_windows
