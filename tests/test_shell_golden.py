@@ -1,8 +1,9 @@
-"""ETK shells, psi families, expectation sums and the 1D star discrepancy
-pinned byte for byte in data/shell_golden.json, as computed when each of
-them still built a `Fraction` per term (the star discrepancy: a Python int
-per orbit point; the sigma profiles: a 128-bit window per coefficient
-vector).
+"""ETK shells, psi families, expectation sums, the 1D star discrepancy
+and the 2D grid discrepancy pinned byte for byte in data/shell_golden.json,
+as computed when each of them still built a `Fraction` per term (the star
+discrepancy: a Python int per orbit point; the sigma profiles: a 128-bit
+window per coefficient vector; the 2D grid bracket: a scan of every
+grid-aligned box).
 
 After an intended change to these values, rewrite the file from the
 current code with
@@ -41,6 +42,13 @@ STAR_EXTRA = (("dec:1.41421356237@1e-11", 1000, {"allow_decimal": True}),
 SIGMA_PAIRS = (("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"),
                ("const:pi", "const:e"), ("sqrt:2", "sqrt:5"))
 SIGMA_PAIR_NS = (2, 3, 10, 60, 120, 200)
+DISC2D_PAIRS = (("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"))
+# (alpha, beta, Q, m): a fine grid, orbits with points on the walls, and a
+# decimal within its radius of a wall
+DISC2D_EXTRA = (("sqrt:2", "sqrt:3", 1000, 128),
+                ("rat:1/3", "sqrt:2", 5, 3),
+                ("rat:1/4", "rat:2/7", 40, 4),
+                ("dec:0.3000000000015@1e-12", "sqrt:3", 1, 10))
 SIGMA_SINGLE_NS = (2, 5, 100, 1000, 5000)
 DEC = {"allow_decimal": True}
 # (params, N, keyword arguments): decimals, two precision caps, a decimal
@@ -148,6 +156,18 @@ def _sigma():
     return rows
 
 
+def _disc2d():
+    """The (lower, upper) bracket of the 2D grid discrepancy."""
+    cases = [(a, b, Q, m) for a, b in DISC2D_PAIRS for Q in (1, 50, 1000)
+             for m in (1, 2, 7, 64)] + list(DISC2D_EXTRA)
+    rows = {}
+    for alpha, beta, Q, m in cases:
+        lo, up = discrepancy.disc2d_grid(parse_param(alpha), parse_param(beta),
+                                         Q, m)
+        rows[f"{alpha};{beta};Q={Q};m={m}"] = [str(lo), str(up)]
+    return rows
+
+
 def compute():
     out = {}
     for params in ETK_1D:
@@ -161,6 +181,7 @@ def compute():
     out["psi_prime"] = _psi_prime()
     out["star-disc"] = _star_disc()
     out["sigma"] = _sigma()
+    out["disc2d"] = _disc2d()
     out["union_bound:50:3"] = _enc(gallagher.doubly_metric_union_bound(50, 3))
     out["union_bound:30:5/2"] = _enc(
         gallagher.doubly_metric_union_bound(30, F(5, 2)))
