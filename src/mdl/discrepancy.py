@@ -196,7 +196,10 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
     |E| over all grid-aligned boxes [a1/m,b1/m) x [a2/m,b2/m); `upper` adds
     the 4Q/m slack covering boxes with off-grid sides.  A rational
     parameter's cells are exact; CapExceeded where a point's cell is still
-    undecided at the cap."""
+    undecided at the cap.  Costs Q cell decisions plus the O(m^3) box
+    maximum of `grid_box_max`."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     cell = partial(_cell, m)
@@ -208,26 +211,32 @@ def disc2d_grid(alpha: RealParam, beta: RealParam, Q: int, m: int,
         if i is None or j is None:
             raise CapExceeded("orbit point sits on a grid line at the cap")
         cells[i, j] += 1
-    pref = np.zeros((m + 1, m + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
-    # max over all (a1<b1, a2<b2) of |m^2 * count - Q*(b1-a1)(b2-a2)|, exact
-    # in units of 1/m^2; count via 2D prefix sums
-    best = 0
-    idx = np.arange(m + 1)
-    a2g, b2g = np.meshgrid(idx, idx, indexing="ij")
-    mask = b2g > a2g
-    width2 = (b2g - a2g)[mask]
-    for a1 in range(m):
-        for b1 in range(a1 + 1, m + 1):
-            line = pref[b1, :] - pref[a1, :]
-            counts = (line[b2g] - line[a2g])[mask]
-            vals = np.abs(m * m * counts - Q * (b1 - a1) * width2)
-            v = int(vals.max())
-            if v > best:
-                best = v
-    lower = Fraction(best, m * m)
+    lower = Fraction(grid_box_max(cells, Q), m * m)
     upper = lower + Fraction(4 * Q, m)
     return lower, upper
+
+
+def grid_box_max(cells: np.ndarray, Q: int) -> int:
+    """max |m^2 count - Q (b1 - a1)(b2 - a2)| over the grid-aligned boxes
+    [a1, b1) x [a2, b2) of an (m, m) int64 grid of cell counts, exact.
+
+    With P the prefix-count table (P[i, j] counts the cells [0, i) x
+    [0, j)) and G[i, j] = m^2 P[i, j] - Q i j, the box's value is the
+    second difference G[b1, b2] - G[a1, b2] - G[b1, a2] + G[a1, a2].  For
+    fixed (a1, b1) it is R[b2] - R[a2] with R = G[b1] - G[a1], and the
+    largest |R[b2] - R[a2]| over a2 < b2 is max R - min R.  So one pass per
+    a1 over the rows G[a1+1:] - G[a1] takes the maximum: O(m^3) work and
+    O(m^2) memory.  With N points in the grid, G and R lie in
+    [-m^2 Q, m^2 N] and max R - min R <= m^2 (N + Q); for an orbit N = Q,
+    so every value stays below 4 m^2 Q and int64 is exact while that is
+    below 2^63."""
+    m = len(cells)
+    idx = np.arange(m + 1)
+    g = np.zeros((m + 1, m + 1), dtype=np.int64)
+    g[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
+    g = m * m * g - Q * np.outer(idx, idx)
+    return max(int(np.ptp(g[a1 + 1:] - g[a1], axis=1).max())
+               for a1 in range(m))
 
 
 def _cell(m: int, s, err, scale: int) -> Optional[int]:

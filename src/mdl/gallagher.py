@@ -916,7 +916,6 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     k2s = lane_array([k2 for _, k2 in pairs])
     marg = lane_margin([abs(k1) * g_spread + 2 for k1, _ in pairs])
     heights = [max(-k1, k1, k2) ** Hp for k1, k2 in pairs]
-    balls = [Enclosure.exact(Fraction(1, h)) for h in heights]
     thr = [lane_threshold(1, 1, h) for h in heights]
     thr_lo = lane_array([lo for lo, _ in thr])
     thr_hi = lane_array([hi for _, hi in thr])
@@ -938,7 +937,8 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
             x = Fraction(k, _U64)
             for j in np.nonzero(maybe)[0]:
                 k1, k2 = pairs[j]
-                if fe.dist_below((k1,), balls[j], closed=True, shift=k2 * x):
+                ball = Enclosure.exact(Fraction(1, heights[j]))
+                if fe.dist_below((k1,), ball, closed=True, shift=k2 * x):
                     witness = (k1, k2)
                     break
         if witness is not None:

@@ -637,19 +637,9 @@ class RealExpr:
     def of(param: RealParam, coeff: int = 1, offset: RationalLike = 0) -> "RealExpr":
         return RealExpr.build([(coeff, param)], offset)
 
-    @staticmethod
-    def constant(value: RationalLike) -> "RealExpr":
-        return RealExpr.build([], value)
-
     @property
     def is_rational(self) -> bool:
         return not self.terms
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("expression is not rational")
-        return self.offset
 
     def __add__(self, other):
         if isinstance(other, RealExpr):

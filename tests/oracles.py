@@ -393,6 +393,44 @@ def star_discrepancy_exact(alpha, Q: int, bits: int = 128,
                      Fraction(1, 2 * Q) + Fraction(max_hi, den))
 
 
+def grid_box_max(cells, Q: int) -> int:
+    """discrepancy.grid_box_max by the scan of every grid-aligned box that
+    disc2d_grid ran before the second-difference identity: for each
+    x-interval, every y-interval's count from 2D prefix sums.  The counts
+    are Python ints, so no value can overflow."""
+    m = len(cells)
+    pref = np.zeros((m + 1, m + 1), dtype=object)
+    pref[1:, 1:] = np.cumsum(np.cumsum(np.asarray(cells, dtype=object),
+                                       axis=0), axis=1)
+    best = 0
+    idx = np.arange(m + 1)
+    a2g, b2g = np.meshgrid(idx, idx, indexing="ij")
+    mask = b2g > a2g
+    width2 = (b2g - a2g)[mask]
+    for a1 in range(m):
+        for b1 in range(a1 + 1, m + 1):
+            line = pref[b1, :] - pref[a1, :]
+            counts = (line[b2g] - line[a2g])[mask]
+            vals = np.abs(m * m * counts - Q * (b1 - a1) * width2)
+            v = int(vals.max())
+            if v > best:
+                best = v
+    return best
+
+
+def orbit_cells(alpha, beta, Q: int, m: int, bits: int = 128) -> np.ndarray:
+    """The (m, m) counts of ({q alpha}, {q beta}), q = 1..Q, per grid cell,
+    from `bits`-bit enclosures of the parameters; AssertionError where an
+    enclosure meets a grid line."""
+    encs = [alpha.enclosure(bits), beta.enclosure(bits)]
+    cells = np.zeros((m, m), dtype=np.int64)
+    for q in range(1, Q + 1):
+        ij = [math.floor(q * e.lo * m) for e in encs]
+        assert ij == [math.floor(q * e.hi * m) for e in encs], q
+        cells[ij[0] % m, ij[1] % m] += 1
+    return cells
+
+
 def master_check_fraction(psi, gamma, q: int, qp: int, H: int = 3, C0=2,
                           bits: int = 64, cap: int = DEFAULT_PRECISION_CAP):
     """circlesets.master_check with a Fraction for delta, the bound, each
@@ -481,7 +519,7 @@ def compare(x: RealExpr, t, cap: int = DEFAULT_PRECISION_CAP) -> Comparison:
     reported UNDECIDED."""
     t = Fraction(t)
     if x.is_rational:
-        return _order(x.rational_value, t)
+        return _order(x.offset, t)
     for bits in precision_ladder(START_BITS, cap):
         e = x.eval(bits, cap=cap)
         if e.hi < t:
@@ -534,7 +572,7 @@ def frac_and_dist(x: RealExpr, bits: int, cap: int = DEFAULT_PRECISION_CAP):
     (||x|| stays tight because it is continuous across the tie).
     """
     if x.is_rational:
-        v = x.rational_value
+        v = x.offset
         z = math.ceil(v - HALF)
         fr = v - z
         return Enclosure.exact(fr), Enclosure.exact(abs(fr))

@@ -11,9 +11,7 @@ import time
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import oracles
-import pytest
 
 from mdl import arith, cfrac, circlesets, discrepancy, gallagher
 from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime, SupportState

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mdl.arith import (
-    DivisorTable,
     F_average,
     F_of,
     _TABLE_BITS,

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from mdl.cfrac import (
-    CFExpansion,
     _best_candidate,
     expand,
     omega_schedule,

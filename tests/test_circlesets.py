@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mdl.circlesets import (
     AqFamily,
     CircleSet,
-    IntersectionReport,
     PsiRangeError,
     aq_pair_measure_raw,
     build_Aq,

@@ -345,6 +345,8 @@ def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
     ("union --psi overq:1/4 --gamma sqrt:2 --Q0 0 --Q 3", "need 1 <= Q0 <= Q"),
     ("f-moments --beta sqrt:2 --omega 1/2 --Q 50 --l -1 --K 1",
      "l must be >= 0: level -1 lies outside the support"),
+    ("disc --alpha sqrt:2 --beta sqrt:3 --Q -5 --m 4", "Q must be >= 1"),
+    ("disc --alpha sqrt:2 --beta sqrt:3 --Q 0 --m 4", "Q must be >= 1"),
 ])
 def test_unusable_input_is_a_config_error(argv, message, capsys):
     assert main(shlex.split(argv)) == 1

@@ -4,15 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from mdl.discrepancy import (
-    BoxCountResult,
     box_count,
     disc2d_grid,
     etk_autoH,
     etk_bound,
     etk_bound_sweep,
+    grid_box_max,
     star_discrepancy_1d,
 )
 from mdl.realnum import (
@@ -117,6 +118,45 @@ def test_rational_orbits_match_exact_fractions(d1, d2, data):
     m = data.draw(st.sampled_from((d1, d2)))
     lo, up = disc2d_grid(RealParam.rational(xs), RealParam.rational(ys), Q, m)
     assert lo == _exact_disc2d(xs, ys, Q, m) and up == lo + F(4 * Q, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"),
+                        ("const:pi", "const:e"), ("sqrt:7", "log2:5"))),
+       st.integers(1, 60), st.integers(1, 9))
+def test_irrational_orbits_match_the_box_scan(pair, Q, m):
+    """disc2d_grid's bracket against the scan of every box over the cells
+    of 128-bit enclosures of the orbit points."""
+    alpha, beta = map(parse_param, pair)
+    lo, up = disc2d_grid(alpha, beta, Q, m)
+    cells = oracles.orbit_cells(alpha, beta, Q, m)
+    assert lo == F(oracles.grid_box_max(cells, Q), m * m)
+    assert up == lo + F(4 * Q, m)
+
+
+CELL_GRIDS = st.integers(1, 10).flatmap(lambda m: arrays(
+    np.int64, (m, m),
+    elements=st.one_of(st.integers(0, 3), st.integers(0, 2**40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(CELL_GRIDS, st.one_of(st.integers(1, 100), st.integers(1, 2**40)))
+@example(np.zeros((1, 1), dtype=np.int64), 1)
+@example(np.array([[0, 5], [0, 0]], dtype=np.int64), 5)
+def test_grid_box_max_matches_the_box_scan(cells, Q):
+    """The second-difference identity holds on any grid of counts, also
+    grids that no orbit produces."""
+    assert grid_box_max(cells, Q) == oracles.grid_box_max(cells, Q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_grid_box_max_is_exact_at_the_int64_bound(m):
+    """An orbit's Q points in one cell with m^2 (N + Q) = 2 m^2 Q just
+    below 2^63: the int64 values stay exact over the stated range."""
+    Q = (2**63 - 1) // (2 * m * m)
+    cells = np.zeros((m, m), dtype=np.int64)
+    cells[m // 2, m - 1] = Q
+    assert grid_box_max(cells, Q) == oracles.grid_box_max(cells, Q)
 
 
 def test_decimal_near_a_wall():

@@ -139,7 +139,7 @@ def test_rational_param_exact():
 
 
 def test_eval_examples(sqrt2):
-    e = RealExpr.constant(F(3, 7)).eval(10)
+    e = RealExpr.build([], F(3, 7)).eval(10)
     assert e.is_exact and e.lo == F(3, 7)
     e = RealExpr.of(sqrt2).eval(10)
     assert e.width <= F(1, 2**10)
@@ -157,14 +157,14 @@ def test_decimal_literal_never_exact():
 
 
 def test_frac_and_dist_examples():
-    fr, d = frac_and_dist(RealExpr.constant(F(3, 4)), 10)
+    fr, d = frac_and_dist(RealExpr.build([], F(3, 4)), 10)
     assert fr == Enclosure.exact(F(-1, 4)) and d == Enclosure.exact(F(1, 4))
-    fr, d = frac_and_dist(RealExpr.constant(F(-13, 10)), 10)
+    fr, d = frac_and_dist(RealExpr.build([], F(-13, 10)), 10)
     assert d == Enclosure.exact(F(3, 10))
     # boundary belongs to the positive side
-    fr, d = frac_and_dist(RealExpr.constant(F(1, 2)), 10)
+    fr, d = frac_and_dist(RealExpr.build([], F(1, 2)), 10)
     assert fr == Enclosure.exact(F(1, 2))
-    fr, d = frac_and_dist(RealExpr.constant(F(3, 2)), 10)
+    fr, d = frac_and_dist(RealExpr.build([], F(3, 2)), 10)
     assert fr == Enclosure.exact(F(1, 2))
 
 
@@ -176,7 +176,7 @@ def test_frac_and_dist_irrational(sqrt2):
 
 @given(st.fractions(min_value=-100, max_value=100))
 def test_rational_dist_identity(x):
-    _, d = frac_and_dist(RealExpr.constant(x), 8)
+    _, d = frac_and_dist(RealExpr.build([], x), 8)
     frac = x - math.floor(x)
     assert d.lo == min(frac, 1 - frac)
 
@@ -337,11 +337,11 @@ def test_form_dependence_matches_expr(texts, coeffs, offset):
     value = fe._rational_value(coeffs)
     assert (value is not None) == expr.is_rational
     if expr.is_rational:
-        assert value == expr.rational_value
+        assert value == expr.offset
         _, d = frac_and_dist(expr, 8)
         assert dist_pow_compare(fe, coeffs, 1, d.lo) == Comparison.EQ
     assert fe.dist_is_zero_exact(coeffs) == (
-        expr.is_rational and expr.rational_value.denominator == 1)
+        expr.is_rational and expr.offset.denominator == 1)
 
 
 @given(st.sampled_from((("sqrt:2", "rat:3/7", "sqrt:2"),

@@ -1,5 +1,6 @@
 """Every parameter of a function in `src/mdl` is read in the function's
-body.  A parameter that is accepted and never read is a knob that does
+body, and every name imported in `src/mdl` or `tests` is read in its
+module.  A parameter that is accepted and never read is a knob that does
 nothing, and its caller is told something false."""
 
 import ast
@@ -35,3 +36,35 @@ def test_every_parameter_is_read():
     assert sorted(unread - ALLOWED.keys()) == []
     # an entry whose parameter is read again, or gone, is dropped here too
     assert sorted(ALLOWED.keys() - unread) == []
+
+
+TESTS = SRC.parents[1] / "tests"
+
+#: (file, imported name) -> why it stays unread
+ALLOWED_IMPORTS: dict = {}
+
+
+def _unread_imports():
+    found = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found |= {(f"{path.parent.name}/{path.name}", name)
+                  for name in bound - read}
+    return found
+
+
+def test_every_import_is_read():
+    """An imported name that nothing reads is dead weight, and it hides
+    what a module really depends on."""
+    unread = _unread_imports()
+    assert sorted(unread - ALLOWED_IMPORTS.keys()) == []
+    assert sorted(ALLOWED_IMPORTS.keys() - unread) == []
