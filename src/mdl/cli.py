@@ -41,8 +41,10 @@ RunResult = namedtuple("RunResult", "records undecided decisions header",
                        defaults=(0, 1, CSV_HEADER))
 
 
-class SweepRow(namedtuple("SweepRow", "params Q H exact_disc etk_bound ratio")):
-    """One row of the `etk --sweep-H` export, every number an exact p/q."""
+class SweepRow(namedtuple("SweepRow",
+                          "params Q H disc_lo disc_hi etk_lo etk_hi ratio_hi")):
+    """One `etk --sweep-H` export row, each number an exact p/q: a certified
+    discrepancy bracket, the ETK bound's enclosure, disc_hi / etk_lo."""
 
     def to_csv_row(self) -> list:
         return [str(v) for v in self]
@@ -436,17 +438,19 @@ def run_etk(args) -> RunResult:
 
 
 def _etk_sweep(params, ptxt, args) -> RunResult:
-    """Sweep export: the exact discrepancy against the ETK bound for
-    H = 1..sweep_H, and their ratio."""
+    """Sweep export for H = 1..sweep_H: the discrepancy bracket, N D* in 1D
+    and `disc2d_grid`'s at m = 32 in 2D, against the ETK bound."""
     cap = args.precision_bits
     if len(params) == 1:
-        exact = discrepancy.star_discrepancy_1d(params[0], args.N, cap=cap).mid * args.N
+        d = discrepancy.star_discrepancy_1d(params[0], args.N, cap=cap) * args.N
+        lo, hi = d.lo, d.hi
     else:
-        exact, _ = discrepancy.disc2d_grid(params[0], params[1], args.N, 32, cap=cap)
+        lo, hi = discrepancy.disc2d_grid(params[0], params[1], args.N, 32, cap=cap)
+        ptxt += ";m=32"
     rows = []
     for b in discrepancy.etk_bound_sweep(params, args.N, args.sweep_H, cap=cap):
-        ratio = exact / b.bound.mid if b.bound.mid else Fraction(0)
-        rows.append(SweepRow(ptxt, args.N, b.H, exact, b.bound.mid, ratio))
+        e = b.bound
+        rows.append(SweepRow(ptxt, args.N, b.H, lo, hi, e.lo, e.hi, hi / e.lo))
     return RunResult(rows, header=SweepRow._fields)
 
 

@@ -111,6 +111,17 @@ def divisor_counts(N: int) -> np.ndarray:
     return d
 
 
+def spf_sieve(limit: int) -> np.ndarray:
+    """Smallest prime factor of 0..limit (spf[0] = 0, spf[1] = 1), marking
+    the multiples of every p up to limit: `arith._Sieve`'s former loop."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf[1] = 1
+    for p in range(2, limit + 1):
+        if spf[p] == 0:
+            spf[p::p][spf[p::p] == 0] = p
+    return spf
+
+
 def F_sum_direct(Q: int, width_bits: int = 24) -> Enclosure:
     """sum_{q <= Q} F(q) by per-q divisor enumeration; the independent slow
     route used to cross-check the divisor-swap identity."""
@@ -232,18 +243,6 @@ def f_average_fraction(Q: int) -> Enclosure:
         hi_acc += math.ceil(e.hi * w * (1 << shift))
     scale = Q << shift
     return Enclosure(Fraction(lo_acc, scale), Fraction(hi_acc, scale))
-
-
-def log2_table_fraction(table_bits: int) -> tuple:
-    """`arith._log2_table` from an Enclosure per entry."""
-    size = 1 << table_bits
-    lo = np.zeros(size + 1, dtype=np.float64)
-    hi = np.zeros(size + 1, dtype=np.float64)
-    for i in range(size + 1):
-        e = log2_enclosure((1 << table_bits) + i, 40)
-        lo[i] = float(e.lo) - table_bits
-        hi[i] = float(e.hi) - table_bits
-    return lo, hi
 
 
 def dist_positive(fe, coeffs, cap: int) -> Enclosure:

@@ -8,8 +8,8 @@ import pytest
 from mdl.arith import (
     F_average,
     F_of,
-    _TABLE_BITS,
-    _log2_table,
+    _F_average_hyperbola,
+    _Sieve,
     divisor_table,
     divisors_of,
     factorize,
@@ -19,8 +19,8 @@ from oracles import (
     F_sum_direct,
     divisor_counts,
     f_average_fraction,
-    log2_table_fraction,
     overlaps,
+    spf_sieve,
 )
 
 F = Fraction
@@ -108,11 +108,17 @@ def test_divisor_swap_identity_matches_direct():
         assert direct.width < F(1, 10**4)
 
 
-def test_F_average_large_vectorized_path():
+def cert_bits(e: Enclosure) -> float:
+    """log2(|mid| / half-width), as the benchmark's cert_bits reads it."""
+    return math.log2(abs(e.mid) / (e.width / 2))
+
+
+def test_F_average_hyperbola_path():
     e = F_average(10**5)
     assert 1.33 < float(e.mid) < 1.36
-    assert float(e.width) < 1e-3
-    # continuity across the exact/vectorized path boundary
+    assert cert_bits(e) >= 64
+    assert cert_bits(F_average(10**6)) >= 70
+    # continuity across the switch between the two routes
     lo_path = F_average(65536)
     hi_path = F_average(65537)
     assert abs(float(lo_path.mid) - float(hi_path.mid)) < 1e-3
@@ -124,11 +130,33 @@ def test_F_average_exact_path_matches_the_fraction_route(Q):
     assert F_average(Q) == f_average_fraction(Q)
 
 
-def test_log2_table_matches_the_fraction_route():
-    lo, hi = _log2_table()
-    want_lo, want_hi = log2_table_fraction(_TABLE_BITS)
-    assert lo.tobytes() == want_lo.tobytes()
-    assert hi.tobytes() == want_hi.tobytes()
+def test_F_average_at_10_to_the_8():
+    e = F_average(10**8)
+    assert 1.35 < float(e.mid) < 1.36
+    assert cert_bits(e) >= 64
+
+
+# perfect squares (an s with floor(Q/s) = u), Q = u(u+1) and u(u+1) - 1
+@pytest.mark.parametrize("Q", [121, 131, 132, 144, 1024, 4096, 4159, 4160, 65536])
+def test_hyperbola_route_overlaps_the_fraction_route(Q):
+    assert overlaps(_F_average_hyperbola(Q), f_average_fraction(Q))
+
+
+def test_hyperbola_route_is_narrower_than_the_dyadic_path_at_65536():
+    assert _F_average_hyperbola(65536).width < F_average(65536).width
+
+
+def test_hyperbola_route_needs_u_at_least_11():
+    with pytest.raises(ValueError):
+        _F_average_hyperbola(120)
+
+
+@pytest.mark.parametrize("limit", [2**16 + 1, 10**5])
+def test_sieve_matches_the_loop_over_every_p(limit):
+    sieve = _Sieve()
+    sieve.ensure(limit)
+    assert sieve.limit == limit
+    assert np.array_equal(sieve.spf, spf_sieve(limit))
 
 
 def test_maximal_order_constant():

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from mdl import discrepancy
 from mdl.cli import main
+from mdl.realnum import parse_param
 
 F = Fraction
 
@@ -278,11 +280,35 @@ def test_etk_sweep_through_the_writer(tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
     rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert rows[0] == ["params", "Q", "H", "exact_disc", "etk_bound", "ratio"]
+    assert rows[0] == ["params", "Q", "H", "disc_lo", "disc_hi", "etk_lo",
+                       "etk_hi", "ratio_hi"]
     assert [r[2] for r in rows[1:]] == ["1", "2", "3"]
     assert main(argv + ["--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [list(d.values()) for d in data] == rows[1:]
+
+
+@pytest.mark.parametrize("beta", [None, "sqrt:3"])
+def test_etk_sweep_columns_are_the_library_brackets(beta, capsys):
+    """disc_lo/disc_hi are N D* in 1D and disc2d_grid's bracket at m = 32 in
+    2D, etk_lo/etk_hi the bound's enclosure, ratio_hi = disc_hi / etk_lo."""
+    params = [parse_param("sqrt:2")] + ([parse_param(beta)] if beta else [])
+    argv = ["etk", "--alpha", "sqrt:2", "--N", "50", "--sweep-H", "2"]
+    assert main(argv + (["--beta", beta] if beta else [])) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    if beta:
+        lo, hi = discrepancy.disc2d_grid(*params, 50, 32)
+        assert rows[0][0] == "sqrt:2;sqrt:3;m=32"
+    else:
+        d = discrepancy.star_discrepancy_1d(params[0], 50) * 50
+        lo, hi = d.lo, d.hi
+        assert rows[0][0] == "sqrt:2"
+    sweep = discrepancy.etk_bound_sweep(params, 50, 2)
+    assert len(rows) == len(sweep) == 2
+    for row, b in zip(rows, sweep):
+        got = [F(c) for c in row[3:]]
+        assert got == [lo, hi, b.bound.lo, b.bound.hi, hi / b.bound.lo]
+        assert lo <= hi and b.bound.lo <= b.bound.hi
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
