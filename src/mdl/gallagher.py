@@ -42,6 +42,7 @@ from .realnum import (
     exact_sum,
     frac_to_dist,
     lane_array,
+    lane_bounds,
     lane_margin,
     lane_threshold,
     log2_ratio,
@@ -164,10 +165,7 @@ class ApproxFunction:
         if q < 1:
             raise ValueError("q must be >= 1")
         if self.tag == "table":
-            for qq, v in self.table:
-                if qq == q:
-                    return v.numerator, v.numerator, v.denominator
-            return 0, 0, 1
+            return self._table_windows.get(q, (0, 0, 1))
         cn, cd = self.c.numerator, self.c.denominator
         if self.tag == "const":
             return cn, cn, cd
@@ -195,6 +193,14 @@ class ApproxFunction:
             e += w * d
         return (*round_outward(cn << e, cd * den_hi, cn << e, cd * den_lo,
                                PSI_BITS), 1 << PSI_BITS)
+
+    @cached_property
+    def _table_windows(self) -> dict:
+        """q -> (lo, hi, den) of the table's entries, built on first use;
+        the cache is not a dataclass field, so equality and hashing ignore
+        it."""
+        return {q: (v.numerator, v.numerator, v.denominator)
+                for q, v in self.table}
 
     def canonical(self) -> str:
         if self.tag == "table":
@@ -743,13 +749,12 @@ class _HitSweep:
                 continue
             self._thresholds[q] = lo, hi, den
             thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, den)
-        self.thr_lo = thr_lo
-        self.thr_hi = thr_hi
         self.qs = np.arange(Q + 1, dtype=np.uint64)
-        # q without a threshold get no margin, so the lane never flags them
         margin = lane_margin([gwidth + 1])
-        self.margin = None if margin is None else \
-            np.where(thr_hi > 0, margin, np.uint64(0))
+        if margin is not None:
+            # q without a threshold get no margin, so the lane never flags them
+            margin = np.where(thr_hi > 0, margin, np.uint64(0))
+        self.sure_below, self.maybe_below = lane_bounds(thr_lo, thr_hi, margin)
 
     def expected(self) -> Enclosure:
         """sum over q of min(1, 2 t_q) for the thresholds t_q; an undecided
@@ -764,20 +769,20 @@ class _HitSweep:
             lo = sum(min(den, 2 * t_lo) for t_lo, _, _ in ts)
             hi = sum(min(den, 2 * t_hi) for _, t_hi, _ in ts) + undecided * den
             return Enclosure(Fraction(lo, den), Fraction(hi, den))
-        lo = exact_sum([Fraction(min(den, 2 * t_lo), den)
-                        for t_lo, _, den in ts])
+        lo = exact_sum([(min(den, 2 * t_lo), den) for t_lo, _, den in ts])
         hi = lo if all(t_lo == t_hi for t_lo, t_hi, _ in ts) else exact_sum(
-            [Fraction(min(den, 2 * t_hi), den) for _, t_hi, den in ts])
+            [(min(den, 2 * t_hi), den) for _, t_hi, den in ts])
         return Enclosure(lo, hi + undecided)
 
     def count_for(self, k: int) -> HitResult:
-        sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.margin,
-                                   self.thr_lo, self.thr_hi)
-        return self._exact_count(np.nonzero(maybe)[0].tolist(),
-                                Fraction(k, _U64),
-                                int(np.count_nonzero(sure)))
+        sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.sure_below,
+                                   self.maybe_below)
+        qs = np.flatnonzero(maybe).tolist()
+        return self._exact_count(qs, Fraction(k, _U64) if qs else None,
+                                 int(np.count_nonzero(sure)))
 
-    def _exact_count(self, qs, x: Fraction, count: int = 0) -> HitResult:
+    def _exact_count(self, qs, x: Optional[Fraction],
+                     count: int = 0) -> HitResult:
         """The HitResult of `count` hits already certain plus the hits
         among qs, each decided exactly at the sample x."""
         undecided = 0
@@ -874,17 +879,24 @@ class DoublyMetricResult:
 
 
 def doubly_metric_union_bound(N: int, H_prime: Fraction) -> Enclosure:
-    """sum_{k <= N} 4 k^(1 - H') (exact for integer H')."""
+    """sum_{k <= N} 4 k^(1 - H') (exact for integer H').
+
+    This is not the union bound of the pairs that `doubly_metric_sample`
+    tests.  Those are the 4h - 2 pairs of each height h = max(|k1|, k2) from
+    2 to N, each failing on a set of measure 2 h^-H', so their union bound
+    is sum_{h=2}^{N} (8h - 4) h^-H'.  The sum here counts about half of
+    them per height, and stays above the sampled fraction only through its
+    k = 1 term, 4, which covers no tested pair."""
     Hp = Fraction(H_prime)
     if Hp.denominator == 1:
         e = int(Hp) - 1
-        return Enclosure.exact(exact_sum([Fraction(4, k ** e)
+        return Enclosure.exact(exact_sum([(4, k ** e)
                                           for k in range(1, N + 1)]))
     p, s = (Hp - 1).numerator, (Hp - 1).denominator
     ts = [rational_power(Enclosure.exact(Fraction(k)), p, s, bits=48)
           for k in range(1, N + 1)]
-    return Enclosure(exact_sum([4 / t.hi for t in ts]),
-                     exact_sum([4 / t.lo for t in ts]))
+    return Enclosure(exact_sum([(4 / t.hi).as_integer_ratio() for t in ts]),
+                     exact_sum([(4 / t.lo).as_integer_ratio() for t in ts]))
 
 
 def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
@@ -918,13 +930,13 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     heights = [max(-k1, k1, k2) ** Hp for k1, k2 in pairs]
     thr = [lane_threshold(1, 1, h) for h in heights]
     thr_lo = lane_array([lo for lo, _ in thr])
-    thr_hi = lane_array([hi for _, hi in thr])
+    bounds = lane_bounds(thr_lo, lane_array([hi for _, hi in thr]), marg)
 
     failures = 0
     witnesses = {}
     for i in range(samples):
         k = counter_sample(seed, i)
-        sure, maybe, dmin = ball_lane(K1G, k2s, k, marg, thr_lo, thr_hi)
+        sure, maybe, dmin = ball_lane(K1G, k2s, k, *bounds)
         witness = None
         if np.any(sure):
             idx = np.nonzero(sure)[0]

@@ -32,13 +32,16 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   `positive_windows` the windows, certified positive, of many coefficient
   vectors at once.
 - Three certified uint64 lanes share one wrap-around product on the 2^-64
-  grid.  `ball_lane` decides many distances at once and leaves only the
-  entries that straddle a wall to `FormEvaluator.dist_below`; `orbit_lane`
-  sorts the points {q x}, q <= Q, and answers None where it cannot certify
-  the order that the exact ladder would find; `form_lane` encloses the
-  distances of many coefficient vectors, so that the sigma profiles take
-  exact windows only near their maximum.
-- `exact_sum` adds many rationals exactly by a pairwise tree.
+  grid.  `ball_lane` decides many distances at once, each by two compares
+  against bounds that `lane_bounds` folds from the threshold and the pin's
+  margin once per sweep, and leaves only the entries that straddle a wall
+  to `FormEvaluator.dist_below`; `orbit_lane` sorts the points {q x}, q <=
+  Q, and answers None where it cannot certify the order that the exact
+  ladder would find; `form_lane` encloses the distances of many
+  coefficient vectors, so that the sigma profiles take exact windows only
+  near their maximum.
+- `exact_sum` adds many rationals, given as int pairs, exactly by a
+  pairwise tree, and builds one `Fraction` for the total.
 """
 
 from __future__ import annotations
@@ -203,19 +206,26 @@ def round_outward(lo_num: int, lo_den: int, hi_num: int, hi_den: int,
 
 
 def exact_sum(terms) -> Fraction:
-    """The exact sum of rationals, added in a pairwise tree.
+    """The exact sum of rationals given as (numerator, denominator) int
+    pairs, denominators positive, added in a pairwise tree.
 
+    Each addition puts its two operands on the lcm of their denominators,
+    one gcd, and only the total is reduced, so no term builds a `Fraction`.
     Each partial sum carries a denominator close to the lcm of its own
     terms only, so the big operations are few and balanced: binary
     splitting (Haible & Papanikolaou, ANTS 1998).  A left-to-right sum
     drags the full-size denominator through every addition."""
+    gcd = math.gcd
     level = list(terms)
     while len(level) > 1:
-        paired = [a + b for a, b in zip(level[::2], level[1::2])]
+        paired = []
+        for (a, b), (c, d) in zip(level[::2], level[1::2]):
+            g = gcd(b, d)
+            paired.append((a * (d // g) + c * (b // g), b // g * d))
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    return Fraction(level[0]) if level else Fraction(0)
+    return Fraction(*level[0]) if level else Fraction(0)
 
 def sqrt_enclosure(n: int, bits: int) -> Enclosure:
     """Enclosure of sqrt(n) with width <= 2^-bits, via integer isqrt."""
@@ -899,7 +909,7 @@ _LANE_CLAMP = 3 << 62
 
 def lane_threshold(lo: int, hi: int, den: int) -> tuple:
     """(floor(lo 2^64 / den), ceil(hi 2^64 / den)) for a threshold in [lo,
-    hi] / den, clamped for `ball_lane`."""
+    hi] / den, clamped for `lane_bounds`."""
     lo, hi = round_outward(lo, den, hi, den, 64)
     return min(_LANE_CLAMP, lo), min(_LANE_CLAMP, hi)
 
@@ -925,25 +935,40 @@ def _wrap(offset, mult, k):
         return offset + mult * k
 
 
-def ball_lane(offset, mult, k: int, margin, thr_lo, thr_hi):
+def lane_bounds(thr_lo, thr_hi, margin) -> tuple:
+    """(sure_below, maybe_below) = (thr_lo - min(thr_lo, margin), thr_hi +
+    margin), the two `ball_lane` bounds of thresholds thr_lo <= thr_hi from
+    `lane_threshold` and margins from `lane_margin`.  Neither wraps: thr_lo
+    - min(thr_lo, margin) >= 0, and thr_hi <= _LANE_CLAMP with margin <
+    2^62 keeps thr_hi + margin < 2^64.  A margin of None gives the bounds
+    that certify nothing: never sure, always maybe."""
+    if margin is None:
+        return np.zeros_like(thr_lo), np.full_like(thr_hi, _U64 - 1)
+    return thr_lo - np.minimum(thr_lo, margin), thr_hi + margin
+
+
+def ball_lane(offset, mult, k: int, sure_below, maybe_below):
     """Decide ||x_i|| against t_i for many entries at once on the 2^-64
     grid, where x_i 2^64 is within margin_i - 1 of offset_i + mult_i k
-    (mod 2^64) and t_i 2^64 lies in [thr_lo_i, thr_hi_i] (from
-    `lane_threshold`).  The arrays are uint64 and broadcast; the margins
-    come from `lane_margin`, and None there makes every entry `maybe`.
+    (mod 2^64), t_i 2^64 lies in [thr_lo_i, thr_hi_i] (`lane_threshold`),
+    and the bounds come from `lane_bounds(thr_lo, thr_hi, margin)`.  The
+    arrays are uint64 and broadcast.
 
     Returns (sure, maybe, d): `sure` entries are certainly strictly inside
     the ball, `maybe` entries need an exact decision, and every other entry
     is certainly strictly outside, so the lane serves the open and the
-    closed ball alike.  d is the scaled distance of the pinned value.
+    closed ball alike.  d <= 2^63 is the scaled distance of the pinned
+    value, and ||x_i|| 2^64 is within margin_i - 1 of d_i.  So d <
+    thr_lo - margin puts ||x|| 2^64 below thr_lo - 1 < t 2^64, and d >=
+    thr_hi + margin puts it at thr_hi + 1 > t 2^64 or above; a margin
+    above thr_lo makes nothing sure, and a clamped thr_hi, which may lie
+    below t 2^64, exceeds 2^63 >= d.  Since thr_lo <= thr_hi, every sure
+    entry lies below maybe_below, and `maybe` is the rest below it.
     """
     M = _wrap(offset, mult, np.uint64(k % _U64))
     d = np.minimum(M, -M)      # uint64 wraparound: min(M, 2^64 - M)
-    if margin is None:
-        return np.zeros(d.shape, bool), np.ones(d.shape, bool), d
-    sure = d + margin < thr_lo
-    maybe = (d < thr_hi + margin) & ~sure
-    return sure, maybe, d
+    sure = d < sure_below
+    return sure, (d < maybe_below) ^ sure, d
 
 
 def form_lane(fe: FormEvaluator, vectors: np.ndarray) -> Optional[tuple]:

@@ -342,6 +342,30 @@ def psi_prime_value(ctx, q: int) -> Enclosure:
     raise DependenceError((q,), "distance cannot be separated from 0")
 
 
+def table_window(psi, q: int) -> tuple:
+    """ApproxFunction.window of a table psi by a linear scan of its
+    entries; an index without an entry has psi(q) = 0."""
+    for qq, v in psi.table:
+        if qq == q:
+            return v.numerator, v.numerator, v.denominator
+    return 0, 0, 1
+
+
+def ball_lane_margin(offset, mult, k: int, margin, thr_lo, thr_hi) -> tuple:
+    """ball_lane's (sure, maybe, d) from the margin and the thresholds,
+    adding the margin at every sample: sure = d + margin < thr_lo, maybe =
+    (d < thr_hi + margin) and not sure; a margin of None makes every entry
+    maybe."""
+    with np.errstate(over="ignore"):
+        M = offset + mult * np.uint64(k % 2**64)
+    d = np.minimum(M, -M)
+    if margin is None:
+        return np.zeros(d.shape, bool), np.ones(d.shape, bool), d
+    sure = d + margin < thr_lo
+    maybe = (d < thr_hi + margin) & ~sure
+    return sure, maybe, d
+
+
 def floor_ceil(lo: Fraction, hi: Fraction, k: int) -> tuple:
     """floor(lo 2^k) and ceil(hi 2^k) by Fraction arithmetic."""
     return math.floor(lo * 2 ** k), math.ceil(hi * 2 ** k)

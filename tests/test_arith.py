@@ -142,6 +142,21 @@ def test_hyperbola_route_overlaps_the_fraction_route(Q):
     assert overlaps(_F_average_hyperbola(Q), f_average_fraction(Q))
 
 
+# Q = 121 drops s = u, Q = 143 keeps it; 10^4 is a square again
+@pytest.mark.parametrize("Q", [121, 143, 1000, 10**4])
+def test_hyperbola_midpoint_is_near_the_truth(Q):
+    """The midpoint lies within 1% of the width from a 200-bit mpmath value
+    of T(Q)/Q; on this grid it lies within 0.2%.  An error in the
+    Euler-Maclaurin terms that the remainder slack still covers, such as
+    dropping the g^(5) term (a shift of 35-42% of the width), fails here."""
+    e = _F_average_hyperbola(Q)
+    with mpmath.workprec(200):
+        T = mpmath.fsum(mpmath.log(r) / r * (Q // r) for r in range(2, Q + 1))
+        mid = mpmath.mpf(e.mid.numerator) / e.mid.denominator
+        width = mpmath.mpf(e.width.numerator) / e.width.denominator
+        assert abs(mid - T / (mpmath.log(2) * Q)) <= width / 100
+
+
 def test_hyperbola_route_is_narrower_than_the_dyadic_path_at_65536():
     assert _F_average_hyperbola(65536).width < F_average(65536).width
 

@@ -33,6 +33,7 @@ from mdl.realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    lane_threshold,
     param_evaluator,
     parse_param,
 )
@@ -507,6 +508,24 @@ def test_table_gaps_are_zero():
     assert tab.eval(5).lo == F(1, 9)
 
 
+_TABLE_VALUES = st.one_of(st.just(F(0)), st.fractions(
+    min_value=0, max_value=F(49, 100), max_denominator=10**6))
+
+
+@given(st.dictionaries(st.integers(1, 60), _TABLE_VALUES, max_size=20),
+       st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_table_window_matches_the_linear_scan(values, past):
+    """The table's lookup, built once per instance, gives the window of a
+    linear scan at every q: entries, zero entries, missing indices and q
+    past the last key; equality and hashing still see only the table."""
+    tab = ApproxFunction.from_table(values)
+    for q in range(1, max(values, default=0) + past + 1):
+        assert tab.window(q) == oracles.table_window(tab, q)
+    twin = ApproxFunction.from_table(values)
+    assert tab == twin and hash(tab) == hash(twin)
+
+
 def test_mc_survey_deterministic(sqrt3):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.sqrt(2), R0, None)
     a = mc_survey(sqrt3, pp, 100, 10, seed=5, direct=True)
@@ -668,7 +687,8 @@ def test_wide_gamma_takes_the_exact_path(gamma, sqrt2):
     g = parse_param(gamma)
     for direct in (False, True):
         sweep = _HitSweep(g, pp, 40, direct)
-        assert sweep.margin is None
+        assert not sweep.sure_below.any()
+        assert (sweep.maybe_below == 2**64 - 1).all()
         for x in (F(5, 8), F(12345, 2**20)):
             exact = [sweep._exact_hit(q, x) for q in range(1, 41)]
             res = hit_count(x, g, pp, 40, direct=direct)
@@ -686,7 +706,7 @@ def test_count_for_sends_a_loose_pin_near_the_wall_to_the_exact_path(sqrt2):
     (G, spread), = sweep.fe.pin(64)[0]
     assert spread > 2**30
     # ||x - gamma|| pinned one unit under psi(1) on the 2^-64 grid
-    k = (G - int(sweep.thr_lo[1]) + 1) % 2**64
+    k = (G - lane_threshold(*sweep._thresholds[1])[0] + 1) % 2**64
     exact = [sweep._exact_hit(q, F(k, 2**64)) for q in range(1, 9)]
     assert exact[0] is None
     res = sweep.count_for(k)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from test_acceptance import _pairwise_sum
 from mdl.discrepancy import etk_bound_sweep
 from mdl.gallagher import (
     ApproxFunction,
@@ -201,12 +202,51 @@ def test_expected_counts_an_undecided_support_as_one():
     assert sweep.expected().width == 2
 
 
+# (numerator, denominator) pairs, a common factor times a fraction: negative,
+# zero and unreduced terms
+_PAIRS = st.builds(lambda a, b, m: (a * m, b * m), st.integers(-10**30, 10**30),
+                   st.integers(1, 10**12), st.integers(1, 1000))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.fractions(), st.integers(-10**6, 10**6)),
-                max_size=40))
-def test_exact_sum_equals_sum(terms):
-    total = exact_sum(terms)
-    assert isinstance(total, Fraction) and total == sum(terms, F(0))
+@given(st.lists(_PAIRS, max_size=40))
+@example([])
+@example([(6, 4)])
+@example([(0, 7), (-3, 6), (1, 2)])
+def test_exact_sum_equals_sum(pairs):
+    total = exact_sum(pairs)
+    assert isinstance(total, Fraction)
+    assert total == sum((F(a, b) for a, b in pairs), F(0))
+
+
+_DIRECT_PSI = st.one_of(
+    st.fractions(min_value=F(1, 10**4), max_value=4,
+                 max_denominator=10**4).map(ApproxFunction.over_q),
+    st.fractions(min_value=F(1, 10**4), max_value=F(49, 100),
+                 max_denominator=10**4).map(ApproxFunction.const),
+    st.dictionaries(st.integers(1, 150), st.fractions(
+        min_value=0, max_value=F(49, 100), max_denominator=10**4),
+        max_size=30).map(ApproxFunction.from_table))
+
+
+def _psi_value(psi, q: int) -> Fraction:
+    """psi(q) of a const, overq or table psi, from its definition."""
+    if psi.tag == "table":
+        return dict(psi.table).get(q, F(0))
+    return psi.c / q if psi.tag == "overq" else psi.c
+
+
+@given(_DIRECT_PSI, st.integers(1, 150))
+@settings(max_examples=60, deadline=None)
+def test_direct_expected_is_the_pairwise_fraction_sum(psi, Q):
+    """The direct sweep's expectation, summed on int pairs, is the pairwise
+    Fraction sum of min(1, 2 psi(q)) over q0 <= q <= Q, exactly."""
+    terms = [min(F(1), 2 * _psi_value(psi, q))
+             for q in range(max(1, psi.q0), Q + 1)]
+    sqrt3 = parse_param("sqrt:3")
+    pp = PsiPrime(psi, sqrt3, parse_param("rat:0"), None)
+    want = _pairwise_sum(terms) if terms else F(0)
+    assert _HitSweep(sqrt3, pp, Q, True).expected() == Enclosure.exact(want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import pickle
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,8 +13,10 @@ from mdl.realnum import (
     FormEvaluator,
     RealExpr,
     RealParam,
+    _LANE_CLAMP,
     ball_lane,
     lane_array,
+    lane_bounds,
     lane_margin,
     log2_enclosure,
     neg_log2_enclosure,
@@ -23,6 +26,7 @@ from mdl.realnum import (
     rational_power,
     sqrt_enclosure,
 )
+import oracles
 from oracles import Comparison, compare, dist_pow_compare, frac_and_dist
 
 F = Fraction
@@ -300,9 +304,52 @@ def test_lane_margin_stops_below_a_wrap():
     assert lane_margin([5, 2**62]) is None
     assert lane_margin([2**70]) is None
     thr = lane_array([2**63, 2**63])
-    sure, maybe, _ = ball_lane(lane_array([0]), lane_array([1, 2]), 3, None,
-                               thr, thr)
+    sure, maybe, _ = ball_lane(lane_array([0]), lane_array([1, 2]), 3,
+                               *lane_bounds(thr, thr, None))
     assert not sure.any() and maybe.all()
+
+
+_THR = st.one_of(st.just(0), st.just(_LANE_CLAMP), st.integers(0, 2**20),
+                 st.integers(0, _LANE_CLAMP))
+_MARGIN = st.one_of(st.just(0), st.just(2**62 - 1), st.integers(0, 2**20),
+                    st.integers(0, 2**62 - 1))
+
+
+@st.composite
+def _lane_rows(draw):
+    """(offset, mult, thr_lo, thr_hi, margin) with thr_lo <= thr_hi <=
+    _LANE_CLAMP and margin < 2^62; some rows put d within 2 of a bound."""
+    lo, hi = sorted((draw(_THR), draw(_THR)))
+    m = draw(_MARGIN)
+    anchor = draw(st.sampled_from((None, lo - m, hi + m)))
+    if anchor is None:
+        u64 = st.integers(0, 2**64 - 1)
+        off, mult = draw(u64), draw(u64)
+    else:
+        off, mult = anchor + draw(st.integers(-2, 2)), 0
+    return off, mult, lo, hi, m
+
+
+@given(st.lists(_lane_rows(), min_size=1, max_size=12),
+       st.integers(0, 2**64 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ball_lane_bounds_match_the_margin_formula(rows, k, wide):
+    """Two compares against `lane_bounds` give the sure and maybe sets of
+    the margin formula, for margins above thr_lo, thresholds at 0 and at
+    the clamp, and a pin too wide for the lane (margin None); neither bound
+    wraps."""
+    off, mult, lo, hi, m = (lane_array(c) for c in zip(*rows))
+    margin = None if wide else m
+    sure_below, maybe_below = lane_bounds(lo, hi, margin)
+    if not wide:
+        assert [int(b) for b in sure_below] == [max(0, a - b) for a, b in zip(
+            lo.tolist(), m.tolist())]
+        assert [int(b) for b in maybe_below] == [a + b for a, b in zip(
+            hi.tolist(), m.tolist())]
+    got = ball_lane(off, mult, k, sure_below, maybe_below)
+    want = oracles.ball_lane_margin(off, mult, k, margin, lo, hi)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("start, cap, levels", [
