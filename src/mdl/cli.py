@@ -622,7 +622,7 @@ def _chunked(items, n):
 def _pmap(fn, work, threads):
     if threads <= 1 or len(work) <= 1:
         return [fn(w) for w in work]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(work))) as pool:
         return list(pool.map(fn, work))
 
 

@@ -993,13 +993,5 @@ class ExperimentRecord:
                 str(self.undecided)]
 
     def to_json_obj(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "q_or_Q": self.q_or_Q,
-            "value_num": str(self.value.numerator),
-            "value_den": str(self.value.denominator),
-            "err_num": str(self.err.numerator),
-            "err_den": str(self.err.denominator),
-            "undecided_count": self.undecided,
-        }
+        return dict(zip(CSV_HEADER, self.to_csv_row()),
+                    undecided_count=self.undecided)

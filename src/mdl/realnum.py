@@ -52,7 +52,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
-import mpmath
 import numpy as np
 
 RationalLike = Union[int, Fraction]
@@ -78,20 +77,6 @@ class DependenceError(Exception):
 
     def __str__(self):
         return f"{self.message}: witness {self.witness}"
-
-
-def _mpf_to_fraction(raw) -> Fraction:
-    """Exact conversion of an mpmath raw float tuple (sign, man, exp, bc)
-    to Fraction; no rounding to the global precision happens."""
-    sign, man, exp, _ = raw
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man, 1)
-    if exp >= 0:
-        val *= 1 << exp
-    else:
-        val /= 1 << (-exp)
-    return -val if sign else val
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +449,44 @@ def neg_log2_enclosure(x: Enclosure, bits: int = 64) -> Enclosure:
     return Enclosure.dyadic(-hi, -lo, w)
 
 
+def _atan_inv(N: int, bits: int) -> tuple:
+    """(s, e) with |atan(1/N) 2^bits - s| < e for an integer N >= 2: nested
+    floors floor each term of sum (-1)^k / ((2k+1) N^(2k+1)) exactly, so
+    each loses less than 1, and the alternating tail is below 1."""
+    p = (1 << bits) // N
+    s, k = p, 1
+    while p:
+        p //= N * N
+        t = p // (2 * k + 1)
+        s += -t if k & 1 else t
+        k += 1
+    return s, k + 1
+
+
 def _const_enclosure(name: str, bits: int) -> Enclosure:
+    """Enclosure of e, pi or the golden ratio with width <= 2^-bits.
+
+    e = sum 1/k! and pi = 16 atan(1/5) - 4 atan(1/239) are integer series on
+    the grid 2^-w.  The guard bits keep the pins `FormEvaluator` takes at
+    2^-(bits-4) equal to those of mpmath's interval pi and e at precision
+    bits + 12, checked at every bits from 12 to 4100."""
     if name == "golden":
         root5 = sqrt_enclosure(5, bits + 2)
         return Enclosure((1 + root5.lo) / 2, (1 + root5.hi) / 2)
-    old = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = bits + 12
-        lo, hi = (mpmath.iv.e if name == "e" else mpmath.iv.pi)._mpi_
-        return Enclosure(_mpf_to_fraction(lo), _mpf_to_fraction(hi))
-    finally:
-        mpmath.iv.prec = old
+    w = bits + 24 + 2 * bits.bit_length()
+    if name == "pi":
+        (a, ea), (b, eb) = _atan_inv(5, w), _atan_inv(239, w)
+        s, err = 16 * a - 4 * b, 16 * ea + 4 * eb
+        return Enclosure.dyadic(s - err, s + err, w)
+    # nested floors give each term floor(2^w / k!) exactly: the k terms lose
+    # less than 1 each, and the tail after the first zero term is below 2
+    p = s = 1 << w
+    k = 1
+    while p:
+        p //= k
+        s += p
+        k += 1
+    return Enclosure.dyadic(s, s + k + 2, w)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +788,6 @@ class FormEvaluator:
         s, err, b = self.frac_window(coeffs, bits, shift)
         lo, hi, _ = frac_to_dist(s, err, 1 << b)
         return lo, hi, b
-
-    def dist_enclosure(self, coeffs: Sequence[int], bits: int | None = None,
-                       shift: RationalLike = 0) -> Enclosure:
-        return Enclosure.dyadic(*self.dist_window(coeffs, bits, shift))
 
     def positive_windows(self, vectors: Sequence[Sequence[int]]):
         """Yield, for each coefficient vector in order, a window (lo, hi, b)

@@ -11,7 +11,9 @@ import math
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from mdl.cfrac import _exponent, _hull
@@ -135,6 +137,11 @@ def F_sum_direct(Q: int, width_bits: int = 24) -> Enclosure:
     return Enclosure(Fraction(lo_acc, 1 << shift), Fraction(hi_acc, 1 << shift))
 
 
+def dist_enclosure(fe, coeffs, bits=None) -> Enclosure:
+    """||form|| of a FormEvaluator as an enclosure at `bits`."""
+    return Enclosure.dyadic(*fe.dist_window(coeffs, bits))
+
+
 def min_dist(alpha, N: int, cap: int = DEFAULT_PRECISION_CAP):
     """(min over 1 <= n <= N of ||n*alpha||, argmin).
 
@@ -157,7 +164,7 @@ def min_dist(alpha, N: int, cap: int = DEFAULT_PRECISION_CAP):
     for _, q in cf.convergents:
         if 1 <= q <= N:
             best_q = max(best_q, q)
-    return param_evaluator(alpha, cap).dist_enclosure([best_q]), best_q
+    return dist_enclosure(param_evaluator(alpha, cap), [best_q]), best_q
 
 
 def best_candidate_full(cands, fe, cap: int):
@@ -213,6 +220,45 @@ def pair_measure(fam, q: int, qp: int) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
+# The mpmath route of pi and e
+# ---------------------------------------------------------------------------
+
+def mpf_fraction(raw) -> Fraction:
+    """The exact value of an mpmath raw float tuple (sign, man, exp, bc)."""
+    sign, man, exp, _ = raw
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def const_enclosure_mpmath(name: str, bits: int) -> Enclosure:
+    """pi or e as mpmath's interval at precision bits + 12, the route the
+    library took before its integer series; the global interval precision
+    is restored on exit."""
+    old = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = bits + 12
+        lo, hi = (mpmath.iv.e if name == "e" else mpmath.iv.pi)._mpi_
+        return Enclosure(mpf_fraction(lo), mpf_fraction(hi))
+    finally:
+        mpmath.iv.prec = old
+
+
+@lru_cache(maxsize=None)
+def const_value(name: str, prec: int = 5000) -> Fraction:
+    """pi or e rounded to a `prec`-bit mpmath float."""
+    with mpmath.workprec(prec):
+        return mpf_fraction((+getattr(mpmath, name))._mpf_)
+
+
+def pin_of(e: Enclosure, bits: int) -> tuple:
+    """(lo, spread) of an enclosure at scale 2^bits, as `FormEvaluator.pin`
+    takes it."""
+    scale = 1 << bits
+    lo = math.floor(e.lo * scale)
+    return lo, math.ceil(e.hi * scale) - lo
+
+
+# ---------------------------------------------------------------------------
 # The Fraction reference route
 # ---------------------------------------------------------------------------
 
@@ -251,7 +297,7 @@ def dist_positive(fe, coeffs, cap: int) -> Enclosure:
     if fe.dist_is_zero_exact(coeffs):
         raise DependenceError(witness)
     for bits in precision_ladder(fe.bits, cap):
-        e = fe.dist_enclosure(coeffs, bits)
+        e = dist_enclosure(fe, coeffs, bits)
         if e.lo > 0:
             return e
     raise DependenceError(witness)
@@ -329,7 +375,7 @@ def psi_eval(psi, q: int, bits: int = 64) -> Enclosure:
 
 def fibre_dist(ctx, q: int, bits=None) -> Enclosure:
     """||q beta - g'|| of a FibreContext as an enclosure at `bits`."""
-    return ctx.fe.dist_enclosure(ctx._coeffs(q), bits)
+    return dist_enclosure(ctx.fe, ctx._coeffs(q), bits)
 
 
 def psi_prime_value(ctx, q: int) -> Enclosure:

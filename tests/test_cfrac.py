@@ -13,7 +13,7 @@ from mdl.cfrac import (
     sigma_single,
 )
 from mdl.realnum import DependenceError, FormEvaluator, RealParam
-from oracles import min_dist, overlaps, witness_verifies
+from oracles import dist_enclosure, min_dist, overlaps, witness_verifies
 
 F = Fraction
 
@@ -73,9 +73,9 @@ def test_min_dist_brute_force_oracle(sqrt2, golden):
         for N in [1, 2, 3, 10, 137, 1000]:
             d, n = min_dist(alpha, N)
             best = min(range(1, N + 1),
-                       key=lambda m: fe.dist_enclosure((m,)).mid)
+                       key=lambda m: dist_enclosure(fe, (m,)).mid)
             assert n == best
-            assert overlaps(d, fe.dist_enclosure((best,)))
+            assert overlaps(d, dist_enclosure(fe, (best,)))
         for qk in denoms:
             _, n = min_dist(alpha, qk)
             assert n == qk
@@ -163,11 +163,11 @@ def test_scaling_of_witnesses(sqrt2, sqrt3):
     N = 10
     entry = sigma_pair(sqrt2, sqrt3, N)
     k1, k2 = entry.witness
-    d = fe.dist_enclosure((k1, k2))
+    d = dist_enclosure(fe, (k1, k2))
     for M1, M2 in ((2, 1), (1, 3), (3, 1)):
         scaled = FormEvaluator([RealParam.sqrt(2 * M1 * M1),
                                 RealParam.sqrt(3 * M2 * M2)], 0)
-        dd = scaled.dist_enclosure((k1 * M2, k2 * M1))
+        dd = dist_enclosure(scaled, (k1 * M2, k2 * M1))
         assert dd.lo <= max(M1, M2) * d.hi + F(1, 2**90)
         assert max(abs(k1 * M2), abs(k2 * M1)) <= max(M1, M2) * N
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mdl import discrepancy
+from mdl import cli, discrepancy
 from mdl.cli import main
 from mdl.realnum import parse_param
 
@@ -121,6 +121,39 @@ def test_threads_do_not_change_output():
     rc2, out2, _ = run_cli(*args, "--threads", "3")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+class _SerialPool:
+    """Stands in for `ProcessPoolExecutor`: records its worker count and
+    maps in this process, so no process starts."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+@pytest.mark.parametrize("argv, workers", [
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 3", 2),
+    ("mc-survey --psi overq:1/4 --gamma sqrt:3 --beta sqrt:2 --Q 100 "
+     "--samples 3 --direct", 3)])
+def test_pool_starts_at_most_one_worker_per_chunk(argv, workers, monkeypatch,
+                                                 capsys):
+    assert main(shlex.split(argv + " --threads 1")) == 0
+    serial = capsys.readouterr().out
+    started = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(started, max_workers))
+    assert main(shlex.split(argv + " --threads 64")) == 0
+    assert started == [workers]
+    assert capsys.readouterr().out == serial
 
 
 def test_master_sweep_records_do_not_depend_on_threads():

@@ -1,12 +1,17 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mdl
 from mdl.realnum import (
     DependenceError,
     Enclosure,
@@ -107,13 +112,12 @@ def test_param_validation():
 @pytest.mark.parametrize("name", ["pi", "e"])
 @pytest.mark.parametrize("prec", [20, 53, 300])
 def test_const_enclosure_contains_the_truth(name, prec):
-    """The pi and e enclosures are exact images of mpmath's interval
-    endpoints, whatever the global mpmath precision."""
+    """The pi and e enclosures contain a 4000-bit mpmath value whatever
+    mpmath's global precision, which the library's integer series never
+    read."""
+    truth = oracles.const_value(name, 4000)
     old = mpmath.mp.prec
     try:
-        mpmath.mp.prec = 4000
-        sign, man, exp, _ = (+getattr(mpmath, name))._mpf_
-        truth = F(man) * F(2) ** exp
         mpmath.mp.prec = prec
         for bits in (64, 128, 512, 2048):
             e = RealParam.const(name).enclosure(bits)
@@ -121,6 +125,38 @@ def test_const_enclosure_contains_the_truth(name, prec):
             assert e.width <= F(1, 2**bits)
     finally:
         mpmath.mp.prec = old
+
+
+@settings(deadline=None)
+@given(bits=st.integers(8, 4096))
+@example(bits=8)
+@example(bits=4096)
+def test_const_enclosure_against_mpmath(bits):
+    """Each pi and e enclosure contains a 5000-bit mpmath value, is at most
+    2^-bits wide and no wider than mpmath's interval at bits + 12."""
+    for name in ("pi", "e"):
+        e = RealParam.const(name).enclosure(bits)
+        assert e.lo < oracles.const_value(name) < e.hi
+        assert e.width <= F(1, 2**bits)
+        assert e.width <= oracles.const_enclosure_mpmath(name, bits).width
+
+
+@pytest.mark.parametrize("name", ["pi", "e"])
+def test_const_pins_match_the_mpmath_route(name):
+    """`FormEvaluator` pins pi and e at every scale from 2^-8 to 2^-4096
+    exactly as mpmath's interval route would."""
+    fe = FormEvaluator([RealParam.const(name)])
+    for b in range(8, 4097):
+        oracle = oracles.pin_of(oracles.const_enclosure_mpmath(name, b + 4), b)
+        assert fe.pin(b)[0][0] == oracle, b
+
+
+def test_import_leaves_mpmath_out():
+    code = "import sys, mdl.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(mdl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_param_grammar_round_trip():
@@ -239,7 +275,7 @@ def test_monotone_refinement(c1, c2, bexp):
 def test_form_evaluator_agrees_with_exprs(sqrt2, sqrt3):
     fe = FormEvaluator([sqrt2, sqrt3], F(-1, 3))
     for k1, k2 in [(1, 0), (0, 1), (3, -2), (17, 12), (-40, 9)]:
-        enc = fe.dist_enclosure((k1, k2))
+        enc = oracles.dist_enclosure(fe, (k1, k2))
         expr = RealExpr.build([(k1, sqrt2), (k2, sqrt3)], F(-1, 3))
         _, d = frac_and_dist(expr, 100)
         assert enc.lo <= d.hi and d.lo <= enc.hi
