@@ -135,6 +135,9 @@ def _top_band(vectors: np.ndarray, fe: FormEvaluator, cap: int) -> np.ndarray:
     `_best_candidate` can touch, sorted out on the uint64 lane `form_lane`;
     all of them when the lane refuses or the band is not certified.
 
+    The lane's residue M folds to d = min(M, -M), and ||form|| 2^64 lies
+    within the margin m of d.
+
     Kept: every vector whose lane window [d - m, d + m] touches 0 (only
     there can positive_windows climb or raise), and every other whose U =
     (64 - log2(d - m)) / log2(height) reaches max L - _BAND, with L = (64 -
@@ -149,10 +152,10 @@ def _top_band(vectors: np.ndarray, fe: FormEvaluator, cap: int) -> np.ndarray:
     while j _RUNNER_UP + slack < _BAND.  So if (kept + 1) _RUNNER_UP + slack
     < _BAND, every vector raced is kept, by induction on j, and the kept
     ones sort as in the full scan, which therefore races the same ones."""
-    lane = form_lane(fe, vectors)
-    if lane is None:
+    M, m = form_lane(fe, vectors)
+    if m is None:
         return vectors
-    d, m = lane
+    d = np.minimum(M, -M)
     log_h = np.log2(np.maximum.reduce(np.abs(vectors.T)))
     pos = d > m
     upper = (64 - np.log2(np.where(pos, d - m, 1))) / log_h

@@ -16,8 +16,8 @@ circle distances between arc centers of A_q and A_q' is an arithmetic
 progression with gap gcd/(q q') traversed with multiplicity gcd, and an
 overlap is a clipped linear function of the distance, so a pair costs a
 fixed number of big-integer operations.  `gallagher.bc_ratio`, `pair_sum`
-and `master_check` all measure through it.  The generic sweep intersection
-remains available as the independent slow route.
+and `master_check` all measure through it.  The generic sweep intersection,
+the independent slow route, lives in the tests as `oracles.intersect`.
 
 `master_check` stays on integers too: it reads psi(q) and psi(q') as
 numerator/denominator pairs, decides the case, the bound and each ladder

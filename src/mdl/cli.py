@@ -68,6 +68,26 @@ def _grammar(parse):
     return convert
 
 
+def _checked(parse):
+    """A `_grammar` type that checks the text with `parse` and keeps it as
+    written, so that a record's params show the flag verbatim."""
+    def check(text):
+        parse(text)
+        return text
+    return _grammar(check)
+
+
+def _parse_omega(text):
+    if text == "none":
+        return None
+    if "@" in text:
+        name, _, c = text.partition("@")
+        if name not in ("main2", "lemma3"):
+            raise ValueError(f"unknown omega schedule {name!r}")
+        return (name, Fraction(c))
+    return Fraction(text)
+
+
 def _parse_range(text) -> list:
     """'7' or '2..40' (inclusive)."""
     if ".." in text:
@@ -102,7 +122,8 @@ FLAGS = {
     "gamma": {**REQUIRED, "type": REAL, "help": "shift (real parameter)"},
     "beta": {**REQUIRED, "type": REAL, "help": "fibre parameter (real)"},
     "gamma-prime": {"type": REAL, "default": "rat:0", "help": "fibre shift (real)"},
-    "omega": {"default": "none", "help": "a fraction, main2@c, lemma3@c or none"},
+    "omega": {"type": _checked(_parse_omega), "default": "none",
+              "help": "a fraction, main2@c, lemma3@c or none"},
     "params": {**REQUIRED, "type": REALS, "help": "one or two reals, comma separated"},
     # heights and indices
     "Q": {**REQUIRED, "type": int, "help": "height bound"},
@@ -123,12 +144,12 @@ FLAGS = {
     "box": {**REQUIRED, "type": RATIONALS, "help": "a,b per axis, comma separated"},
     "m": {"type": int, "default": 16, "help": "grid cells per axis"},
     "sweep-H": {"type": int, "default": 0, "help": "export the sweep up to this H"},
-    "sigma": {**REQUIRED, "help": "exponent sigma_N"},
+    "sigma": {**REQUIRED, "type": _checked(Fraction), "help": "exponent sigma_N"},
     "members": {**SWITCH, "help": "list each cell's members"},
     "x": {**REQUIRED, "type": RATIONAL, "help": "sample point"},
     "direct": {**SWITCH, "help": "decide every q without the fibre table"},
     "samples": {**REQUIRED, "type": int, "help": "number of samples"},
-    "H-prime": {**REQUIRED, "help": "height H'"},
+    "H-prime": {**REQUIRED, "type": _checked(Fraction), "help": "height H'"},
     # common flags
     "precision-bits": {"type": _positive_int, "default": DEFAULT_PRECISION_CAP,
                        "help": "precision cap in bits"},
@@ -250,17 +271,6 @@ def _rec_enc(experiment, params, q_or_Q, e, undecided=0):
 def _pp_from_args(args) -> PsiPrime:
     return PsiPrime(args.psi, args.beta, args.gamma_prime,
                     _parse_omega(args.omega))
-
-
-def _parse_omega(text):
-    if text == "none":
-        return None
-    if "@" in text:
-        name, _, c = text.partition("@")
-        if name not in ("main2", "lemma3"):
-            raise ConfigError(f"unknown omega schedule {name!r}")
-        return (name, Fraction(c))
-    return Fraction(text)
 
 
 def _psi_or_fibre(args):

@@ -139,27 +139,23 @@ def star_discrepancy_1d(alpha: RealParam, Q: int,
     if not alpha.is_irrational and not alpha.is_decimal:
         raise ValueError("star discrepancy needs an irrational parameter")
     fe = param_evaluator(alpha, cap)
-    b = next(precision_ladder(fe.bits, cap))
-    lane = orbit_lane(fe, Q, b)
-    if lane is None:
-        for b in precision_ladder(fe.bits, cap):
-            lo_pin, spread = fe.pin(b)[0][0]
-            scale = 1 << b
-            err = Q * spread  # absolute window width in grid units
-            us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
-            # sorting by window midpoints is exact if adjacent windows separate
-            ok = all(us[i + 1] - us[i] > 2 * err for i in range(Q - 1))
-            ok = ok and us[0] > err and scale - us[-1] > err  # no wrap ambiguity
-            if ok:
-                break
-        else:
-            raise CapExceeded("cannot separate orbit points at the cap")
-        points = enumerate(us, start=1)
-    else:
+    lane = orbit_lane(fe, Q, next(precision_ladder(fe.bits, cap)))
+    for b in precision_ladder(fe.bits, cap):
         lo_pin, spread = fe.pin(b)[0][0]
         scale = 1 << b
-        err = Q * spread
-        points = _near_the_maximum(lo_pin, scale, *lane)
+        err = Q * spread  # absolute window width in grid units
+        if lane is not None:    # certified on this first rung
+            points = _near_the_maximum(lo_pin, scale, *lane)
+            break
+        us = sorted(((q * lo_pin) % scale) for q in range(1, Q + 1))
+        # sorting by window midpoints is exact if adjacent windows separate
+        ok = all(us[i + 1] - us[i] > 2 * err for i in range(Q - 1))
+        ok = ok and us[0] > err and scale - us[-1] > err  # no wrap ambiguity
+        if ok:
+            points = enumerate(us, start=1)
+            break
+    else:
+        raise CapExceeded("cannot separate orbit points at the cap")
     # |x_(i) - (2i-1)/(2Q)| scaled by 2Q 2^b; the window of x_(i) adds err
     vmax = max(abs(u * 2 * Q - (2 * i - 1) * scale) for i, u in points)
     den = 2 * Q * scale
@@ -325,9 +321,7 @@ def etk_bound(params: Sequence[RealParam], N: int, H: int,
     1D: 9N(1/H + sum_{0<|k|<=H} (2/(|k|+1)) (2/(N ||k a||)));
     2D: 9N(1/H + sum' (4/((|k1|+1)(|k2|+1))) (2/(N ||k1 a + k2 b||))).
     """
-    shells = _shell_sums(params, N, H, cap)
-    return EtkBound.of_shells(N, H, sum(lo for lo, _ in shells),
-                              sum(hi for _, hi in shells), shells)
+    return etk_bound_sweep(params, N, H, cap)[-1]
 
 
 def etk_bound_sweep(params: Sequence[RealParam], N: int, Hmax: int,

@@ -40,10 +40,9 @@ from .realnum import (
     RealParam,
     ball_lane,
     exact_sum,
+    form_lane,
     frac_to_dist,
-    lane_array,
     lane_bounds,
-    lane_margin,
     lane_threshold,
     log2_ratio,
     log2_scaled,
@@ -716,9 +715,9 @@ class _HitSweep:
             raise ValueError("Q must be >= 1")
         self.Q = Q
         self.fe = param_evaluator(gamma, cap)
-        (G, gwidth), = self.fe.pin(64)[0]
-        # gamma enters once, not per q: (q x - gamma) 2^64 = q k - G - theta
-        self.offset = lane_array([-G])
+        # gamma enters once, not per q: (q x - gamma) 2^64 is within the
+        # margin - 1 of q k + offset
+        self.offset, margin = form_lane(self.fe, [[-1]])
         self.undecided_q = []
         self.degenerate = []
         thr_lo = np.zeros(Q + 1, dtype=np.uint64)
@@ -750,7 +749,6 @@ class _HitSweep:
             self._thresholds[q] = lo, hi, den
             thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, den)
         self.qs = np.arange(Q + 1, dtype=np.uint64)
-        margin = lane_margin([gwidth + 1])
         if margin is not None:
             # q without a threshold get no margin, so the lane never flags them
             margin = np.where(thr_hi > 0, margin, np.uint64(0))
@@ -918,19 +916,18 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     if not gamma.is_irrational:
         raise ValueError("gamma must be irrational")
     fe = param_evaluator(gamma, cap)
-    (g_lo, g_spread), = fe.pin(64)[0]
     pairs = [(k1, k2) for k2 in range(1, N + 1)
              for k1 in list(range(-N, 0)) + list(range(1, N + 1))
              if max(abs(k1), k2) >= 2]
-    # k1 gamma + k2 beta scaled to 2^64 is within |k1| g_spread + 2 of
-    # k1 g_lo + k2 k, with beta = k / 2^64
-    K1G = lane_array([k1 * g_lo for k1, _ in pairs])
-    k2s = lane_array([k2 for _, k2 in pairs])
-    marg = lane_margin([abs(k1) * g_spread + 2 for k1, _ in pairs])
+    # k1 gamma + k2 beta scaled to 2^64 is within the margin - 1 of K1G +
+    # k2 k, with beta = k / 2^64
+    K1G, marg = form_lane(fe, [[k1] for k1, _ in pairs])
+    k2s = np.array([k2 for _, k2 in pairs], dtype=np.uint64)
     heights = [max(-k1, k1, k2) ** Hp for k1, k2 in pairs]
-    thr = [lane_threshold(1, 1, h) for h in heights]
-    thr_lo = lane_array([lo for lo, _ in thr])
-    bounds = lane_bounds(thr_lo, lane_array([hi for _, hi in thr]), marg)
+    thr = np.array([lane_threshold(1, 1, h) for h in heights],
+                   dtype=np.uint64).reshape(-1, 2)
+    thr_lo = thr[:, 0]
+    bounds = lane_bounds(thr_lo, thr[:, 1], marg)
 
     failures = 0
     witnesses = {}

@@ -31,15 +31,13 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   all verdicts on it.  `dist_window` gives one integer distance window and
   `positive_windows` the windows, certified positive, of many coefficient
   vectors at once.
-- Three certified uint64 lanes share one wrap-around product on the 2^-64
-  grid.  `ball_lane` decides many distances at once, each by two compares
-  against bounds that `lane_bounds` folds from the threshold and the pin's
-  margin once per sweep, and leaves only the entries that straddle a wall
-  to `FormEvaluator.dist_below`; `orbit_lane` sorts the points {q x}, q <=
-  Q, and answers None where it cannot certify the order that the exact
-  ladder would find; `form_lane` encloses the distances of many
-  coefficient vectors, so that the sigma profiles take exact windows only
-  near their maximum.
+- One certified uint64 lane: `form_lane` alone turns pins into residues
+  M mod 2^64 of many forms, with margins m.  Its readers: `ball_lane`
+  decides many distances by two compares against the bounds `lane_bounds`
+  folds from thresholds and margins, leaving the entries on a wall to
+  `FormEvaluator.dist_below`; `orbit_lane` sorts the points {q x}, q <= Q,
+  and answers None where it cannot certify the exact ladder's order;
+  `cfrac._top_band` leaves the sigma scans only the vectors near the top.
 - `exact_sum` adds many rationals, given as int pairs, exactly by a
   pairwise tree, and builds one `Fraction` for the total.
 """
@@ -922,23 +920,10 @@ def lane_threshold(lo: int, hi: int, den: int) -> tuple:
     return min(_LANE_CLAMP, lo), min(_LANE_CLAMP, hi)
 
 
-def lane_array(values) -> np.ndarray:
-    """Python integers reduced mod 2^64 into a uint64 lane operand."""
-    return np.array([v % _U64 for v in values], dtype=np.uint64)
-
-
-def lane_margin(values: list) -> Optional[np.ndarray]:
-    """Non-negative margins as a uint64 lane operand, or None when one
-    reaches 2^62: below that neither d + margin (d <= 2^63) nor
-    threshold + margin wraps, and a pin that wide certifies nothing."""
-    if any(v >> 62 for v in values):
-        return None
-    return np.array(values, dtype=np.uint64)
-
-
 def _wrap(offset, mult, k):
     """offset + mult k modulo 2^64 on uint64 operands: the one product of
-    both lanes."""
+    the lane, shared by `form_lane` and `ball_lane`, and the one place where
+    numpy's overflow warning is silenced."""
     with np.errstate(over="ignore"):
         return offset + mult * k
 
@@ -946,7 +931,7 @@ def _wrap(offset, mult, k):
 def lane_bounds(thr_lo, thr_hi, margin) -> tuple:
     """(sure_below, maybe_below) = (thr_lo - min(thr_lo, margin), thr_hi +
     margin), the two `ball_lane` bounds of thresholds thr_lo <= thr_hi from
-    `lane_threshold` and margins from `lane_margin`.  Neither wraps: thr_lo
+    `lane_threshold` and margins from `form_lane`.  Neither wraps: thr_lo
     - min(thr_lo, margin) >= 0, and thr_hi <= _LANE_CLAMP with margin <
     2^62 keeps thr_hi + margin < 2^64.  A margin of None gives the bounds
     that certify nothing: never sure, always maybe."""
@@ -979,63 +964,66 @@ def ball_lane(offset, mult, k: int, sure_below, maybe_below):
     return sure, (d < maybe_below) ^ sure, d
 
 
-def form_lane(fe: FormEvaluator, vectors: np.ndarray) -> Optional[tuple]:
-    """(d, m): uint64 arrays with ||form_i|| 2^64 in [d_i - m_i, d_i + m_i]
-    for the rows of the int64 array `vectors`, from `fe.pin(64)` and the
-    offset; None when a margin reaches 2^62 (`lane_margin`).
+def form_lane(fe: FormEvaluator, vectors) -> tuple:
+    """(M, m) for the rows k of the int array `vectors`: residues M = off +
+    sum k_i P_i mod 2^64 from the pins x_i 2^64 in [P_i, P_i + s_i] and c
+    2^64 in [off, off + s_0], and uint64 margins m with form(k) 2^64 within
+    m - 1 of M mod 2^64.  m is None when its bound (each column at its
+    largest |k|) reaches 2^62: below that neither d + m (d <= 2^63) nor a
+    `lane_threshold` + m wraps, and a pin that wide certifies nothing.
 
-    The window also holds the one `positive_windows` takes at b = fe.bits,
-    so d_i > m_i certifies that one positive.  Both pinned boxes hold a
-    point y (the parameters, or a decimal's whole interval); with E = err /
-    2^bits, the b-window lies within 2 E_b of form(y), and form(y) within
-    E_64 of the 64-bit value.  So m = err_64 + ceil(2 err_b 2^(64 - b))
-    suffices: |k| times s_64 + ceil(2 s_b 2^(64 - b)) summed over the pins'
-    spreads s, plus that weight of the offset's."""
+    m also covers the window `positive_windows` takes at b = fe.bits.  Both
+    pinned boxes hold a point y (the parameters, or a decimal's interval);
+    with E = err / 2^bits, the b-window lies within 2 E_b of form(y), and
+    form(y) within E_64 of M.  So m = 1 + err_64 + ceil(2 err_b 2^(64 - b))
+    suffices: 1, plus |k| times s_64 + ceil(2 s_b 2^(64 - b)) summed over
+    the spreads s of the pins and, with weight 1, of the offset."""
+    vectors = np.asarray(vectors, dtype=np.int64)
     pins, off, off_err = fe.pin(64)
     wide, _, wide_err = fe.pin(fe.bits)
     spreads = [(off_err, wide_err)] + [(s, t) for (_, s), (_, t) in zip(pins, wide)]
     w = [s - (-2 * sb << 64 >> fe.bits) for s, sb in spreads]
     cols = np.abs(vectors.T)
-    top = w[0] + sum(x * int(c.max(initial=0)) for x, c in zip(w[1:], cols))
-    if lane_margin([top]) is None:
-        return None
+    top = 1 + w[0] + sum(x * int(c.max(initial=0)) for x, c in zip(w[1:], cols))
     M = np.full(len(vectors), off % _U64, dtype=np.uint64)
-    m = np.full(len(vectors), w[0], dtype=np.uint64)
+    m = None if top >> 62 else np.full(len(vectors), 1 + w[0], dtype=np.uint64)
     for (pin, _), x, k, c in zip(pins, w[1:], vectors.T, cols):
         M = _wrap(M, np.uint64(pin % _U64), k.astype(np.uint64))
-        m += np.uint64(x) * c.astype(np.uint64)
-    return np.minimum(M, -M), m
+        if m is not None:
+            m += np.uint64(x) * c.astype(np.uint64)
+    return M, m
 
 
 def orbit_lane(fe: FormEvaluator, Q: int, b: int) -> Optional[tuple]:
     """The points {q x}, q = 1..Q, of the evaluator's one parameter x in
     increasing order, certified on the 2^-64 grid: (order, keys, margin)
-    with order[i] = q - 1 for the i-th smallest point, keys[i] = q P mod
-    2^64 for the pin x 2^64 in [P, P + s] and margin = Q s + 1, so that the
-    point lies in [keys[i], keys[i] + margin) / 2^64.  None when the order
-    is not certified; the caller then sorts on its exact rung b.
+    with order[i] = q - 1 for the i-th smallest point, keys[i] its
+    `form_lane` residue q P mod 2^64 and margin the rows' largest, so that
+    the point lies within margin - 1 of keys[i] / 2^64.  None when the
+    order is not certified; the caller then sorts on its exact rung b.
 
     Certified, the order is that of the exact rung b, and b's own check
     (points more than err_b = Q spread_b from 0, from 1 and from each
-    other) passes.  Let y = {q x'} for an x' in both pins.  A key k >= 1
-    with k + Q s < 2^64 does not wrap, so y 2^64 lies in [k, k + Q s]; keys
-    more than Q s + 1 apart order their points at least 2 apart on the
-    2^-64 grid.  The rung-b point is y 2^b - eps with 0 <= eps <= err_b, and
-    3 err_b < 2^(b-64) keeps it more than err_b from 0 and 2^b, and
-    neighbours at least 2^(b-63) - err_b > 2 err_b apart in the same order."""
+    other) passes.  Let y = {q x'} for an x' in the pins at 64 bits, at
+    fe.bits and at b.  A key in [margin, 2^64 - margin] puts y 2^64 within
+    margin - 1 of it, in [1, 2^64 - 1], and keys more than 2 margin apart
+    order their points more than 2 apart on the 2^-64 grid.  The rung-b
+    point is y 2^b - eps with 0 <= eps <= err_b, and 3 err_b < 2^(b-64)
+    keeps it more than err_b from 0 and 2^b, and neighbours more than
+    2^(b-63) - err_b > 2 err_b apart in the same order."""
     if b <= 64:
         return None
-    (pin, spread), = fe.pin(64)[0]
     (_, spread_b), = fe.pin(b)[0]
-    margin = Q * spread + 1
-    if 3 * Q * spread_b >= 1 << (b - 64) or margin >= _U64:
+    if 3 * Q * spread_b >= 1 << (b - 64):
         return None
-    keys = _wrap(np.uint64(0), np.uint64(pin % _U64),
-                 np.arange(1, Q + 1, dtype=np.uint64))
+    keys, m = form_lane(fe, np.arange(1, Q + 1)[:, None])
+    if m is None:
+        return None
+    margin = int(m.max())
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    if keys[0] < 1 or int(keys[-1]) + margin > _U64:
+    if keys[0] < margin or int(keys[-1]) > _U64 - margin:
         return None
-    if not (np.diff(keys) > np.uint64(margin)).all():
+    if not (np.diff(keys) > np.uint64(2 * margin)).all():
         return None
     return order, keys, margin

@@ -82,8 +82,8 @@ MUTANTS = (
            "if below < 0:",
            ("tests/test_realnum.py",)),
     Mutant("lane-margin-limit-2^64", "realnum.py",
-           "if any(v >> 62 for v in values):",
-           "if any(v >> 64 for v in values):",
+           "m = None if top >> 62 else",
+           "m = None if top >> 64 else",
            ("tests/test_realnum.py",)),
     Mutant("lane-sure-without-margin", "realnum.py",
            "return thr_lo - np.minimum(thr_lo, margin), thr_hi + margin",
@@ -105,6 +105,11 @@ MUTANTS = (
            "groups.setdefault(p.canonical(), []).append(i)",
            "groups.setdefault(i, []).append(i)",
            ("tests/test_realnum.py",)),
+    Mutant("doubly-metric-without-negative-k1", "gallagher.py",
+           "for k1 in list(range(-N, 0)) + list(range(1, N + 1))",
+           "for k1 in range(1, N + 1)",
+           ("tests/test_acceptance.py"
+            "::test_criterion_10_against_the_failure_measure",)),
 )
 
 

@@ -23,6 +23,7 @@ from mdl.circlesets import (
     CircleSet,
     PsiRangeError,
     _canonicalize,
+    _gamma_grid,
     _gamma_pin,
     _psi_lookup,
     aq_pair_measure_raw,
@@ -217,6 +218,29 @@ def pair_measure(fam, q: int, qp: int) -> Enclosure:
     """|A_q intersect A_q'| of an AqFamily as an enclosure."""
     lo, hi, CD = fam.pair_raw(q, qp)
     return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
+
+
+def doubly_metric_measure(gamma, H_prime: int, N: int, bits: int = 64) -> Enclosure:
+    """The measure of the beta that `doubly_metric_sample` counts as
+    failing: the union over the pairs k1 in +-[1, N], k2 in [1, N], h =
+    max(|k1|, k2) >= 2, of the k2 arcs (j - k1 gamma +- h^-H') / k2.  With
+    gamma within `slack` of its pinned g, each centre lies within |k1|
+    slack / k2 of the one built from g: the arcs shrunk by that much lie
+    inside the set, and the arcs grown by it cover the set."""
+    g, slack = _gamma_grid(gamma, bits)
+    inner, outer = [], []
+    for k1 in range(-N, N + 1):
+        for k2 in range(1, N + 1):
+            h = max(abs(k1), k2)
+            if k1 == 0 or h < 2:
+                continue
+            r, e = Fraction(1, k2 * h ** H_prime), abs(k1) * slack / k2
+            for j in range(k2):
+                c = (j - k1 * g) / k2
+                inner.append((c - r + e, c + r - e))
+                outer.append((c - r - e, c + r + e))
+    return Enclosure(CircleSet(_canonicalize(inner)).measure_bounds().lo,
+                     CircleSet(_canonicalize(outer)).measure_bounds().hi)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import oracles
+import pytest
 
 from mdl import arith, cfrac, circlesets, discrepancy, gallagher
 from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime, SupportState
@@ -305,3 +306,23 @@ def test_criterion_10_doubly_metric():
     gate("criterion-10 doubly metric proxy", ok,
          f"failure fraction {float(r.fraction):.3f} <= 2x bound "
          f"{float(2 * bound.lo):.2f}")
+
+
+@pytest.mark.parametrize("Hp", [3, 6])
+def test_criterion_10_against_the_failure_measure(Hp):
+    """The sampled failure fraction of doubly_metric_sample(sqrt 2, H', N =
+    12, 4000 samples, seed 7) lies within Hoeffding's eps = sqrt(ln(2/delta)
+    / 2n) < 0.043 (delta = 1e-6) of the measure of the set it samples
+    (`oracles.doubly_metric_measure`); on the 2^-64 grid of the samples that
+    measure moves by less than 2^-40.  The measure stays below the union
+    bound sum_{h=2}^{N} (8h - 4) h^-H' of the pairs tested."""
+    n, N, eps = 4000, 12, F(43, 1000)
+    assert math.sqrt(math.log(2 / 1e-6) / (2 * n)) < eps
+    r = gallagher.doubly_metric_sample(SQRT2, Hp, N, n, seed=7)
+    m = oracles.doubly_metric_measure(SQRT2, Hp, N)
+    bound = sum(F(8 * h - 4, h ** Hp) for h in range(2, N + 1))
+    assert m.hi <= bound
+    ok = m.lo - eps - F(1, 2**40) <= r.fraction <= m.hi + eps + F(1, 2**40)
+    gate(f"criterion-10 failure measure H'={Hp}", ok,
+         f"failure fraction {float(r.fraction):.4f}, measure "
+         f"[{float(m.lo):.4f}, {float(m.hi):.4f}]")

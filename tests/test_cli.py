@@ -414,6 +414,32 @@ def test_unusable_input_is_a_config_error(argv, message, capsys):
     assert f"config error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("gl-census --beta sqrt:2 --omega 1/0 --Q 10", "omega"),
+    ("f-moments --beta sqrt:2 --omega 1/0 --Q 10 --l 1 --K 1", "omega"),
+    ("psi-prime --psi overq:1/4 --beta sqrt:2 --omega main2@1/0 --q 3", "omega"),
+    ("psi-prime --psi overq:1/4 --beta sqrt:2 --omega cubic@1 --q 3", "omega"),
+    ("etk-auto --gamma sqrt:2 --beta sqrt:3 --N 10 --sigma 1/0", "sigma"),
+    ("doubly-metric --gamma sqrt:2 --H-prime 1/0 --N 5 --samples 4", "H-prime"),
+])
+def test_a_bad_fraction_is_a_config_error(argv, flag, tmp_path, capsys):
+    """omega, sigma and H' are checked when parsed, on the command line
+    and in a config file alike; none of them reaches a traceback."""
+    words = shlex.split(argv)
+    i = words.index(f"--{flag}")
+    value = words.pop(i + 1)
+    words.pop(i)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{flag}={value}\n")
+    for args in (shlex.split(argv), words + ["--config", str(cfg)]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: " in captured.err
+        assert f"argument --{flag}: " in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_disc_on_a_rational_orbit(capsys):
     """{q/3} sits on the grid lines of m = 3 and is decided exactly."""
     assert main(shlex.split("disc --alpha rat:1/3 --beta sqrt:2 --Q 5 --m 3")) == 0

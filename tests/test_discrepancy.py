@@ -228,7 +228,8 @@ def _lane(alpha, Q, cap=4096):
 def test_orbit_lane_certifies_irrational_orbits(alpha):
     order, keys, margin = _lane(alpha, 10**5)
     assert sorted(order.tolist()) == list(range(10**5))
-    assert (np.diff(keys) > margin).all()
+    assert (np.diff(keys) > 2 * margin).all()
+    assert margin <= keys[0] and keys[-1] <= 2**64 - margin
 
 
 @pytest.mark.parametrize("alpha, cap", [("dec:1.4142135@1e-6", 4096),

@@ -33,6 +33,7 @@ from mdl.realnum import (
     Enclosure,
     FormEvaluator,
     RealParam,
+    form_lane,
     lane_threshold,
     param_evaluator,
     parse_param,
@@ -703,10 +704,11 @@ def test_count_for_sends_a_loose_pin_near_the_wall_to_the_exact_path(sqrt2):
     g = parse_param("dec:0.3@1e-9")
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
     sweep = _HitSweep(g, pp, 8, direct=True)
-    (G, spread), = sweep.fe.pin(64)[0]
-    assert spread > 2**30
+    _, (margin,) = form_lane(sweep.fe, [[-1]])
+    assert margin > 2**30
     # ||x - gamma|| pinned one unit under psi(1) on the 2^-64 grid
-    k = (G - lane_threshold(*sweep._thresholds[1])[0] + 1) % 2**64
+    thr_lo, _ = lane_threshold(*sweep._thresholds[1])
+    k = (1 - thr_lo - int(sweep.offset[0])) % 2**64
     exact = [sweep._exact_hit(q, F(k, 2**64)) for q in range(1, 9)]
     assert exact[0] is None
     res = sweep.count_for(k)

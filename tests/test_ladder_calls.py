@@ -1,7 +1,11 @@
 """A predicate on a form is decided by `FormEvaluator.decide`, the one
 precision ladder for it.  Any other loop over `precision_ladder` in
 `src/mdl` raises something other than a form's precision, and says what
-here; a new one fails this test until it does."""
+here; a new one fails this test until it does.
+
+Likewise a pinned form meets the 2^-64 grid in one place: only
+`realnum.form_lane` reads the 64-bit pins, and only `realnum._wrap` lets
+numpy wrap around."""
 
 import ast
 from pathlib import Path
@@ -31,7 +35,8 @@ ALLOWED = {
 }
 
 
-def _ladder_callers():
+def _callers(matches):
+    """(module, function) of every call in `src/mdl` that `matches`."""
     found = set()
 
     def visit(node, module, scope):
@@ -44,7 +49,7 @@ def _ladder_callers():
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else \
                     f.attr if isinstance(f, ast.Attribute) else None
-                if name == "precision_ladder":
+                if matches(name, child.args):
                     found.add((module, ".".join(scope) or "<module>"))
             visit(child, module, scope)
 
@@ -54,7 +59,17 @@ def _ladder_callers():
 
 
 def test_every_ladder_is_decide_or_says_why():
-    callers = _ladder_callers()
+    callers = _callers(lambda name, _: name == "precision_ladder")
     assert sorted(callers - ALLOWED.keys()) == []
     # an entry whose function no longer climbs a ladder is dropped here too
     assert sorted(ALLOWED.keys() - callers) == []
+
+
+def _pins_at_64(name, args):
+    return name == "pin" and len(args) == 1 and \
+        isinstance(args[0], ast.Constant) and args[0].value == 64
+
+
+def test_one_lane_reads_the_64_bit_pins():
+    assert _callers(_pins_at_64) == {("realnum", "form_lane")}
+    assert _callers(lambda name, _: name == "errstate") == {("realnum", "_wrap")}

@@ -20,9 +20,8 @@ from mdl.realnum import (
     RealParam,
     _LANE_CLAMP,
     ball_lane,
-    lane_array,
+    form_lane,
     lane_bounds,
-    lane_margin,
     log2_enclosure,
     neg_log2_enclosure,
     nth_root_enclosure,
@@ -333,14 +332,27 @@ def test_positive_windows_climb_from_the_next_rung(monkeypatch):
     assert bits == []
 
 
+def _u64(values):
+    return np.array([v % 2**64 for v in values], dtype=np.uint64)
+
+
 def test_lane_margin_stops_below_a_wrap():
-    """A margin of 2^62 or more could wrap d + margin past 2^64; the lane
-    then certifies nothing and sends every entry to the exact decision."""
-    assert lane_margin([0, 2**62 - 1]).tolist() == [0, 2**62 - 1]
-    assert lane_margin([5, 2**62]) is None
-    assert lane_margin([2**70]) is None
-    thr = lane_array([2**63, 2**63])
-    sure, maybe, _ = ball_lane(lane_array([0]), lane_array([1, 2]), 3,
+    """A margin of 2^62 or more could wrap d + margin past 2^64; `form_lane`
+    then gives its residues without margins, and the lane certifies nothing
+    and sends every entry to the exact decision.  The margin of k = +-1 is
+    1 + s_64 + ceil(2 s_128 2^-64) for the pins' spreads s: 2^59 + 2^60 + 1
+    at radius 1/64, and 3 2^61 + 1, in [2^62, 2^64), at radius 1/16."""
+    for radius, fits in (("1/64", True), ("1/16", False)):
+        fe = FormEvaluator([parse_param(f"dec:0.5@{radius}")])
+        (P, s), = fe.pin(64)[0]
+        (_, s_wide), = fe.pin(128)[0]
+        want = 1 + s - (-2 * s_wide >> 64)
+        assert (want < 2**62) == fits and want < 2**64
+        M, m = form_lane(fe, [[1], [-1]])
+        assert M.tolist() == [P % 2**64, -P % 2**64]
+        assert (None if m is None else m.tolist()) == ([want] * 2 if fits else None)
+    thr = _u64([2**63, 2**63])
+    sure, maybe, _ = ball_lane(_u64([0]), _u64([1, 2]), 3,
                                *lane_bounds(thr, thr, None))
     assert not sure.any() and maybe.all()
 
@@ -374,7 +386,7 @@ def test_ball_lane_bounds_match_the_margin_formula(rows, k, wide):
     the margin formula, for margins above thr_lo, thresholds at 0 and at
     the clamp, and a pin too wide for the lane (margin None); neither bound
     wraps."""
-    off, mult, lo, hi, m = (lane_array(c) for c in zip(*rows))
+    off, mult, lo, hi, m = (_u64(c) for c in zip(*rows))
     margin = None if wide else m
     sure_below, maybe_below = lane_bounds(lo, hi, margin)
     if not wide:

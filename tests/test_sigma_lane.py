@@ -55,22 +55,22 @@ def test_lane_matches_the_full_scan(params, N, cap):
 
 def test_the_lane_refuses_a_wide_decimal():
     fe = FormEvaluator([parse_param(WIDE)])
-    assert form_lane(fe, np.arange(2, 81, dtype=np.int64)[:, None]) is None
+    assert form_lane(fe, np.arange(2, 81, dtype=np.int64)[:, None])[1] is None
 
 
 @given(params=st.tuples(atom, atom),
        vec=st.tuples(st.integers(-200, 200), st.integers(-200, 200)))
 @settings(max_examples=150, deadline=None)
 def test_the_lane_window_holds_the_exact_one(params, vec):
-    """[d - m, d + m] / 2^64 holds the window positive_windows takes at
-    fe.bits, where the lane answers at all."""
+    """[d - m + 1, d + m - 1] / 2^64, d = min(M, -M), holds the window
+    positive_windows takes at fe.bits, where the lane answers at all."""
     fe = FormEvaluator([parse_param(p) for p in params])
-    lane = form_lane(fe, np.array([vec], dtype=np.int64))
-    if lane is None:
+    (M,), m = form_lane(fe, np.array([vec], dtype=np.int64))
+    if m is None:
         return
-    d, m = int(lane[0][0]), int(lane[1][0])
+    d, r = min(int(M), 2**64 - int(M)), int(m[0]) - 1
     lo, hi, b = fe.dist_window(vec)
-    assert (d - m) << (b - 64) <= lo and hi <= (d + m) << (b - 64)
+    assert (d - r) << (b - 64) <= lo and hi <= (d + r) << (b - 64)
 
 
 def test_only_the_top_band_reaches_the_exact_windows(sqrt2, sqrt3):
