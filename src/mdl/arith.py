@@ -128,8 +128,8 @@ def _brent_factor(n: int) -> int:
     raise ArithmeticError(f"no factor of {n} found")
 
 
-def divisors_of(q: int, sieve_bound: int = DEFAULT_SIEVE_BOUND) -> list:
-    fac = factorize(q, sieve_bound)
+def divisors_of(q: int) -> list:
+    fac = factorize(q)
     divs = [1]
     for p, e in fac.items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
@@ -155,13 +155,13 @@ def _log2_cached(n: int, bits: int) -> Enclosure:
     return log2_enclosure(n, bits)
 
 
-def F_of(q: int, width_bits: int = 32) -> Enclosure:
-    """Enclosure of F(q) = sum over r|q of log2(r)/r, width <= 2^-width_bits."""
+def F_of(q: int) -> Enclosure:
+    """Enclosure of F(q) = sum over r|q of log2(r)/r, width <= 2^-32."""
     if q < 1:
         raise ValueError("F needs q >= 1")
     divs = divisors_of(q)
-    # per-term slack: width_bits + headroom for the number of terms
-    bits = width_bits + max(len(divs).bit_length(), 1) + 1
+    # per-term slack: 32 bits + headroom for the number of terms
+    bits = 32 + max(len(divs).bit_length(), 1) + 1
     lo = Fraction(0)
     hi = Fraction(0)
     for r in divs:

@@ -212,28 +212,32 @@ def _hull(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
-def sigma_single(gamma: RealParam, N: int, cap: int = DEFAULT_PRECISION_CAP,
-                 allow_decimal: bool = False) -> SigmaEntry:
+def _check_sigma_args(N: int, *params: RealParam) -> None:
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if not all(p.is_irrational for p in params):
+        raise ValueError("sigma needs certified irrationals (sqrt:, log2: or "
+                         "const:), not rationals or decimal literals")
+
+
+def sigma_single(gamma: RealParam, N: int,
+                 cap: int = DEFAULT_PRECISION_CAP) -> SigmaEntry:
     """sigma_gamma(N) = max over 2 <= n <= N of -log2||n*gamma|| / log2 n.
 
     Heights below 2 are excluded: log2(1) = 0 leaves the exponent undefined
-    and the defining inequality is vacuous there.
+    and the defining inequality is vacuous there.  A rational or decimal
+    gamma raises ValueError: `_best_candidate` drops candidates by their
+    lower exponent bounds, sound only on tight windows, and on a decimal's
+    wide ones the enclosure can miss sigma(t) for reals t in the radius.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if gamma.is_rational:
-        raise ValueError("sigma is not well defined for rational parameters")
-    if gamma.is_decimal and not allow_decimal:
-        raise ValueError("decimal literal is secretly rational; sigma needs "
-                         "a certified irrational (allow_decimal=True to override)")
+    _check_sigma_args(N, gamma)
     enc, witness = _best_candidate(np.arange(2, N + 1, dtype=np.int64)[:, None],
                                    param_evaluator(gamma, cap), cap)
     return SigmaEntry(N, enc, witness)
 
 
 def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
-               cap: int = DEFAULT_PRECISION_CAP,
-               allow_decimal: bool = False) -> SigmaEntry:
+               cap: int = DEFAULT_PRECISION_CAP) -> SigmaEntry:
     """sigma_(gamma,beta)(N): max over pairs with max(|k1|,|k2|) in [2, N],
     not both zero, of -log2||k1*g + k2*b|| / log2 max(|k1|,|k2|).
 
@@ -243,16 +247,10 @@ def sigma_pair(gamma: RealParam, beta: RealParam, N: int,
     Raises DependenceError, naming the first such vector of the scan, when
     some ||k1*g + k2*b|| is exactly 0 (detected syntactically, e.g. gamma ==
     beta at (1,-1)) or cannot be separated from 0 at the cap (e.g. sqrt 2
-    and sqrt 8 at (2,-1)).
+    and sqrt 8 at (2,-1)).  Like `sigma_single`, it raises ValueError on a
+    rational or decimal parameter.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    for p in (gamma, beta):
-        if p.is_rational:
-            raise ValueError("sigma is not well defined for rational parameters")
-        if p.is_decimal and not allow_decimal:
-            raise ValueError("decimal literal is secretly rational; sigma needs "
-                             "certified irrationals (allow_decimal=True to override)")
+    _check_sigma_args(N, gamma, beta)
     fe = FormEvaluator([gamma, beta], 0, cap=cap)
     # syntactic dependence first: k1 gamma + k2 beta collapses only when
     # both share one group, and then exactly when k1 + k2 = 0, so the first
@@ -304,15 +302,15 @@ def _omega(q: int, c: Fraction, levels: int) -> Fraction:
     return _round_down_inv_sqrt(_loglog_enclosure(q, levels), c)
 
 
-def _loglog_enclosure(q: int, levels: int, bits: int = 64) -> Enclosure:
+def _loglog_enclosure(q: int, levels: int) -> Enclosure:
     """Iterated base-2 log of an integer, `levels` deep, as an enclosure:
     each level takes the log2 of the bounds [lo, hi] / 2^w of the last."""
-    lo, hi, w = log2_scaled(q, bits)
+    lo, hi, w = log2_scaled(q, 64)
     for _ in range(levels - 1):
         if lo <= 0:
             raise ValueError("iterated log not positive")
-        lo = log2_ratio(lo, 1 << w, bits)[0]
-        hi = log2_ratio(hi, 1 << w, bits)[1]
+        lo = log2_ratio(lo, 1 << w, 64)[0]
+        hi = log2_ratio(hi, 1 << w, 64)[1]
     return Enclosure.dyadic(lo, hi, w)
 
 

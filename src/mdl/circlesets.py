@@ -259,16 +259,9 @@ def aq_pair_measure_raw(rho: tuple, rhop: tuple, q: int, qp: int,
 
 
 def _psi_lookup(psi, q: int) -> Enclosure:
-    """Normalize the accepted psi forms (callable, mapping, constant)."""
-    if callable(psi):
-        v = psi(q)
-    elif hasattr(psi, "__getitem__"):
-        v = psi[q]
-    else:
-        v = psi
-    if isinstance(v, Enclosure):
-        return v
-    return Enclosure.exact(Fraction(v))
+    """psi(q) from a callable or a mapping, as an enclosure."""
+    v = psi(q) if callable(psi) else psi[q]
+    return v if isinstance(v, Enclosure) else Enclosure.exact(Fraction(v))
 
 
 EMPTY, FULL, MAYBE_FULL = "empty", "full", "maybe-full"

@@ -63,7 +63,9 @@ def _grammar(parse):
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, KeyError, ZeroDivisionError) as e:
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+        except (ValueError, KeyError) as e:
             raise argparse.ArgumentTypeError(str(e))
     return convert
 

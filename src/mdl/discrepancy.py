@@ -116,8 +116,7 @@ def box_count(params: Sequence[RealParam], Q: int, box,
 # ---------------------------------------------------------------------------
 
 def star_discrepancy_1d(alpha: RealParam, Q: int,
-                        cap: int = DEFAULT_PRECISION_CAP,
-                        allow_decimal: bool = False) -> Enclosure:
+                        cap: int = DEFAULT_PRECISION_CAP) -> Enclosure:
     """Exact anchored (star) discrepancy D* of {q*alpha}, q = 1..Q:
     D* = 1/(2Q) + max_i |x_(i) - (2i-1)/(2Q)| on the sorted points.
 
@@ -129,14 +128,12 @@ def star_discrepancy_1d(alpha: RealParam, Q: int,
     on uint64 keys when b is the first rung; then a float64 pass over the
     keys leaves only the few points near the maximum to evaluate as ints on
     rung b.  Otherwise every point is sorted as an int, rung after rung.
-    Both routes give the same enclosure.
+    Both routes give the same enclosure.  A decimal's pins cover its
+    radius, so the enclosure holds D* of every real in it.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if alpha.is_decimal and not allow_decimal:
-        raise ValueError("decimal literal is secretly rational; pass "
-                         "allow_decimal=True to accept the approximation")
-    if not alpha.is_irrational and not alpha.is_decimal:
+    if alpha.is_rational:
         raise ValueError("star discrepancy needs an irrational parameter")
     fe = param_evaluator(alpha, cap)
     lane = orbit_lane(fe, Q, next(precision_ladder(fe.bits, cap)))

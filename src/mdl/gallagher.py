@@ -152,13 +152,13 @@ class ApproxFunction:
         """Whether every value is an exact rational (const, overq, table)."""
         return self.tag in ("const", "overq", "table")
 
-    def eval(self, q: int, bits: int = 64) -> Enclosure:
+    def eval(self, q: int) -> Enclosure:
         """psi(q) as an enclosure (exact for const/overq/table)."""
-        lo, hi, den = self.window(q, bits)
+        lo, hi, den = self.window(q)
         v = Fraction(lo, den)
         return Enclosure(v, v if hi == lo else Fraction(hi, den))
 
-    def window(self, q: int, bits: int = 64) -> tuple:
+    def window(self, q: int) -> tuple:
         """(lo, hi, den) with psi(q) in [lo, hi] / den, on ints: lo = hi
         for const/overq/table, den = 2^PSI_BITS for the log families."""
         if q < 1:
@@ -174,19 +174,19 @@ class ApproxFunction:
         if q < (3 if d else 2):
             raise ValueError(f"psi family {self.tag} undefined at q={q}")
         # the denominator q^a lg^b llg^d lies in [den_lo, den_hi] / 2^e
-        lg_lo, lg_hi, w = log2_scaled(q, bits)
+        lg_lo, lg_hi, w = log2_scaled(q, 64)
         den_lo, den_hi, e = q ** a * lg_lo ** b, q ** a * lg_hi ** b, w * b
         if d:
             # llg = log2 lg from the log2 of the bounds of lg on their grid
-            ll_lo = log2_ratio(lg_lo, 1 << w, bits)[0]
-            ll_hi = log2_ratio(lg_hi, 1 << w, bits)[1]
+            ll_lo = log2_ratio(lg_lo, 1 << w, 64)[0]
+            ll_hi = log2_ratio(lg_hi, 1 << w, 64)[1]
             if ll_lo <= 0:
                 raise ValueError(f"psi family {self.tag} undefined at q={q}")
             if d == HALF:
-                # sqrt(llg) on the 2^-bits grid, as rational_power takes it
-                ll_lo = math.isqrt((ll_lo << 2 * bits) >> w)
-                ll_hi = math.isqrt((ll_hi << 2 * bits) >> w) + 1
-                w, d = bits, 1
+                # sqrt(llg) on the 2^-64 grid, as rational_power takes it
+                ll_lo = math.isqrt((ll_lo << 128) >> w)
+                ll_hi = math.isqrt((ll_hi << 128) >> w) + 1
+                w, d = 64, 1
             den_lo *= ll_lo ** d
             den_hi *= ll_hi ** d
             e += w * d
@@ -813,11 +813,7 @@ def hit_count(x, gamma, pp: PsiPrime, Q: int, direct: bool = False,
     q in the support with psi(q) > 0 and ||q beta - g'|| exactly 0 satisfy
     the product test vacuously; they are counted and flagged as degenerate.
     """
-    x = Fraction(x) if not isinstance(x, RealParam) else x
-    if isinstance(x, RealParam):
-        if not x.is_rational:
-            raise ValueError("hit counting samples must be rational")
-        x = x.value
+    x = Fraction(x)
     sweep = _HitSweep(gamma, pp, Q, direct, cap=cap)
     if x.denominator & (x.denominator - 1) == 0 and x.denominator <= _U64:
         k = x.numerator * (_U64 // x.denominator) % _U64
@@ -876,8 +872,8 @@ class DoublyMetricResult:
     union_bound: Enclosure
 
 
-def doubly_metric_union_bound(N: int, H_prime: Fraction) -> Enclosure:
-    """sum_{k <= N} 4 k^(1 - H') (exact for integer H').
+def doubly_metric_union_bound(N: int, H_prime) -> Enclosure:
+    """sum_{k <= N} 4 k^(1 - H'), exactly, for an integer H' >= 1.
 
     This is not the union bound of the pairs that `doubly_metric_sample`
     tests.  Those are the 4h - 2 pairs of each height h = max(|k1|, k2) from
@@ -885,16 +881,10 @@ def doubly_metric_union_bound(N: int, H_prime: Fraction) -> Enclosure:
     is sum_{h=2}^{N} (8h - 4) h^-H'.  The sum here counts about half of
     them per height, and stays above the sampled fraction only through its
     k = 1 term, 4, which covers no tested pair."""
-    Hp = Fraction(H_prime)
-    if Hp.denominator == 1:
-        e = int(Hp) - 1
-        return Enclosure.exact(exact_sum([(4, k ** e)
-                                          for k in range(1, N + 1)]))
-    p, s = (Hp - 1).numerator, (Hp - 1).denominator
-    ts = [rational_power(Enclosure.exact(Fraction(k)), p, s, bits=48)
-          for k in range(1, N + 1)]
-    return Enclosure(exact_sum([(4 / t.hi).as_integer_ratio() for t in ts]),
-                     exact_sum([(4 / t.lo).as_integer_ratio() for t in ts]))
+    if Fraction(H_prime).denominator != 1 or H_prime < 1:
+        raise ValueError("the union bound needs an integer H' >= 1")
+    e = int(H_prime) - 1
+    return Enclosure.exact(exact_sum([(4, k ** e) for k in range(1, N + 1)]))
 
 
 def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,

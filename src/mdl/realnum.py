@@ -779,11 +779,10 @@ class FormEvaluator:
         m = acc % scale
         return (m if 2 * m <= scale else m - scale), err, b
 
-    def dist_window(self, coeffs: Sequence[int], bits: int | None = None,
-                    shift: RationalLike = 0):
+    def dist_window(self, coeffs: Sequence[int], bits: int | None = None):
         """(d_lo, d_hi, scale_bits): rigorous integer window for
-        ||sum k_i x_i + c + shift|| scaled by 2^scale_bits."""
-        s, err, b = self.frac_window(coeffs, bits, shift)
+        ||sum k_i x_i + c|| scaled by 2^scale_bits."""
+        s, err, b = self.frac_window(coeffs, bits)
         lo, hi, _ = frac_to_dist(s, err, 1 << b)
         return lo, hi, b
 

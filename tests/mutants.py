@@ -110,6 +110,21 @@ MUTANTS = (
            "for k1 in range(1, N + 1)",
            ("tests/test_acceptance.py"
             "::test_criterion_10_against_the_failure_measure",)),
+    Mutant("orbit-lane-without-min-key", "realnum.py",
+           "if keys[0] < margin or int(keys[-1]) > _U64 - margin:",
+           "if int(keys[-1]) > _U64 - margin:",
+           ("tests/test_discrepancy.py"
+            "::test_star_discrepancy_matches_the_exact_sort",)),
+    Mutant("grid-box-max-without-min-r", "discrepancy.py",
+           "np.ptp(g[a1 + 1:] - g[a1], axis=1)",
+           "np.max(g[a1 + 1:] - g[a1], axis=1)",
+           ("tests/test_discrepancy.py"
+            "::test_grid_box_max_matches_the_box_scan",)),
+    Mutant("star-window-without-err", "discrepancy.py",
+           "max(0, vmax - 2 * Q * err)",
+           "max(0, vmax)",
+           ("tests/test_discrepancy.py"
+            "::test_a_decimal_holds_over_its_radius",)),
 )
 
 

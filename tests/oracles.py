@@ -51,9 +51,9 @@ from mdl.realnum import (
 # Checks that only the tests call
 # ---------------------------------------------------------------------------
 
-def eval_checked(psi, q: int, bits: int = 64) -> Enclosure:
+def eval_checked(psi, q: int) -> Enclosure:
     """psi(q), or ValueError when it reaches 1/2."""
-    v = psi.eval(q, bits)
+    v = psi.eval(q)
     if not v.hi < HALF:
         raise ValueError(f"psi({q}) = {v} reaches 1/2; domain starts at {psi.q0}")
     return v
@@ -125,14 +125,14 @@ def spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def F_sum_direct(Q: int, width_bits: int = 24) -> Enclosure:
+def F_sum_direct(Q: int) -> Enclosure:
     """sum_{q <= Q} F(q) by per-q divisor enumeration; the independent slow
     route used to cross-check the divisor-swap identity."""
     shift = 64
     lo_acc = 0
     hi_acc = 0
     for q in range(1, Q + 1):
-        e = F_of(q, width_bits=width_bits)
+        e = F_of(q)
         lo_acc += math.floor(e.lo * (1 << shift))
         hi_acc += math.ceil(e.hi * (1 << shift))
     return Enclosure(Fraction(lo_acc, 1 << shift), Fraction(hi_acc, 1 << shift))
@@ -376,11 +376,12 @@ def neg_log2_fraction(x: Enclosure, bits: int) -> Enclosure:
     return Enclosure(neg_log2(x.hi, False), neg_log2(x.lo, True))
 
 
-def psi_eval(psi, q: int, bits: int = 64) -> Enclosure:
-    """psi(q) by Enclosure arithmetic, quantized once for the formula
-    families that take logarithms."""
+def psi_eval(psi, q: int) -> Enclosure:
+    """psi(q) by Enclosure arithmetic on 64-bit logarithms, quantized once
+    for the formula families that take logarithms."""
     if psi.tag not in ("ev", "mono2", "log2sq"):
-        return psi.eval(q, bits)
+        return psi.eval(q)
+    bits = 64
     a, b, d = _FAMILY_EXPONENTS[psi.tag]
     lg = log2_fraction(q, bits)
     den = Enclosure.exact(Fraction(q ** a))

@@ -107,10 +107,9 @@ def test_sigma_single_rejects(sqrt2):
         sigma_single(RealParam.decimal("1.41", F(1, 10**6)), 5)
     with pytest.raises(ValueError):
         sigma_single(sqrt2, 1)
-    # override admits the literal
-    entry = sigma_single(RealParam.decimal("1.414213562373", F(1, 10**12)), 4,
-                         allow_decimal=True)
-    assert entry.witness
+    # however tight, a decimal literal stands for every real in its radius
+    with pytest.raises(ValueError, match="certified irrationals"):
+        sigma_single(RealParam.decimal("1.414213562373", F(1, 10**12)), 4)
 
 
 def test_sigma_monotone(sqrt2):
@@ -130,16 +129,15 @@ def test_sigma_pair_examples(sqrt2, sqrt3):
         sigma_pair(sqrt2, RealParam.sqrt(8), 6)
 
 
-def test_sigma_pair_equal_decimals_collapse_at_the_first_witness():
+def test_sigma_pair_refuses_decimals(sqrt2):
+    """A decimal in either place is refused before any scan, equal
+    literals included, and the message names no Python keyword."""
     dec = RealParam.decimal("1.4142", F(1, 10**6))
-    with pytest.raises(DependenceError) as exc:
-        sigma_pair(dec, RealParam.decimal("1.4142", F(1, 10**6)), 30,
-                   allow_decimal=True)
-    assert exc.value.witness == (1, -1)
-    assert str(exc.value) == "rational dependence detected: witness (1, -1)"
-    # distinct literals share no group: no syntactic refusal
-    assert sigma_pair(dec, RealParam.decimal("1.7320", F(1, 10**6)), 3,
-                      allow_decimal=True).witness
+    for params in ((dec, dec), (dec, sqrt2), (sqrt2, dec)):
+        with pytest.raises(ValueError) as exc:
+            sigma_pair(*params, 30)
+        assert "certified irrationals" in str(exc.value)
+        assert "=" not in str(exc.value)
 
 
 def test_sigma_pair_dominates_single(sqrt2, sqrt3):

@@ -421,10 +421,15 @@ def test_unusable_input_is_a_config_error(argv, message, capsys):
     ("psi-prime --psi overq:1/4 --beta sqrt:2 --omega cubic@1 --q 3", "omega"),
     ("etk-auto --gamma sqrt:2 --beta sqrt:3 --N 10 --sigma 1/0", "sigma"),
     ("doubly-metric --gamma sqrt:2 --H-prime 1/0 --N 5 --samples 4", "H-prime"),
+    ("omega --q 3 --c 1/0", "c"),
+    ("hits --x 1/0 --gamma sqrt:3 --psi overq:1/4 --beta sqrt:2 --Q 9", "x"),
+    ("box-count --params sqrt:2 --Q 5 --box 0,1/0", "box"),
+    ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 3 --C0 1/0", "C0"),
 ])
 def test_a_bad_fraction_is_a_config_error(argv, flag, tmp_path, capsys):
-    """omega, sigma and H' are checked when parsed, on the command line
-    and in a config file alike; none of them reaches a traceback."""
+    """Rational flags are checked when parsed, on the command line and in
+    a config file alike; none of them reaches a traceback, and a zero
+    denominator is named as such."""
     words = shlex.split(argv)
     i = words.index(f"--{flag}")
     value = words.pop(i + 1)
@@ -437,7 +442,34 @@ def test_a_bad_fraction_is_a_config_error(argv, flag, tmp_path, capsys):
         assert captured.out == ""
         assert "config error: " in captured.err
         assert f"argument --{flag}: " in captured.err
+        if value.endswith("/0"):
+            assert f"zero denominator in {value!r}" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_disc_takes_a_decimal(capsys):
+    """The 1D star discrepancy holds for every real in a decimal's radius,
+    so `disc` prints its records."""
+    assert main(shlex.split("disc --alpha dec:1.41421356237@1e-11 --Q 100")) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in out[1:]] == ["star-disc",
+                                                      "star-disc-count-error"]
+
+
+@pytest.mark.parametrize("argv", [
+    "sigma --gamma dec:1.41421356237@1e-11 --N 50",
+    "sigma-pair --gamma sqrt:2 --beta dec:1.7320508@1e-7 --N 5",
+    "sigma-pair --gamma dec:1.4142@1e-6 --beta dec:1.4142@1e-6 --N 5",
+])
+def test_sigma_refuses_a_decimal(argv, capsys):
+    """sigma certifies no exponent for a decimal, and its refusal names
+    no Python keyword."""
+    assert main(shlex.split(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: " in captured.err
+    assert "allow_decimal" not in captured.err
+    assert "=True" not in captured.err
 
 
 def test_disc_on_a_rational_orbit(capsys):

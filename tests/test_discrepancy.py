@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -214,9 +215,41 @@ def test_star_discrepancy_matches_the_exact_sort(alpha, Q, cap):
         want = oracles.star_discrepancy_exact(x, Q, cap=cap)
     except CapExceeded:
         with pytest.raises(CapExceeded):
-            star_discrepancy_1d(x, Q, cap=cap, allow_decimal=True)
+            star_discrepancy_1d(x, Q, cap=cap)
         return
-    assert star_discrepancy_1d(x, Q, cap=cap, allow_decimal=True) == want
+    assert star_discrepancy_1d(x, Q, cap=cap) == want
+
+
+def _star_at(t: Fraction, Q: int) -> Fraction:
+    """D* of {q t}, q = 1..Q, for a rational t, sorted as exact ints."""
+    a, D = t.numerator, t.denominator
+    us = sorted(q * a % D for q in range(1, Q + 1))
+    v = max(abs(u * 2 * Q - (2 * i - 1) * D) for i, u in enumerate(us, 1))
+    return F(1, 2 * Q) + F(v, 2 * Q * D)
+
+
+def test_a_decimal_holds_over_its_radius():
+    """dec:m@r stands for every real in [m - r, m + r]: the enclosure holds
+    the exact D* at 11 evenly spaced points of the radius, its ends
+    included, for 30 seeded literals.  A literal whose radius keeps two
+    points, or a point and 0, apart at no rung is refused instead."""
+    rng = random.Random(19)
+    held = 0
+    for _ in range(30):
+        digits = rng.randint(8, 14)
+        whole, frac = divmod(rng.randrange(1, 4 * 10**digits), 10**digits)
+        x = RealParam.decimal(f"{whole}.{frac:0{digits}d}",
+                              F(1, 10 ** rng.randint(6, 10)))
+        Q = rng.randint(2, 200)
+        try:
+            d = star_discrepancy_1d(x, Q)
+        except CapExceeded:
+            continue
+        held += 1
+        for i in range(11):
+            t = x.value + x.radius * F(i - 5, 5)
+            assert d.lo <= _star_at(t, Q) <= d.hi, (x, Q, t)
+    assert held >= 25
 
 
 def _lane(alpha, Q, cap=4096):

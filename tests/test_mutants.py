@@ -1,5 +1,8 @@
 """The mutant catalogue stays applicable: each `old` text occurs exactly
-once in its file, and each named test file exists."""
+once in its file, each named test file exists, and each killer written
+`file::test_name` names a test function defined in that file."""
+
+import ast
 
 from mutants import MUTANTS, ROOT
 
@@ -11,4 +14,10 @@ def test_each_mutant_applies_exactly_once():
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old, m.name
         for killer in m.killers:
-            assert (ROOT / killer.partition("::")[0]).is_file(), m.name
+            path, _, test = killer.partition("::")
+            assert (ROOT / path).is_file(), m.name
+            if test:
+                tree = ast.parse((ROOT / path).read_text())
+                defined = {n.name for n in tree.body
+                           if isinstance(n, ast.FunctionDef)}
+                assert test in defined, (m.name, killer)

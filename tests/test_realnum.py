@@ -317,9 +317,9 @@ def test_positive_windows_climb_from_the_next_rung(monkeypatch):
     bits = []
     real = FormEvaluator.dist_window
 
-    def counting(self, coeffs, b=None, shift=0):
+    def counting(self, coeffs, b=None):
         bits.append(b)
-        return real(self, coeffs, b, shift)
+        return real(self, coeffs, b)
 
     monkeypatch.setattr(FormEvaluator, "dist_window", counting)
     with pytest.raises(DependenceError):

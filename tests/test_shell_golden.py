@@ -36,7 +36,7 @@ STAR_ALPHAS = ("sqrt:2", "sqrt:3", "const:golden", "const:pi", "const:e",
                "log2:3")
 STAR_QS = (1, 2, 3, 10, 10**3, 10**4, 10**5)
 # (alpha, Q, keyword arguments): a decimal literal and two precision caps
-STAR_EXTRA = (("dec:1.41421356237@1e-11", 1000, {"allow_decimal": True}),
+STAR_EXTRA = (("dec:1.41421356237@1e-11", 1000, {}),
               ("sqrt:2", 1000, {"cap": 64}),
               ("sqrt:2", 10**4, {"cap": 128}))
 SIGMA_PAIRS = (("sqrt:2", "sqrt:3"), ("const:golden", "log2:3"),
@@ -50,18 +50,12 @@ DISC2D_EXTRA = (("sqrt:2", "sqrt:3", 1000, 128),
                 ("rat:1/4", "rat:2/7", 40, 4),
                 ("dec:0.3000000000015@1e-12", "sqrt:3", 1, 10))
 SIGMA_SINGLE_NS = (2, 5, 100, 1000, 5000)
-DEC = {"allow_decimal": True}
-# (params, N, keyword arguments): decimals, two precision caps, a decimal
-# too wide for the uint64 lane, and two dependences
-SIGMA_EXTRA = ((("sqrt:2", "dec:1.7320508075688772935@1e-19"), 40, DEC),
-               (("dec:1.41421356237@1e-11",), 300, DEC),
-               (("dec:1.41421356@1e-3",), 200, DEC),
-               (("sqrt:2", "sqrt:3"), 60, {"cap": 64}),
+# (params, N, keyword arguments): two precision caps and a dependence
+SIGMA_EXTRA = ((("sqrt:2", "sqrt:3"), 60, {"cap": 64}),
                (("sqrt:2", "sqrt:3"), 120, {"cap": 96}),
                (("const:pi",), 1000, {"cap": 64}),
                (("sqrt:2",), 5000, {"cap": 96}),
-               (("sqrt:2", "sqrt:8"), 5, {}),
-               (("dec:1.5@1e-3", "dec:1.5@1e-3"), 5, DEC))
+               (("sqrt:2", "sqrt:8"), 5, {}))
 
 
 def _enc(e):
@@ -183,8 +177,6 @@ def compute():
     out["sigma"] = _sigma()
     out["disc2d"] = _disc2d()
     out["union_bound:50:3"] = _enc(gallagher.doubly_metric_union_bound(50, 3))
-    out["union_bound:30:5/2"] = _enc(
-        gallagher.doubly_metric_union_bound(30, F(5, 2)))
     return out
 
 

@@ -22,9 +22,11 @@ from mdl.realnum import (
 from oracles import best_candidate_full
 
 ATOMS = ("sqrt:2", "sqrt:3", "sqrt:5", "sqrt:8", "const:golden", "const:pi",
-         "const:e", "log2:3", "log2:5", "dec:1.41421356237@1e-11")
-#: so wide that the lane refuses every scan past a few vectors
+         "const:e", "log2:3", "log2:5")
+#: sigma refuses decimals, but the lane itself takes them; this one is so
+#: wide that the lane refuses every scan past a few vectors
 WIDE = "dec:1.4142@1e-2"
+DECIMALS = ("dec:1.41421356237@1e-11", WIDE)
 
 
 def _sigma(params, N, cap, best):
@@ -32,20 +34,18 @@ def _sigma(params, N, cap, best):
     f = cfrac.sigma_pair if len(params) == 2 else cfrac.sigma_single
     with patch.object(cfrac, "_best_candidate", best):
         try:
-            e = f(*map(parse_param, params), N, cap=cap, allow_decimal=True)
+            e = f(*map(parse_param, params), N, cap=cap)
         except (DependenceError, CapExceeded) as err:
             return type(err), getattr(err, "witness", None)
     return e.value, e.witness
 
 
-atom = st.sampled_from(ATOMS + (WIDE,))
+atom = st.sampled_from(ATOMS)
 
 
 @given(params=st.one_of(st.tuples(atom), st.tuples(atom, atom)),
        N=st.integers(2, 80), cap=st.sampled_from((31, 64, 96, 4096)))
 @settings(max_examples=100, deadline=None)
-@example(params=(WIDE,), N=80, cap=4096)
-@example(params=("sqrt:2", WIDE), N=40, cap=4096)
 @example(params=("sqrt:2", "sqrt:8"), N=30, cap=96)
 @example(params=("const:pi", "const:e"), N=80, cap=31)
 def test_lane_matches_the_full_scan(params, N, cap):
@@ -58,7 +58,7 @@ def test_the_lane_refuses_a_wide_decimal():
     assert form_lane(fe, np.arange(2, 81, dtype=np.int64)[:, None])[1] is None
 
 
-@given(params=st.tuples(atom, atom),
+@given(params=st.tuples(*[st.sampled_from(ATOMS + DECIMALS)] * 2),
        vec=st.tuples(st.integers(-200, 200), st.integers(-200, 200)))
 @settings(max_examples=150, deadline=None)
 def test_the_lane_window_holds_the_exact_one(params, vec):
@@ -89,21 +89,24 @@ def test_only_the_top_band_reaches_the_exact_windows(sqrt2, sqrt3):
     assert sum(seen) <= 10, seen
 
 
+S, T = 2**130, 2**70
+
+
 @pytest.mark.parametrize("params, witness", [
-    (("dec:0.5000000000000000000000000000000000000001@1e-50",), (2,)),
-    (("sqrt:2", "dec:1.4142135623730950488016887242096980785697@1e-50"),
-     (2, -2)),
+    ((f"sqrt:{S * S + 1}",), (2,)),
+    ((f"sqrt:{T * T + 1}", f"sqrt:{(T + 1) ** 2 + 1}"), (2, -2)),
 ])
 def test_a_winner_separated_past_128_bits(params, witness):
     """The winner's distance is below 2^-128, so its 128-bit window touches
     0 and positive_windows separates it higher up; its exponent comes from
-    that window (these raised ValueError once)."""
+    that window (such winners raised ValueError once).  sqrt(s^2 + 1) lies
+    about 1/(2s) above s, so ||2 sqrt(S^2 + 1)|| is about 2^-130, and the
+    two roots of the pair differ by about 1/(2T^2) from an integer."""
     f = cfrac.sigma_pair if len(params) == 2 else cfrac.sigma_single
-    entry = f(*map(parse_param, params), 3, allow_decimal=True)
+    entry = f(*map(parse_param, params), 3)
     assert entry.witness == witness
-    with mpmath.workdps(80):
-        xs = [mpmath.sqrt(2) if p == "sqrt:2" else mpmath.mpf(p[4:p.index("@")])
-              for p in params]
+    with mpmath.workdps(120):
+        xs = [mpmath.sqrt(int(p[5:])) for p in params]
         v = sum(k * x for k, x in zip(witness, xs))
         expo = -mpmath.log(abs(v - mpmath.nint(v)), 2) \
             / mpmath.log(max(map(abs, witness)), 2)

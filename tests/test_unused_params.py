@@ -1,7 +1,9 @@
 """Every parameter of a function in `src/mdl` is read in the function's
-body, and every name imported in `src/mdl` or `tests` is read in its
+body, every defaulted one is set by some caller in `src/mdl` or
+`perfbench`, and every name imported in `src/mdl` or `tests` is read in its
 module.  A parameter that is accepted and never read is a knob that does
-nothing, and its caller is told something false."""
+nothing, and its caller is told something false; one that only tests set
+is a mode that no result of the program goes through."""
 
 import ast
 from pathlib import Path
@@ -68,3 +70,79 @@ def test_every_import_is_read():
     unread = _unread_imports()
     assert sorted(unread - ALLOWED_IMPORTS.keys()) == []
     assert sorted(ALLOWED_IMPORTS.keys() - unread) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+#: (file, function, parameter) -> why no caller outside the tests sets it
+ALLOWED_OPTIONS = {
+    ("arith.py", "factorize", "sieve_bound"):
+        "the seam that lets the tests compare the Pollard-Brent route with "
+        "the sieve on every q the sieve covers",
+    ("realnum.py", "of", "coeff"):
+        "RealExpr is a test oracle that the benchmark's tracer still wraps",
+    ("realnum.py", "of", "offset"):
+        "RealExpr is a test oracle that the benchmark's tracer still wraps",
+    ("realnum.py", "eval", "cap"):
+        "RealExpr is a test oracle that the benchmark's tracer still wraps",
+}
+
+
+def _defaulted_parameters():
+    """(file, function, parameter, called name, position) for each
+    parameter with a default; the position counts the call's own
+    positional arguments (None for keyword-only ones), and `__init__` is
+    called by its class name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, False)] + [(n, True) for n in ast.walk(tree)
+                                    if isinstance(n, ast.ClassDef)]
+        for scope, in_class in scopes:
+            for node in scope.body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                pos = args.posonlyargs + args.args
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                called = scope.name if node.name == "__init__" else node.name
+                first = len(pos) - len(args.defaults)
+                found += [(path.name, node.name, p.arg, called, i - bound)
+                          for i, p in enumerate(pos) if i >= first]
+                found += [(path.name, node.name, p.arg, called, None)
+                          for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+    return found
+
+
+def _unset_options():
+    calls: dict = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, i):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return i is not None and (len(call.args) > i or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    return {(file, fn, param)
+            for file, fn, param, called, i in _defaulted_parameters()
+            if not any(sets(c, param, i) for c in calls.get(called, ()))}
+
+
+def test_every_option_is_set_by_a_caller():
+    """A defaulted parameter that no call in the library or the benchmark
+    passes, by keyword or by position, runs only under the tests: keep the
+    value the callers use as a constant instead.  Calls are matched by the
+    function's name, and `__init__` by its class's name."""
+    unset = _unset_options()
+    assert sorted(unset - ALLOWED_OPTIONS.keys()) == []
+    assert sorted(ALLOWED_OPTIONS.keys() - unset) == []
