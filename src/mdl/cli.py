@@ -190,13 +190,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone: `main` builds
+    only the command it runs, since building all of them costs more than
+    parsing.  The command list in the usage line is the full one either
+    way."""
     ap = _Parser(
         prog="mdl",
         description="Exact experiments on limsup arc systems, Kronecker "
                     "discrepancy, Diophantine exponents and divisor sums.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(COMMANDS) + "}")
     for name, cmd in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         # no abbreviated flags: _with_config finds --config by its full name
         sp = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         for flag in cmd.flags:
@@ -485,8 +492,7 @@ def run_psi_prime(args) -> RunResult:
     pp = _pp_from_args(args)
     ctx = gallagher.FibreContext(pp, cap=args.precision_bits)
     recs = []
-    for q in args.q:
-        state, lo, hi = ctx.psi_prime(q)
+    for q, state, lo, hi in ctx.psi_primes(args.q):
         v = Enclosure.dyadic(lo, hi, gallagher.PSI_PRIME_BITS)
         und = int(state == gallagher.SupportState.UNDECIDED)
         recs.append(_rec_enc("psi-prime", pp.canonical(), q, v, und))
@@ -516,7 +522,11 @@ def run_gl_census(args) -> RunResult:
         if args.members:
             for q in c.cells[l]:
                 recs.append(_rec("gl-census-member", ptxt, f"l={l}", q))
-    return RunResult(recs, len(c.undecided), args.Q)
+    undecided = len(c.undecided)
+    if undecided:
+        recs.append(_rec("gl-census-undecided", ptxt, args.Q, undecided,
+                         undecided=undecided))
+    return RunResult(recs, undecided, args.Q)
 
 
 @command("sklr", "stratified indicator count",
@@ -654,7 +664,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        argv = _with_config(argv)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         result = COMMANDS[args.command].run(args)
         if args.output:
             with open(args.output, "w") as fh:

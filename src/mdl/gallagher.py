@@ -5,12 +5,12 @@ Borel-Cantelli ratios, union measures, and multiplicative hit counting.
 The central object is psi'(q) = psi(q) / ||q*beta - g'|| restricted to the
 support ||q*beta - g'|| in [q^-omega, 1); everything downstream (censuses,
 moment sums, second-moment ratios, Monte-Carlo surveys) consumes it through
-one route, `FibreContext.psi_prime`, which returns psi'(q) as a pair of ints
-on the 2^-PSI_PRIME_BITS grid and flags any membership the precision cap
-cannot decide; callers that need an `Enclosure` build it with
-`Enclosure.dyadic`.  Support and census cell are read from one number per
-q, the level floor(log2(||q*beta - g'|| q^omega)) (clamped at -1), decided
-in one verdict.
+one route, `FibreContext.psi_primes`, which returns psi'(q) as a pair of
+ints on the 2^-PSI_PRIME_BITS grid for a whole run of q and flags any
+membership the precision cap cannot decide; callers that need an
+`Enclosure` build it with `Enclosure.dyadic`.  Support and census cell are
+read from one number per q, the level floor(log2(||q*beta - g'|| q^omega))
+(clamped at -1), which `FibreContext.levels` decides along the run.
 """
 
 from __future__ import annotations
@@ -280,17 +280,18 @@ class FibreContext:
     Support and census cell are one number per q, the level
     max(-1, floor(log2(||q beta - g'|| q^omega))): q lies in the support
     iff its level is at least 0, and in the census cell l iff its level is
-    l.  The level is one verdict on the evaluator's precision ladder, exact
-    on ints for omega = p/s with s <= 64 and taken from 96-bit log2 bounds
-    for the schedule exponents; what the cap cannot decide is flagged, never
-    guessed.
+    l.  `levels` is the one route to it, over an increasing run of q.  It
+    keeps the first rung of the evaluator's precision ladder as a running
+    total, stepped from q to q by beta's pin and spread, and reads the
+    level off that window on ints: exactly for omega = p/s with s <= 64,
+    from 96-bit log2 bounds otherwise.  Only a q whose first rung straddles
+    a wall, or whose form collapses to a rational, climbs the evaluator's
+    ladder; what the cap cannot decide is flagged, never guessed.
 
-    `psi_prime` is the one route to psi': (state, lo, hi), one pair of ints
-    on the 2^-PSI_PRIME_BITS grid.  It divides the integer window of psi(q)
-    by the distance window that the level decision took at the first rung.
-    The last decision is kept in a one-entry slot (q, window, level), so
-    psi'(q) right after `cell_of(q)` or `support_state(q)` decides nothing
-    again.
+    `psi_primes` maps the route to psi': (state, lo, hi), one pair of ints
+    on the 2^-PSI_PRIME_BITS grid, the integer window of psi(q) divided by
+    the first-rung window of q's level.  `support_state`, `cell_of` and
+    `psi_prime` are the one-q calls of the route.
     """
 
     def __init__(self, pp: PsiPrime, cap: int = DEFAULT_PRECISION_CAP):
@@ -306,8 +307,12 @@ class FibreContext:
             self._gp_in_form = True
         # the first window is taken at 128 bits, or at the cap below that
         self.fe = FormEvaluator(params, offset, bits=min(128, cap), cap=cap)
-        self._first_scale = 1 << self.fe.bits
-        self._slot = None, None, None
+        # The group sums of (q,) and (q, -1) are q, -1 or q - 1, so the form
+        # collapses to a rational at every q (beta and g' rational), at
+        # q = 1 alone (g' = beta), or nowhere.
+        rational = self.fe._rational_value
+        self._rational_everywhere = rational(self._coeffs(2)) is not None
+        self._rational_at_1 = rational(self._coeffs(1)) is not None
 
     def _coeffs(self, q: int):
         return (q, -1) if self._gp_in_form else (q,)
@@ -315,43 +320,85 @@ class FibreContext:
     def dist_is_zero(self, q: int) -> bool:
         return self.fe.dist_is_zero_exact(self._coeffs(q))
 
-    def support_state(self, q: int) -> str:
-        """Is ||q beta - g'|| inside [q^-omega(q), 1)?  (1 is never reached:
-        the distance is at most 1/2.)  The sign of the level, decided with
-        the level clamped to {-1, 0}, or read from the slot where q's level
-        is already decided."""
-        om = self.pp.omega_at(q)
-        if om is None:
-            return SupportState.IN
-        if om <= 0:
-            return SupportState.IN if not self.dist_is_zero(q) \
-                else SupportState.OUT
-        slot_q, _, level = self._slot
-        if slot_q != q or level is None:
-            level = self._level(q, om, 0)
-        if level is None:
-            return SupportState.UNDECIDED
-        return SupportState.IN if level >= 0 else SupportState.OUT
+    def levels(self, qs, top: Optional[int] = None):
+        """Yield (q, level, window) for each q of `qs`, increasing ints >= 1:
+        the level of q clamped to at most `top`, or None where the cap
+        cannot decide it, and the distance window (lo, hi, scale) taken at
+        the evaluator's first rung, or None where the form collapses to a
+        rational whose denominator is not that rung's scale.
 
-    def cell_of(self, q: int) -> Optional[int]:
-        """The level of q: the index l >= 0 with ||q beta - g'|| in
-        [2^l q^-om, 2^(l+1) q^-om), -1 outside the support, or None when
-        the cap cannot decide it."""
-        om = self.pp.omega_at(q)
-        if om is None or om <= 0:
-            raise ValueError("census cells need a positive omega")
-        return self._level(q, om)
+        Where omega is None or not positive there is no level: a q is then
+        yielded at level `top` with no window, or at -1 where omega is not
+        positive and its distance vanishes; a census (`top` None) refuses
+        such an omega."""
+        fe, pp = self.fe, self.pp
+        bits = fe.bits
+        scale = 1 << bits
+        half, mask = scale >> 1, scale - 1
+        # the form's first rung at q = 0: the offset, minus g' in the form
+        pins, acc, err = fe.pin(bits)
+        pin, spread = pins[0]
+        if self._gp_in_form:
+            acc -= pins[1][0]
+            err += pins[1][1]
+        every, at_1 = self._rational_everywhere, self._rational_at_1
+        schedule = isinstance(pp.omega, tuple)
+        om = None if schedule else pp.omega_at(1)
+        last = ()     # no omega yet
+        prev = 0
+        for q in qs:
+            if q <= prev:
+                raise ValueError(f"q = {q}: a range needs increasing q >= 1")
+            acc = (acc + (q - prev) * pin) & mask
+            err += (q - prev) * spread
+            prev = q
+            if schedule:
+                om = pp.omega_at(q)
+            if om is not last:
+                # the exponent's constants, again only where omega changes
+                last = om
+                positive = om is not None and om > 0
+                if positive:
+                    p, s = om.numerator, om.denominator
+                    sb = bits * s + 1
+            if not positive:
+                if top is None:
+                    raise ValueError("census cells need a positive omega")
+                zero = om is not None and self.dist_is_zero(q)
+                yield q, -1 if zero else top, None
+                continue
+            if every or (at_1 and q == 1):
+                yield (q, *self._level(q, om, top))
+                continue
+            d = acc if acc <= half else scale - acc
+            lo = d - err if d > err else 0
+            hi = d + err if d + err <= half else half
+            if s <= 64:
+                # _pow_levels on scale = 2^bits: floor(log2(x^s q^p /
+                # scale^s)) is the bit length of x^s q^p less (bits s + 1)
+                qp = q ** p
+                a = max(-1, ((lo ** s * qp).bit_length() - sb) // s)
+                b = max(-1, ((hi ** s * qp).bit_length() - sb) // s)
+            else:
+                a, b = _log_levels(lo, hi, scale, p, s, log2_scaled(q, 96))
+            if top is not None:
+                a, b = min(a, top), min(b, top)
+            if a == b:
+                yield q, a, (lo, hi, scale)
+            else:
+                yield (q, *self._level(q, om, top))
 
-    def _level(self, q: int, om: Fraction, top: Optional[int] = None):
-        """The level of q clamped to at most `top`, or None at the cap.  The
-        slot receives (q, the distance window (lo, hi, scale) that the
-        ladder took at the evaluator's first rung or None, the level)."""
+    def _level(self, q: int, om: Fraction, top: Optional[int]) -> tuple:
+        """(the level of q clamped to at most `top`, or None at the cap; the
+        distance window (lo, hi, scale) that the ladder took at the
+        evaluator's first rung, or None), decided on the evaluator's
+        ladder."""
         p, s = om.numerator, om.denominator
         if s <= 64:
             levels = partial(_pow_levels, s=s, qp=q ** p)
         else:
             levels = partial(_log_levels, p=p, s=s, lgq=log2_scaled(q, 96))
-        first_scale = self._first_scale
+        first_scale = 1 << self.fe.bits
         first = None
 
         def verdict(fr, err, scale):
@@ -364,32 +411,59 @@ class FibreContext:
                 a, b = min(a, top), min(b, top)
             return a if a == b else None
 
-        result = self.fe.decide(self._coeffs(q), verdict)
-        self._slot = q, first, result
-        return result
+        return self.fe.decide(self._coeffs(q), verdict), first
 
-    def psi_prime(self, q: int) -> tuple:
-        """(support state, lo, hi) with psi'(q) in [lo, hi] /
-        2^PSI_PRIME_BITS, (state, 0, 0) outside the support: psi(q) /
-        ||q beta - g'|| rounded outward once.  The distance window is the
-        first-rung window of q's level decision where that is positive;
-        else `positive_windows` takes it, first rung and ladder alike, so
-        the value is the same either way.  DependenceError where psi(q) > 0
-        meets a distance that vanishes or cannot be separated from 0 at the
-        cap."""
-        state = self.support_state(q)
+    def psi_primes(self, qs):
+        """Yield (q, state, lo, hi) for each q of `qs`, increasing ints >= 1,
+        with psi'(q) in [lo, hi] / 2^PSI_PRIME_BITS, and (q, state, 0, 0)
+        outside the support: psi(q) / ||q beta - g'|| rounded outward once.
+        DependenceError where psi(q) > 0 meets a distance that vanishes or
+        cannot be separated from 0 at the cap."""
+        for q, level, window in self.levels(qs, 0):
+            yield (q, *self._psi_prime(q, level, window))
+
+    def _psi_prime(self, q: int, level: Optional[int], window) -> tuple:
+        """(state, lo, hi) of psi'(q) from q's support level and first-rung
+        window.  The distance window is that one where it is positive; else
+        `positive_windows` takes it, first rung and ladder alike, so the
+        value is the same either way."""
+        state = _support(level)
         if state != SupportState.IN:
             return state, 0, 0
         pl, ph, pd = self.pp.psi.window(q)
         if ph == 0:
             return state, 0, 0
-        slot_q, window, _ = self._slot
-        if slot_q != q or window is None or window[0] == 0:
+        if window is None or window[0] == 0:
             (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
             window = d_lo, d_hi, 1 << b
         d_lo, d_hi, scale = window
         return (state, *round_outward(pl * scale, pd * d_hi, ph * scale,
                                       pd * d_lo, PSI_PRIME_BITS))
+
+    def support_state(self, q: int) -> str:
+        """Is ||q beta - g'|| inside [q^-omega(q), 1)?  (1 is never reached:
+        the distance is at most 1/2.)  The level of q clamped to {-1, 0}."""
+        (_, level, _), = self.levels((q,), 0)
+        return _support(level)
+
+    def cell_of(self, q: int) -> Optional[int]:
+        """The level of q: the index l >= 0 with ||q beta - g'|| in
+        [2^l q^-om, 2^(l+1) q^-om), -1 outside the support, or None when
+        the cap cannot decide it."""
+        (_, level, _), = self.levels((q,))
+        return level
+
+    def psi_prime(self, q: int) -> tuple:
+        """(support state, lo, hi): `psi_primes` at q alone."""
+        (_, state, lo, hi), = self.psi_primes((q,))
+        return state, lo, hi
+
+
+def _support(level: Optional[int]) -> str:
+    """The support state of a level clamped to {-1, 0}, or of None."""
+    if level is None:
+        return SupportState.UNDECIDED
+    return SupportState.IN if level >= 0 else SupportState.OUT
 
 
 def _pow_levels(lo: int, hi: int, scale: int, s: int, qp: int) -> list:
@@ -439,8 +513,8 @@ def divergence_sum(pp: PsiPrime, Q: int,
     terms share the 2^-PSI_PRIME_BITS grid, so they are summed as ints."""
     ctx = FibreContext(pp, cap=cap)
     lo = hi = contributing = undecided = 0
-    for q in range(max(1, pp.psi.q0), Q + 1):
-        state, t_lo, t_hi = ctx.psi_prime(q)
+    qs = range(max(1, pp.psi.q0), Q + 1)
+    for _, state, t_lo, t_hi in ctx.psi_primes(qs):
         if state == SupportState.UNDECIDED:
             undecided += 1
         elif t_hi > 0:
@@ -476,8 +550,7 @@ def gl_census(beta: RealParam, gamma_prime, omega, Q: int,
     ctx = FibreContext(pp, cap=cap)
     cells: dict = {}
     undecided = []
-    for q in range(1, Q + 1):
-        l = ctx.cell_of(q)
+    for q, l, _ in ctx.levels(range(1, Q + 1)):
         if l is None:
             undecided.append(q)
         elif l >= 0:
@@ -517,17 +590,16 @@ def sklr_sum(pp: PsiPrime, gamma, q: int, k: int, l: int, r: int,
     st_q, psq_lo, psq_hi = ctx.psi_prime(q)
     undecided = 1 if st_q == SupportState.UNDECIDED else 0
     members = []
-    for qp in range(max(1, lo_band), hi_band + 1):
-        if qp == q or math.gcd(qp, q) != r:
-            continue
-        level = ctx.cell_of(qp)
+    band = [qp for qp in range(max(1, lo_band), hi_band + 1)
+            if qp != q and math.gcd(qp, q) == r]
+    for qp, level, window in ctx.levels(band):
         if level is None:           # the support or the cell is undecided
             undecided += 1
             continue
         if level != l:
             continue
         # the level just decided puts q' in the support
-        _, lo, hi = ctx.psi_prime(qp)
+        _, lo, hi = ctx._psi_prime(qp, level, window)
         # Delta / r = (psi'(q') q + psi'(q) q') / r, on the psi' grid
         delta = Enclosure.dyadic(lo * q + psq_lo * qp, hi * q + psq_hi * qp,
                                  PSI_PRIME_BITS) * Fraction(1, r)
@@ -588,11 +660,9 @@ def _radius_table(psi_or_pp, Q: int, cap: int):
     if isinstance(psi_or_pp, PsiPrime):
         ctx = FibreContext(psi_or_pp, cap=cap)
         q0 = psi_or_pp.psi.q0
-        for q in range(1, Q + 1):
-            if q < q0:
-                values[q] = Enclosure.exact(0)
-                continue
-            state, lo, hi = ctx.psi_prime(q)
+        for q in range(1, min(q0, Q + 1)):
+            values[q] = Enclosure.exact(0)
+        for q, state, lo, hi in ctx.psi_primes(range(q0, Q + 1)):
             if state == SupportState.UNDECIDED:
                 undecided += 1
             values[q] = Enclosure.dyadic(lo, hi, PSI_PRIME_BITS)
@@ -722,37 +792,48 @@ class _HitSweep:
         self.degenerate = []
         thr_lo = np.zeros(Q + 1, dtype=np.uint64)
         thr_hi = np.zeros(Q + 1, dtype=np.uint64)
-        q0 = pp.psi.q0
-        ctx = None if direct else FibreContext(pp, cap=cap)
-        one = 1 << PSI_PRIME_BITS
+        qs = range(max(1, pp.psi.q0), Q + 1)
         # q -> (lo, hi, den): the threshold lies in [lo, hi] / den
         self._thresholds = {}
-        for q in range(max(1, q0), Q + 1):
-            if direct:
+        if direct:
+            # a plain loop: drawing the windows through a generator cost
+            # the direct survey about 4%
+            for q in qs:
                 lo, hi, den = pp.psi.window(q)
-            else:
-                try:
-                    state, lo, hi = ctx.psi_prime(q)
-                except DependenceError:
-                    if not ctx.dist_is_zero(q):
-                        raise
-                    # a vanishing distance inside the support, with
-                    # psi(q) > 0: the product 0 < psi(q) always hits
-                    self.degenerate.append(q)
-                    state, lo, hi = SupportState.IN, one, one
-                if state == SupportState.UNDECIDED:
-                    self.undecided_q.append(q)
-                    continue
-                den = one
-            if hi == 0:
-                continue
-            self._thresholds[q] = lo, hi, den
-            thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, den)
+                if hi:
+                    self._thresholds[q] = lo, hi, den
+                    thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, den)
+        else:
+            one = 1 << PSI_PRIME_BITS
+            for q, lo, hi in self._fibre_psi_primes(pp, qs, cap):
+                if hi:
+                    self._thresholds[q] = lo, hi, one
+                    thr_lo[q], thr_hi[q] = lane_threshold(lo, hi, one)
         self.qs = np.arange(Q + 1, dtype=np.uint64)
         if margin is not None:
             # q without a threshold get no margin, so the lane never flags them
             margin = np.where(thr_hi > 0, margin, np.uint64(0))
         self.sure_below, self.maybe_below = lane_bounds(thr_lo, thr_hi, margin)
+
+    def _fibre_psi_primes(self, pp: PsiPrime, qs, cap: int):
+        """Yield (q, lo, hi) with psi'(q) in [lo, hi] / 2^PSI_PRIME_BITS over
+        the decided q of `qs`; the undecided go to `undecided_q`."""
+        ctx = FibreContext(pp, cap=cap)
+        one = 1 << PSI_PRIME_BITS
+        for q, level, window in ctx.levels(qs, 0):
+            try:
+                state, lo, hi = ctx._psi_prime(q, level, window)
+            except DependenceError:
+                if not ctx.dist_is_zero(q):
+                    raise
+                # a vanishing distance inside the support, with psi(q) > 0:
+                # the product 0 < psi(q) always hits
+                self.degenerate.append(q)
+                state, lo, hi = SupportState.IN, one, one
+            if state == SupportState.UNDECIDED:
+                self.undecided_q.append(q)
+            else:
+                yield q, lo, hi
 
     def expected(self) -> Enclosure:
         """sum over q of min(1, 2 t_q) for the thresholds t_q; an undecided

@@ -120,6 +120,21 @@ MUTANTS = (
            "np.max(g[a1 + 1:] - g[a1], axis=1)",
            ("tests/test_discrepancy.py"
             "::test_grid_box_max_matches_the_box_scan",)),
+    Mutant("fibre-error-without-beta-spread", "gallagher.py",
+           "err += (q - prev) * spread",
+           "err += 0",
+           ("tests/test_gallagher.py"
+            "::test_the_range_route_matches_the_per_q_route",)),
+    Mutant("fibre-accumulator-one-q-late", "gallagher.py",
+           "prev = 0\n",
+           "prev = 1\n",
+           ("tests/test_gallagher.py"
+            "::test_the_range_route_matches_the_per_q_route",)),
+    Mutant("fibre-collapse-check-dropped", "gallagher.py",
+           "if every or (at_1 and q == 1):",
+           "if False:",
+           ("tests/test_gallagher.py"
+            "::test_the_range_route_matches_the_per_q_route",)),
     Mutant("star-window-without-err", "discrepancy.py",
            "max(0, vmax - 2 * Q * err)",
            "max(0, vmax)",

@@ -1,6 +1,7 @@
 """Test-side helpers: checks that only the tests call, the `Fraction`
 reference route of the integer-window kernels, the comparison route of
-real expressions, and the wall-comparison route of the fibre level.
+real expressions, the wall-comparison route of the fibre level, and its
+per-q route with a one-entry slot, which the range route replaced.
 
 The reference functions build, normalise and compare a `Fraction` per
 term, as the library did before its hot loops ran on integer windows.
@@ -11,7 +12,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -28,7 +29,14 @@ from mdl.circlesets import (
     _psi_lookup,
     aq_pair_measure_raw,
 )
-from mdl.gallagher import _FAMILY_EXPONENTS, HALF
+from mdl.gallagher import (
+    _FAMILY_EXPONENTS,
+    HALF,
+    PSI_PRIME_BITS,
+    SupportState,
+    _log_levels,
+    _pow_levels,
+)
 from mdl.realnum import (
     DEFAULT_PRECISION_CAP,
     CapExceeded,
@@ -39,6 +47,7 @@ from mdl.realnum import (
     _log2_frac_floor,
     frac_to_dist,
     log2_enclosure,
+    log2_scaled,
     neg_log2_enclosure,
     param_evaluator,
     precision_ladder,
@@ -411,6 +420,78 @@ def psi_prime_value(ctx, q: int) -> Enclosure:
         if d.lo > 0:
             return quantize(psi_v / d, 128)
     raise DependenceError((q,), "distance cannot be separated from 0")
+
+
+class PerQFibre:
+    """`FibreContext`'s per-q route before the range route: each q's level
+    is one `FormEvaluator.decide` call from the evaluator's first rung,
+    and the last decision is kept in a one-entry slot (q, first-rung
+    window, level), which `psi_prime` reads for the window of q and
+    `support_state` for a level already decided."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._slot = None, None, None
+
+    def level(self, q: int, om: Fraction, top):
+        """The level of q clamped to at most `top`, or None at the cap; the
+        slot receives (q, the window the ladder took at its first rung or
+        None, the level)."""
+        p, s = om.numerator, om.denominator
+        if s <= 64:
+            levels = partial(_pow_levels, s=s, qp=q ** p)
+        else:
+            levels = partial(_log_levels, p=p, s=s, lgq=log2_scaled(q, 96))
+        first_scale = 1 << self.ctx.fe.bits
+        first = None
+
+        def verdict(fr, err, scale):
+            nonlocal first
+            lo, hi, _ = window = frac_to_dist(fr, err, scale)
+            if scale == first_scale:
+                first = window
+            a, b = levels(lo, hi, scale)
+            if top is not None:
+                a, b = min(a, top), min(b, top)
+            return a if a == b else None
+
+        result = self.ctx.fe.decide(self.ctx._coeffs(q), verdict)
+        self._slot = q, first, result
+        return result
+
+    def support_state(self, q: int) -> str:
+        om = self.ctx.pp.omega_at(q)
+        if om is None:
+            return SupportState.IN
+        if om <= 0:
+            return SupportState.IN if not self.ctx.dist_is_zero(q) \
+                else SupportState.OUT
+        slot_q, _, level = self._slot
+        if slot_q != q or level is None:
+            level = self.level(q, om, 0)
+        if level is None:
+            return SupportState.UNDECIDED
+        return SupportState.IN if level >= 0 else SupportState.OUT
+
+    def window(self, q: int):
+        """The first-rung window the slot holds for q, or None."""
+        slot_q, window, _ = self._slot
+        return window if slot_q == q else None
+
+    def psi_prime(self, q: int) -> tuple:
+        state = self.support_state(q)
+        if state != SupportState.IN:
+            return state, 0, 0
+        pl, ph, pd = self.ctx.pp.psi.window(q)
+        if ph == 0:
+            return state, 0, 0
+        slot_q, window, _ = self._slot
+        if slot_q != q or window is None or window[0] == 0:
+            (d_lo, d_hi, b), = self.ctx.fe.positive_windows([self.ctx._coeffs(q)])
+            window = d_lo, d_hi, 1 << b
+        d_lo, d_hi, scale = window
+        return (state, *round_outward(pl * scale, pd * d_hi, ph * scale,
+                                      pd * d_lo, PSI_PRIME_BITS))
 
 
 def table_window(psi, q: int) -> tuple:

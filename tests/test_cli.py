@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -190,6 +191,32 @@ def test_gl_census_cli():
     assert rc == 0
     rows = cells(out)
     assert any(r[0] == "gl-census-member" and r[3] == "4" for r in rows)
+
+
+def test_gl_census_reports_its_undecided_q(capsys):
+    """At a 4-bit cap 16 of the 20 q are undecided (1, 2, 3 and 5 lie
+    outside the support): one record says so, and the run exits 2."""
+    rc = main(["gl-census", "--beta", "sqrt:2", "--omega", "1/2", "--Q", "20",
+               "--precision-bits", "4"])
+    assert rc == 2
+    assert cells(capsys.readouterr().out) == [
+        ["gl-census-undecided", "beta=sqrt:2;gp=rat:0;omega=1/2", "20",
+         "16", "1", "0", "1", "16"]]
+
+
+def _subparser(ap, name):
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_command_parser_built_alone_matches_the_full_one(name):
+    """`main` builds only the parser of the command it runs: its help and
+    the top-level usage read as in the parser of every command."""
+    alone, full = cli.build_parser(name), cli.build_parser()
+    assert alone.format_usage() == full.format_usage()
+    assert _subparser(alone, name).format_help() == \
+        _subparser(full, name).format_help()
 
 
 def test_mc_survey_needs_beta():

@@ -227,28 +227,46 @@ def test_sklr_enumeration_oracle(sqrt2, sqrt3):
     assert r.undecided == 0
 
 
-def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
-    """One ladder verdict per fibre point: the level of q' decides its
-    support, and psi'(q') does not decide it again."""
-    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
+def _counting_levels(monkeypatch):
+    """A Counter of the q that `FibreContext.levels` yields from now on."""
     seen = Counter()
+    real = FibreContext.levels
+
+    def counting(self, qs, top=None):
+        for item in real(self, qs, top):
+            seen[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(FibreContext, "levels", counting)
+    return seen
+
+
+def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
+    """One level per fibre point: the level of q' decides its support, and
+    psi'(q') does not decide it again; here every level is read off the
+    running first rung, so the fibre climbs no ladder."""
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
+    seen = _counting_levels(monkeypatch)
+    ladders = Counter()
     real = FormEvaluator.decide
 
     def counting(self, coeffs, verdict, shift=0):
         if self.params == (sqrt2,):     # the fibre, not gamma's indicator
-            seen[tuple(coeffs)] += 1
+            ladders[tuple(coeffs)] += 1
         return real(self, coeffs, verdict, shift)
 
     monkeypatch.setattr(FormEvaluator, "decide", counting)
     r = sklr_sum(pp, sqrt3, 120, 0, 1, 1)
     assert r.count == 11 and r.undecided == 0
     band = [qp for qp in range(60, 121) if math.gcd(qp, 120) == 1]
-    assert seen == Counter({(q,): 1 for q in band + [120]})
+    assert seen == Counter({q: 1 for q in band + [120]})
+    assert ladders == Counter()
 
 
 def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
-    """psi'(q) divides by the window its level decision took: one
-    `frac_window` per q, and no second window from `positive_windows`."""
+    """psi'(q) divides by the window its level decision took: here every
+    window is the running first rung, so neither `frac_window` nor
+    `positive_windows` takes a second one."""
     calls = Counter()
     for name in ("frac_window", "positive_windows"):
         def counting(self, *args, _real=getattr(FormEvaluator, name),
@@ -259,20 +277,13 @@ def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
     r = divergence_sum(pp, 2000)
     assert (pp.psi.q0, r.contributing, r.undecided) == (2, 1208, 0)
-    assert calls == Counter(frac_window=1999)
+    assert calls == Counter()
 
 
 def test_hit_sweep_decides_each_support_once(monkeypatch, sqrt3):
-    """The fibred sweep takes psi' through `psi_prime`, which decides the
-    support of each q >= q0 once."""
-    seen = Counter()
-    real = FibreContext.support_state
-
-    def counting(self, q):
-        seen[q] += 1
-        return real(self, q)
-
-    monkeypatch.setattr(FibreContext, "support_state", counting)
+    """The fibred sweep takes psi' along `FibreContext.levels`, which
+    decides the support of each q >= q0 once."""
+    seen = _counting_levels(monkeypatch)
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
     _HitSweep(sqrt3, pp, 300, direct=False)
     assert seen == Counter({q: 1 for q in range(pp.psi.q0, 301)})
@@ -315,6 +326,65 @@ def test_level_matches_the_wall_oracle(beta, gp, omega, q):
     ctx = FibreContext(pp, cap=512)
     assert ctx.support_state(q) == oracles.fibre_support(ctx, q)
     assert ctx.cell_of(q) == oracles.fibre_level(ctx, q)
+
+
+_RANGE_BETAS = ("sqrt:2", "sqrt:3", "log2:3", "const:golden", "const:pi",
+                "rat:2/7", "rat:1/3", "dec:0.4142135@1e-6")
+# "beta": g' equal to beta, whose form collapses to 0 at q = 1
+_RANGE_GPS = ("rat:0", "rat:1/3", "sqrt:5", "const:e", "beta")
+_RANGE_OMEGAS = (None, F(1, 2), F(1), F(1, 4), F(2, 3), F(7, 5), F(63, 64),
+                 F(5, 67), ("main2", F(1)), ("lemma3", F(1, 2)))
+_RANGE_PSIS = ("overq:1/4", "log2sq:1/2", "const:1/10")
+
+
+def _until_dependence(items):
+    """The items of an iterator up to its first DependenceError, and that
+    error's witness (None when there is none)."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except DependenceError as e:
+        return out, e.witness
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_RANGE_BETAS), st.sampled_from(_RANGE_GPS),
+       st.sampled_from(_RANGE_OMEGAS), st.sampled_from((16, 64, 96, 128, 4096)),
+       st.sampled_from(_RANGE_PSIS), st.integers(1, 3000),
+       st.integers(1, 40), st.integers(1, 3))
+@example("sqrt:2", "beta", F(1, 2), 128, "overq:1/4", 1, 30, 1)
+@example("sqrt:3", "beta", None, 4096, "const:1/10", 1, 5, 1)
+@example("rat:2/7", "rat:0", F(1), 128, "overq:1/4", 1, 30, 1)
+@example("const:golden", "sqrt:5", None, 128, "const:1/10", 2, 3, 1)
+@example("dec:0.4142135@1e-6", "rat:0", F(1), 512, "overq:1/4", 350, 10, 1)
+def test_the_range_route_matches_the_per_q_route(beta, gp, omega, cap, tag,
+                                                 start, length, step):
+    """`levels` and `psi_primes` over a run of q give, q for q, the level,
+    the first-rung window and psi' of the per-q route (`oracles.PerQFibre`),
+    undecided answers and DependenceError witnesses included."""
+    b = parse_param(beta)
+    pp = PsiPrime(parse_psi(tag), b, b if gp == "beta" else parse_param(gp),
+                  omega)
+    qs = range(start, start + length * step, step)
+    oms = [pp.omega_at(q) for q in qs]
+    if any(om is None or om <= 0 for om in oms):
+        # no level: a census refuses it, and psi' below checks the support
+        with pytest.raises(ValueError):
+            list(FibreContext(pp, cap=cap).levels(qs))
+    else:
+        for top in (None, 0):
+            ctx = FibreContext(pp, cap=cap)
+            oracle = oracles.PerQFibre(ctx)
+            want = [(q, oracle.level(q, om, top), oracle.window(q))
+                    for q, om in zip(qs, oms)]
+            assert list(ctx.levels(qs, top)) == want
+    qs = range(max(start, pp.psi.q0), start + length * step, step)
+    ctx = FibreContext(pp, cap=cap)
+    oracle = oracles.PerQFibre(ctx)
+    want = _until_dependence((q, *oracle.psi_prime(q)) for q in qs)
+    assert _until_dependence(ctx.psi_primes(qs)) == want
 
 
 def test_f_moment_examples(sqrt2):

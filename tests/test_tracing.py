@@ -37,10 +37,13 @@ def test_every_traced_target_resolves_and_is_restored():
         since = tracer.mark()
         pp = PsiPrime(ApproxFunction.over_q(Fraction(1, 4)), RealParam.sqrt(2),
                       RealParam.rational(0), Fraction(1, 2))
-        FibreContext(pp).psi_prime(4)
+        ctx = FibreContext(pp)
+        ctx.psi_prime(4)
+        ctx.support_state(4)
+        ctx.cell_of(4)
         spans = tracer.summary(since)
-        assert spans["gallagher.FibreContext.psi_prime"]["calls"] == 1
-        assert spans["gallagher.FibreContext.support_state"]["calls"] == 1
+        for name in ("psi_prime", "support_state", "cell_of"):
+            assert spans[f"gallagher.FibreContext.{name}"]["calls"] == 1
     finally:
         tracer.uninstall()
     for key, fn in original.items():
