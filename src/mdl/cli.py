@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
+import signal
 import sys
 from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import arith, cfrac, circlesets, discrepancy, gallagher
@@ -155,7 +157,10 @@ FLAGS = {
     # common flags
     "precision-bits": {"type": _positive_int, "default": DEFAULT_PRECISION_CAP,
                        "help": "precision cap in bits"},
-    "threads": {"type": _positive_int, "default": 1, "help": "worker processes"},
+    "threads": {"type": _positive_int, "default": 1,
+                "help": "processes, this one included; mc-survey builds its "
+                        "sweep once, before the fork; the output is the same "
+                        "for any count"},
     "seed": {"type": int, "default": 2026, "help": "Monte-Carlo seed"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "config": {"help": "file of key=value lines; command-line flags win"},
@@ -399,7 +404,7 @@ def run_master_sweep(args) -> RunResult:
     workers = min(args.threads, args.Q - 1)
     work = [(args.psi, args.gamma, range(2 + i, args.Q + 1, workers), args.H,
              args.C0, args.precision_bits) for i in range(workers)]
-    parts = _pmap(_master_chunk, work, args.threads)
+    parts = _pmap(_master_chunk, work)
     n = sum((counts for counts, _ in parts), Counter())
     params = (f"psi={args.psi.canonical()};gamma={args.gamma.canonical()};"
               f"H={args.H};C0={args.C0}")
@@ -589,29 +594,20 @@ def run_hits(args) -> RunResult:
                      r.undecided, args.Q)
 
 
-def _mc_chunk(chunk_args):
-    gamma, pp, Q, direct, seed, cap, idxs = chunk_args
-    s = gallagher.mc_survey(gamma, pp, Q, len(idxs), seed, direct=direct,
-                            cap=cap, first=idxs.start)
-    # the expectation does not depend on the draws: the first chunk alone
-    # computes it
-    expected = s.expected if idxs.start == 0 else None
-    return s.mean * s.samples, s.undecided, expected
-
-
 @command("mc-survey", "Monte-Carlo hit-count survey",
          "psi", "gamma", *FIBRE, "Q", "samples", "direct", CAP, THREADS, SEED)
 def run_mc_survey(args) -> RunResult:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
     pp = _pp_from_args(args)
-    chunks = _chunked(range(args.samples), args.threads)
-    work = [(args.gamma, pp, args.Q, args.direct, args.seed, args.precision_bits, ch)
-            for ch in chunks]
-    parts = _pmap(_mc_chunk, work, args.threads)
-    mean = sum(p[0] for p in parts) / args.samples
-    undecided = sum(p[1] for p in parts)
-    expected = parts[0][2]
+    # one sweep for every process: the children fork from it and only draw
+    sweep = gallagher._HitSweep(args.gamma, pp, args.Q, args.direct,
+                                cap=args.precision_bits)
+    parts = _pmap(lambda idxs: sweep.tally(args.seed, idxs),
+                  _chunked(range(args.samples), args.threads))
+    mean = Fraction(sum(t for t, _ in parts), args.samples)
+    undecided = sum(u for _, u in parts)
+    expected = sweep.expected()
     ptxt = f"{pp.canonical()};gamma={args.gamma.canonical()};seed={args.seed}"
     recs = [_rec("mc-mean", ptxt, args.Q, mean, undecided=undecided),
             _rec_enc("mc-expected", ptxt, args.Q, expected),
@@ -641,11 +637,58 @@ def _chunked(items, n):
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _pmap(fn, work, threads):
-    if threads <= 1 or len(work) <= 1:
-        return [fn(w) for w in work]
-    with ProcessPoolExecutor(max_workers=min(threads, len(work))) as pool:
-        return list(pool.map(fn, work))
+def _pmap(fn, work) -> list:
+    """[fn(w) for w in work]: this process runs work[0] while one forked
+    child runs each later item.  A child pickles back (ok, result or
+    exception) through a pipe; the first failing item's exception is raised
+    unchanged, as a serial run would raise it.  Every child is reaped, and
+    one still running when this process raises is killed first."""
+    children = []                       # (pid, read end of its pipe)
+    try:
+        for w in work[1:]:
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child(fn, w, wr)
+            os.close(wr)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(work[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"a worker process ended without a result (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, w, fd) -> None:
+    """A forked child's whole life: send (ok, fn(w) or its exception) down
+    `fd` and leave without running this process's exit handlers."""
+    try:
+        try:
+            payload = (True, fn(w))
+        except BaseException as e:
+            payload = (False, e)
+        data = pickle.dumps(payload)
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
 
 
 def write_records(result: RunResult, fmt: str, out) -> None:

@@ -853,6 +853,17 @@ class _HitSweep:
             [(min(den, 2 * t_hi), den) for _, t_hi, den in ts])
         return Enclosure(lo, hi + undecided)
 
+    def tally(self, seed: int, indices) -> tuple:
+        """(total hits, undecided) over the draws of the sample `indices`:
+        each draw is keyed by its index, so disjoint index ranges split one
+        survey into parts that add up."""
+        total = undecided = 0
+        for i in indices:
+            res = self.count_for(counter_sample(seed, i))
+            total += res.count
+            undecided += res.undecided
+        return total, undecided
+
     def count_for(self, k: int) -> HitResult:
         sure, maybe, _ = ball_lane(self.offset, self.qs, k, self.sure_below,
                                    self.maybe_below)
@@ -922,21 +933,13 @@ class McSurvey:
 
 
 def mc_survey(gamma, pp: PsiPrime, Q: int, samples: int, seed: int,
-              direct: bool = False,
-              cap: int = DEFAULT_PRECISION_CAP, first: int = 0) -> McSurvey:
+              direct: bool = False) -> McSurvey:
     """Mean hit count over `samples` uniform dyadic x versus the exact
-    expectation sum_q min(1, 2 psi'(q)); deterministic given the seed.
-    The draws are those of sample indices first, ..., first + samples - 1,
-    so disjoint index ranges split one survey into independent parts."""
+    expectation sum_q min(1, 2 psi'(q)); deterministic given the seed."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    sweep = _HitSweep(gamma, pp, Q, direct, cap=cap)
-    total = 0
-    undecided = 0
-    for i in range(first, first + samples):
-        res = sweep.count_for(counter_sample(seed, i))
-        total += res.count
-        undecided += res.undecided
+    sweep = _HitSweep(gamma, pp, Q, direct)
+    total, undecided = sweep.tally(seed, range(samples))
     return McSurvey(samples, Fraction(total, samples), undecided, sweep)
 
 

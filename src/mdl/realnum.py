@@ -68,7 +68,7 @@ class DependenceError(Exception):
 
     def __init__(self, witness, message="rational dependence detected"):
         # both arguments in args, so the error survives pickling from a
-        # pool worker with its witness intact
+        # worker process with its witness intact
         super().__init__(witness, message)
         self.witness = witness
         self.message = message

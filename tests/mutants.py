@@ -140,6 +140,22 @@ MUTANTS = (
            "max(0, vmax)",
            ("tests/test_discrepancy.py"
             "::test_a_decimal_holds_over_its_radius",)),
+    Mutant("threads-later-chunks-shifted-by-one", "cli.py",
+           "return [items[i:i + size] for i in range(0, len(items), size)]",
+           "return [items[i + (i > 0):i + size + (i > 0)]\n"
+           "            for i in range(0, len(items), size)]",
+           ("tests/test_cli.py::test_threads_do_not_change_output",
+            "tests/test_cli.py"
+            "::test_mc_survey_builds_one_sweep_at_any_thread_count")),
+    Mutant("threads-last-child-result-dropped", "cli.py",
+           "            results.append(value)\n",
+           "            if children:\n"
+           "                results.append(value)\n",
+           ("tests/test_cli.py::test_threads_do_not_change_output",
+            "tests/test_cli.py"
+            "::test_master_sweep_records_do_not_depend_on_threads",
+            "tests/test_cli.py"
+            "::test_mc_survey_builds_one_sweep_at_any_thread_count")),
 )
 
 

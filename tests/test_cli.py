@@ -2,17 +2,20 @@ import argparse
 import csv
 import io
 import json
+import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mdl import cli, discrepancy
+from mdl import cli, discrepancy, gallagher
 from mdl.cli import main
-from mdl.realnum import parse_param
+from mdl.realnum import CapExceeded, DependenceError, parse_param
 
 F = Fraction
 
@@ -124,37 +127,114 @@ def test_threads_do_not_change_output():
     assert out1 == out2
 
 
-class _SerialPool:
-    """Stands in for `ProcessPoolExecutor`: records its worker count and
-    maps in this process, so no process starts."""
+def _counting_forks(monkeypatch):
+    """Count the forks made from this process from now on."""
+    forks, fork = [], os.fork
 
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, work):
-        return map(fn, work)
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
-@pytest.mark.parametrize("argv, workers", [
+@pytest.mark.parametrize("argv, chunks", [
     ("master-sweep --psi overq:1/4 --gamma sqrt:2 --Q 3", 2),
     ("mc-survey --psi overq:1/4 --gamma sqrt:3 --beta sqrt:2 --Q 100 "
      "--samples 3 --direct", 3)])
-def test_pool_starts_at_most_one_worker_per_chunk(argv, workers, monkeypatch,
+def test_pool_starts_at_most_one_worker_per_chunk(argv, chunks, monkeypatch,
                                                  capsys):
+    """--threads n forks min(n, chunks) - 1 children: the command's own
+    process runs the first chunk."""
     assert main(shlex.split(argv + " --threads 1")) == 0
     serial = capsys.readouterr().out
-    started = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: _SerialPool(started, max_workers))
-    assert main(shlex.split(argv + " --threads 64")) == 0
-    assert started == [workers]
-    assert capsys.readouterr().out == serial
+    forks = _counting_forks(monkeypatch)
+    for threads in (2, 3, 64):
+        forks.clear()
+        assert main(shlex.split(argv + f" --threads {threads}")) == 0
+        assert len(forks) == min(threads, chunks) - 1, threads
+        assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("fibre", [
+    "--psi overq:1/4 --beta sqrt:2 --direct",
+    "--psi log2sq:1/2 --beta sqrt:3 --omega 1/4"])
+def test_mc_survey_builds_one_sweep_at_any_thread_count(fibre, tmp_path,
+                                                        monkeypatch, capsys):
+    """One `_HitSweep` per run, made before the fork, whatever --threads
+    says; each build appends a line to a file, so a build in a child
+    counts too."""
+    log = tmp_path / "builds"
+    init = gallagher._HitSweep.__init__
+
+    def logged(self, *args, **kwargs):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, b"build\n")
+        os.close(fd)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(gallagher._HitSweep, "__init__", logged)
+    outs = []
+    for threads in (1, 2, 3):
+        log.write_text("")
+        assert main(shlex.split(f"mc-survey --gamma sqrt:3 {fibre} --Q 300 "
+                                f"--samples 7 --seed 3 --threads {threads}")) == 0
+        outs.append(capsys.readouterr().out)
+        assert log.read_text() == "build\n", threads
+    assert outs[0] == outs[1] == outs[2]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize("error", [
+    cli.ConfigError("--samples must be >= 1"),
+    DependenceError((2, -1), "distance cannot be separated from 0"),
+    CapExceeded("needs more than 64 bits")])
+def test_a_worker_error_is_raised_unchanged(error):
+    """An error raised in a child comes back with its class and text, and
+    the earliest failing chunk's error wins, as in a serial run; the
+    child still sleeping past it is killed and reaped."""
+    work = [None, lambda: _raise(error), lambda: _raise(ValueError("later")),
+            lambda: time.sleep(60)]
+    start = time.monotonic()
+    with pytest.raises(type(error)) as caught:
+        cli._pmap(lambda w: w and w(), work)
+    assert str(caught.value) == str(error)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("death", [
+    lambda: os._exit(1),
+    lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_a_worker_that_dies_is_an_error_not_a_hang(death):
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        cli._pmap(lambda w: w and w(), [None, death])
+    _no_child_left()
+
+
+def test_a_failing_first_chunk_leaves_no_child():
+    """The first chunk runs in this process: when it raises, the children
+    are killed and reaped before the error goes on."""
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="parent"):
+        cli._pmap(lambda w: w(), [lambda: _raise(CapExceeded("parent")),
+                                  lambda: time.sleep(60)])
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_pmap_runs_the_first_chunk_here_and_keeps_the_order():
+    parts = cli._pmap(lambda w: (w, os.getpid()), [0, 1, 2])
+    assert [w for w, _ in parts] == [0, 1, 2]
+    assert parts[0][1] == os.getpid() and len({pid for _, pid in parts}) == 3
+    _no_child_left()
 
 
 def test_master_sweep_records_do_not_depend_on_threads():
@@ -249,8 +329,10 @@ def test_sigma_pair_refusal_names_its_witness(beta, message, capsys):
 
 
 def test_refusal_from_a_worker_keeps_its_witness():
-    """2*0.5 - 1 cannot be separated from 0 at any precision; the refusal
-    reads the same whether it was raised in a pool worker or not."""
+    """2*0.5 - 1 cannot be separated from 0 at any precision.  The refusal
+    comes from the sweep's build, before any fork, so it reads the same at
+    any --threads; an error raised in a child is checked to come back
+    unchanged by `test_a_worker_error_is_raised_unchanged`."""
     args = ("mc-survey", "--psi", "const:1/10", "--gamma", "sqrt:3",
             "--beta", "dec:0.5@1e-12", "--gamma-prime", "rat:1", "--Q", "4",
             "--samples", "4")

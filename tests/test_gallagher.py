@@ -567,10 +567,12 @@ def test_mc_survey_parts_add_up(sqrt3):
     """Disjoint sample-index ranges split one survey into parts."""
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.sqrt(2), R0, None)
     whole = mc_survey(sqrt3, pp, 100, 10, seed=5, direct=True)
-    head = mc_survey(sqrt3, pp, 100, 4, seed=5, direct=True)
-    tail = mc_survey(sqrt3, pp, 100, 6, seed=5, direct=True, first=4)
-    assert whole.mean * 10 == head.mean * 4 + tail.mean * 6
-    assert whole.expected == tail.expected
+    sweep = _HitSweep(sqrt3, pp, 100, direct=True)
+    head, u_head = sweep.tally(5, range(0, 4))
+    tail, u_tail = sweep.tally(5, range(4, 10))
+    assert whole.mean * 10 == head + tail
+    assert whole.undecided == u_head + u_tail
+    assert whole.expected == sweep.expected()
 
 
 def test_table_gaps_are_zero():
