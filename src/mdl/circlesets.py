@@ -15,9 +15,13 @@ a pair on one integer grid by a center-difference argument: the multiset of
 circle distances between arc centers of A_q and A_q' is an arithmetic
 progression with gap gcd/(q q') traversed with multiplicity gcd, and an
 overlap is a clipped linear function of the distance, so a pair costs a
-fixed number of big-integer operations.  `gallagher.bc_ratio`, `pair_sum`
-and `master_check` all measure through it.  The generic sweep intersection,
-the independent slow route, lives in the tests as `oracles.intersect`.
+fixed number of big-integer operations.  `AqFamily.row` reads the family
+once per row and calls the kernel directly on each pair of proper arc
+systems, and a pair with no gamma slack and exact radii (every exact-mode
+pair) computes each clip sum once for both bounds.  `gallagher.bc_ratio`,
+`pair_sum` and `master_check` all measure through it.  The generic sweep
+intersection, the independent slow route, lives in the tests as
+`oracles.intersect`.
 
 `master_check` stays on integers too: it reads psi(q) and psi(q') as
 numerator/denominator pairs, decides the case, the bound and each ladder
@@ -198,11 +202,17 @@ def _radius(psi_q: Enclosure, q: int) -> tuple:
 
 
 def _clip_sum(t0: int, s: int, n: int, c: int) -> int:
-    """sum over k = 0..n-1 of min(max(t0 - k s, 0), c), for s > 0."""
+    """sum over k = 0..n-1 of max(min(t0 - k s, c), 0), for s > 0."""
     if n <= 0 or t0 <= 0 or c <= 0:
         return 0
-    k2 = min(n, -(-t0 // s))                          # terms above 0
-    k1 = min(k2, (t0 - c) // s + 1) if t0 >= c else 0  # terms at c
+    k2 = -(-t0 // s)                  # terms above 0
+    if k2 > n:
+        k2 = n
+    k1 = 0                            # terms at c
+    if t0 >= c:
+        k1 = (t0 - c) // s + 1
+        if k1 > k2:
+            k1 = k2
     return (c * k1 + (k2 - k1) * t0
             - s * (k2 * (k2 - 1) - k1 * (k1 - 1)) // 2)
 
@@ -233,29 +243,41 @@ def aq_pair_measure_raw(rho: tuple, rhop: tuple, q: int, qp: int,
     mul = CD // S
     tr_lo, tr_hi = 2 * ln * (CD // ld), 2 * hn * (CD // hd)
     trp_lo, trp_hi = 2 * lnp * (CD // ldp), 2 * hnp * (CD // hdp)
-    c_lo, c_hi = min(tr_lo, trp_lo), min(tr_hi, trp_hi)
+    c_lo = tr_lo if tr_lo < trp_lo else trp_lo
+    c_hi = tr_hi if tr_hi < trp_hi else trp_hi
     # R >= c, so a distance that the slack pushes below 0 still gives c
     R_lo, R_hi = (tr_lo + trp_lo) // 2, (tr_hi + trp_hi) // 2
     # gamma's slack moves every distance by at most gerr (rounded outward)
     gerr = -(-abs(qp - q) * sn * CD // (sd * qq)) if sn else 0
+    # no slack and one radius each: the hi sums are the lo sums
+    shared = gerr == 0 and R_lo == R_hi and c_lo == c_hi
 
     # the distances S*d: b0 + k*step while 2 d <= S, then step - b0 + j*step
     b0 = gn * (qp - q) % step
-    n1 = min(nst, (S - 2 * b0) // (2 * step) + 1)
+    n1 = (S - 2 * b0) // (2 * step) + 1
+    if n1 > nst:
+        n1 = nst
     sm = step * mul
     reach = R_hi + gerr
     lo = hi = 0
     for a, n in ((b0 * mul, n1), ((step - b0) * mul, nst - n1)):
         if a < reach:
-            lo += _clip_sum(R_lo - gerr - a, sm, n, c_lo)
-            hi += _clip_sum(reach - a, sm, n, c_hi)
+            v = _clip_sum(R_lo - gerr - a, sm, n, c_lo)
+            lo += v
+            hi += v if shared else _clip_sum(reach - a, sm, n, c_hi)
         if 2 * reach >= CD:           # the antipodal overlap grows with d
             last = a + (n - 1) * sm
-            lo += _clip_sum(last - (CD - R_lo + gerr), sm, n, c_lo)
-            hi += _clip_sum(last - (CD - reach), sm, n, c_hi)
+            v = _clip_sum(last - (CD - R_lo + gerr), sm, n, c_lo)
+            lo += v
+            hi += v if shared else _clip_sum(last - (CD - reach), sm, n, c_hi)
     # clamp into [0, min(full arc masses, 1)]
-    cap_i = min(tr_hi * q, trp_hi * qp, CD)
-    return min(r * lo, cap_i), min(r * hi, cap_i), CD
+    cap_i = CD
+    if tr_hi * q < cap_i:
+        cap_i = tr_hi * q
+    if trp_hi * qp < cap_i:
+        cap_i = trp_hi * qp
+    lo, hi = r * lo, r * hi
+    return lo if lo < cap_i else cap_i, hi if hi < cap_i else cap_i, CD
 
 
 def _psi_lookup(psi, q: int) -> Enclosure:
@@ -325,18 +347,25 @@ class AqFamily:
 
     def row(self, q: int) -> tuple:
         """The sum over q' < q of |A_q intersect A_q'|, in `units`."""
+        kind, pin = self.kind, self.pin
+        a = kind[q]
+        if type(a) is tuple:          # kind is keyed 1..Q in order
+            raws = [aq_pair_measure_raw(a, b, q, qp, pin) if type(b) is tuple
+                    else self.pair_raw(q, qp)
+                    for qp, b in zip(range(1, q), kind.values())]
+        else:
+            raws = [self.pair_raw(q, qp) for qp in range(1, q)]
         lo = hi = 0
-        den = 1                       # exact mode: the sum is lo/den
-        for qp in range(1, q):
-            lo_i, hi_i, CD = self.pair_raw(q, qp)
-            if self.exact:
+        if self.exact:
+            den = 1                   # the sum is lo/den
+            for lo_i, _, CD in raws:
                 m = math.lcm(den, CD)
                 lo, den = lo * (m // den) + lo_i * (m // CD), m
-            else:
-                lo += (lo_i << SHIFT) // CD
-                hi -= (-hi_i << SHIFT) // CD
-        if self.exact:
-            lo = hi = Fraction(lo, den)   # one reduction per row
+            lo = Fraction(lo, den)    # one reduction per row
+            return lo, lo
+        for lo_i, hi_i, CD in raws:
+            lo += (lo_i << SHIFT) // CD
+            hi -= (-hi_i << SHIFT) // CD
         return lo, hi
 
 
@@ -394,10 +423,6 @@ class IntersectionReport:
     @property
     def min_C0(self) -> Optional[Fraction]:
         return None if self.min_C0_raw is None else Fraction(*self.min_C0_raw)
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.verdict)
 
 
 def master_check(psi, gamma, q: int, qp: int, H: int = 3,

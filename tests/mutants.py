@@ -53,9 +53,18 @@ MUTANTS = (
            "w = bits + 16",
            ("tests/test_realnum.py::test_const_pins_match_the_mpmath_route",)),
     Mutant("clip-sum-off-by-one", "circlesets.py",
-           "k2 = min(n, -(-t0 // s))",
-           "k2 = min(n, -(-t0 // s) + 1)",
+           "k2 = -(-t0 // s)",
+           "k2 = -(-t0 // s) + 1",
            ("tests/test_pair_kernel.py",)),
+    Mutant("shared-sum-with-slack", "circlesets.py",
+           "shared = gerr == 0 and R_lo == R_hi and c_lo == c_hi",
+           "shared = R_lo == R_hi and c_lo == c_hi",
+           ("tests/test_pair_kernel.py",)),
+    Mutant("shared-sum-with-wide-radius", "circlesets.py",
+           "shared = gerr == 0 and R_lo == R_hi and c_lo == c_hi",
+           "shared = gerr == 0",
+           ("tests/test_pair_kernel.py"
+            "::test_inexact_psi_brackets_the_sweep",)),
     Mutant("em-terms-without-g5", "arith.py",
            "x2 * (x2 * (7560 * x - 1260) + 126) - 60,\n"
            "            x2 * (1260 * x2 - 231) + 137,",

@@ -178,7 +178,7 @@ def test_master_check_case1_example():
     assert rep.indicator == 1
     assert rep.bound == F(7, 15)
     assert rep.measure.lo == F(1, 15)
-    assert rep.holds
+    assert rep.verdict is True
 
 
 def test_master_check_case2_example():
@@ -186,7 +186,7 @@ def test_master_check_case2_example():
     assert rep.case == "II"
     assert rep.delta == F(42, 5)
     assert rep.bound == 4 * (1 + F(3, 2) / 6) * F(2, 5) * F(2, 5)
-    assert rep.holds
+    assert rep.verdict is True
     assert rep.min_C0 is not None and rep.min_C0 >= 1
 
 

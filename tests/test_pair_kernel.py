@@ -77,6 +77,62 @@ def test_dyadic_pin_encloses_truth(ks, k, B):
     assert fam.total(lo, hi).contains(truth)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 126), st.integers(1, 40)),
+                min_size=2, max_size=12),
+       st.sampled_from([1, 2, 3, 5, 7]), st.data())
+def test_inexact_psi_brackets_the_sweep(kws, gden, data):
+    """Rational gamma with psi(q) known only to a dyadic enclosure
+    [lo, hi], lo < hi, as `_radius_table` gives a PsiPrime: each pair's
+    lower bound is at most the sweep at psi = lo, its upper bound at least
+    the sweep at psi = hi, and the row is the sum of the pairs on the
+    2^-192 grid."""
+    g = F(data.draw(st.integers(0, gden - 1)), gden)
+    # psi(q) in [k, min(k + w, 127)] / 2^8, inside (0, 1/2)
+    table = {q: Enclosure.dyadic(k, min(k + w, 127), 8)
+             for q, (k, w) in enumerate(kws, start=1)}
+    Q = len(kws)
+    fam = AqFamily(table, g, Q)
+    assert not fam.exact
+    lo_sets = {q: build_Aq(v.lo, g, q) for q, v in table.items()}
+    hi_sets = {q: build_Aq(v.hi, g, q) for q, v in table.items()}
+    for q in range(2, Q + 1):
+        want_lo = want_hi = 0
+        for qp in range(1, q):
+            lo, hi, CD = fam.pair_raw(q, qp)
+            assert F(lo, CD) <= intersect(lo_sets[q], lo_sets[qp]).measure()
+            assert F(hi, CD) >= intersect(hi_sets[q], hi_sets[qp]).measure()
+            want_lo += (lo << circlesets.SHIFT) // CD
+            want_hi -= (-hi << circlesets.SHIFT) // CD
+        assert fam.row(q) == (want_lo, want_hi), q
+
+
+def _clip_sum_brute(t0, s, n, c):
+    """Term by term; a cap c < 0 clips every term to 0."""
+    return sum(max(min(t0 - k * s, c), 0) for k in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-20, 200), st.integers(1, 30), st.integers(-3, 25),
+       st.integers(-5, 120))
+def test_clip_sum_matches_the_term_sum(t0, s, n, c):
+    """The closed form of sum_{k<n} max(min(t0 - k s, c), 0), n, t0 and c
+    of any sign included."""
+    assert circlesets._clip_sum(t0, s, n, c) == _clip_sum_brute(t0, s, n, c)
+
+
+@pytest.mark.parametrize("t0, s, n, c", [
+    (10, 3, 0, 5), (10, 3, -2, 5),       # no terms
+    (0, 3, 4, 5), (-7, 3, 4, 5),         # t0 <= 0
+    (10, 3, 4, 0), (10, 3, 4, -1),       # c <= 0
+    (4, 3, 5, 9), (9, 3, 5, 9),          # t0 < c, t0 = c
+    (100, 3, 4, 7), (100, 7, 3, 200),    # terms above 0 capped by n
+    (20, 3, 20, 5), (21, 3, 20, 5),      # every positive term counted
+])
+def test_clip_sum_edges(t0, s, n, c):
+    assert circlesets._clip_sum(t0, s, n, c) == _clip_sum_brute(t0, s, n, c)
+
+
 @pytest.mark.parametrize("gamma", [F(2, 7), RealParam.sqrt(2)])
 def test_pair_sum_is_the_sum_of_pair_measures(gamma):
     psi = ApproxFunction.over_q(F(1, 3)).eval
