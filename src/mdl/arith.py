@@ -165,8 +165,6 @@ def F_of(q: int) -> Enclosure:
     lo = Fraction(0)
     hi = Fraction(0)
     for r in divs:
-        if r == 1:
-            continue
         e = _log2_cached(r, bits)
         lo += e.lo / r
         hi += e.hi / r
@@ -245,8 +243,6 @@ def F_average(Q: int) -> Enclosure:
     stays at 65536 so that every enclosure up to there is unchanged."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if Q == 1:
-        return Enclosure.exact(0)
     if Q <= 65536:
         # dyadic accumulation: floor/ceil each term, a bound of log2 r on
         # the 2^-w grid times floor(Q/r) / r, onto the 2^-64 grid so the

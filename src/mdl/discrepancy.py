@@ -250,15 +250,12 @@ SHELL_BITS = 96
 
 @dataclass
 class EtkBound:
-    """An Erdos-Turan-Koksma bound at truncation H.  The bound is kept as
-    an integer triple and the shell terms as a sweep's shared integer
-    pairs; both are built as enclosures when read."""
+    """An Erdos-Turan-Koksma bound at truncation H, kept as an integer
+    triple and built as an enclosure when read."""
 
     N: int
     H: int
     bound_raw: tuple          # (lo, hi, den): the bound lies in [lo, hi]/den
-    shells_raw: Sequence = ()  # a sweep's shell pairs on the 2^-SHELL_BITS
-    #                            grid; the first H are this bound's
     implied_constant: Optional[Enclosure] = None
 
     @property
@@ -266,19 +263,12 @@ class EtkBound:
         lo, hi, den = self.bound_raw
         return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
-    @property
-    def shell_terms(self) -> tuple:
-        """shell_terms[h-1] = enclosure of the |k| = h (or max(|k1|,|k2|) = h)
-        frequency-sum contribution."""
-        return tuple(Enclosure.dyadic(lo, hi, SHELL_BITS)
-                     for lo, hi in self.shells_raw[:self.H])
-
     @staticmethod
-    def of_shells(N: int, H: int, lo: int, hi: int, shells: Sequence) -> "EtkBound":
+    def of_shells(N: int, H: int, lo: int, hi: int) -> "EtkBound":
         """9N(1/H + S) for a shell sum S in [lo, hi] 2^-SHELL_BITS."""
         den = H << SHELL_BITS
         top = 9 * N << SHELL_BITS
-        return EtkBound(N, H, (9 * lo * H + top, 9 * hi * H + top, den), shells)
+        return EtkBound(N, H, (9 * lo * H + top, 9 * hi * H + top, den))
 
 
 def _etk_shells_1d(fe: FormEvaluator, Hmax: int) -> list:
@@ -331,7 +321,7 @@ def etk_bound_sweep(params: Sequence[RealParam], N: int, Hmax: int,
         # shells sit on the 2^-SHELL_BITS grid, so their sum is exact there
         acc_lo += lo
         acc_hi += hi
-        out.append(EtkBound.of_shells(N, H, acc_lo, acc_hi, shells))
+        out.append(EtkBound.of_shells(N, H, acc_lo, acc_hi))
     return out
 
 
@@ -363,21 +353,17 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
     H = 1
     while True:
         # 1/H <= coef * log2(H) * H^sigma  <=>  1 <= coef log2(H) H^(sigma+1)
-        if H == 1:
-            ok = False  # log2(1) = 0
-        else:
-            lg = log2_enclosure(H, 96)
-            hpow = rational_power(Enclosure.exact(H), p + s, s, bits=96)
-            rhs = lg * hpow * coef
-            ok = rhs.lo > 1 or rhs.lo == rhs.hi == 1
-            if not ok and rhs.hi >= 1:
-                raise CapExceeded(f"H-threshold comparison undecided at H={H}")
+        lg = log2_enclosure(H, 96)
+        hpow = rational_power(Enclosure.exact(H), p + s, s, bits=96)
+        rhs = lg * hpow * coef
+        ok = rhs.lo > 1 or rhs.lo == rhs.hi == 1
+        if not ok and rhs.hi >= 1:
+            raise CapExceeded(f"H-threshold comparison undecided at H={H}")
         if ok:
             break
         H += 1
         if H > 10 ** 9:
             raise RuntimeError("optimized H not found below 1e9")
-    lg = log2_enclosure(H, 96) if H > 1 else Enclosure.exact(0)
     hsig = rational_power(Enclosure.exact(H), p, s, bits=96)
     bound = (Fraction(1, H) + coef * lg * hsig) * (9 * N)
     # reference shape: C * N^(sigma/(sigma+1)) * (log2 N)^(1/(sigma+1))
@@ -388,4 +374,4 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
     implied = bound / denom if denom.lo > 0 else None
     lo, hi = round_outward(bound.lo.numerator, bound.lo.denominator,
                            bound.hi.numerator, bound.hi.denominator, 96)
-    return EtkBound(N, H, (lo, hi, 1 << 96), (), implied)
+    return EtkBound(N, H, (lo, hi, 1 << 96), implied)

@@ -98,14 +98,6 @@ class ApproxFunction:
         return ApproxFunction._formula("overq", c)
 
     @staticmethod
-    def ev_shape(c: RationalLike) -> "ApproxFunction":
-        return ApproxFunction._formula("ev", c)
-
-    @staticmethod
-    def mono2_shape(c: RationalLike) -> "ApproxFunction":
-        return ApproxFunction._formula("mono2", c)
-
-    @staticmethod
     def log2sq_shape(c: RationalLike) -> "ApproxFunction":
         return ApproxFunction._formula("log2sq", c)
 
@@ -284,9 +276,10 @@ class FibreContext:
     keeps the first rung of the evaluator's precision ladder as a running
     total, stepped from q to q by beta's pin and spread, and reads the
     level off that window on ints: exactly for omega = p/s with s <= 64,
-    from 96-bit log2 bounds otherwise.  Only a q whose first rung straddles
-    a wall, or whose form collapses to a rational, climbs the evaluator's
-    ladder; what the cap cannot decide is flagged, never guessed.
+    from 96-bit log2 bounds otherwise.  Every q gets that window, a form
+    that collapses to a rational too; only a q whose window straddles a
+    wall climbs the evaluator's ladder, which decides a collapsed form
+    exactly.  What the cap cannot decide is flagged, never guessed.
 
     `psi_primes` maps the route to psi': (state, lo, hi), one pair of ints
     on the 2^-PSI_PRIME_BITS grid, the integer window of psi(q) divided by
@@ -307,12 +300,6 @@ class FibreContext:
             self._gp_in_form = True
         # the first window is taken at 128 bits, or at the cap below that
         self.fe = FormEvaluator(params, offset, bits=min(128, cap), cap=cap)
-        # The group sums of (q,) and (q, -1) are q, -1 or q - 1, so the form
-        # collapses to a rational at every q (beta and g' rational), at
-        # q = 1 alone (g' = beta), or nowhere.
-        rational = self.fe._rational_value
-        self._rational_everywhere = rational(self._coeffs(2)) is not None
-        self._rational_at_1 = rational(self._coeffs(1)) is not None
 
     def _coeffs(self, q: int):
         return (q, -1) if self._gp_in_form else (q,)
@@ -323,14 +310,14 @@ class FibreContext:
     def levels(self, qs, top: Optional[int] = None):
         """Yield (q, level, window) for each q of `qs`, increasing ints >= 1:
         the level of q clamped to at most `top`, or None where the cap
-        cannot decide it, and the distance window (lo, hi, scale) taken at
-        the evaluator's first rung, or None where the form collapses to a
-        rational whose denominator is not that rung's scale.
+        cannot decide it, and the distance window (lo, hi, scale) of the
+        evaluator's first rung, for every q.  The level is read off that
+        window, and only where it straddles a wall is q's level decided on
+        the ladder.
 
         Where omega is None or not positive there is no level: a q is then
-        yielded at level `top` with no window, or at -1 where omega is not
-        positive and its distance vanishes; a census (`top` None) refuses
-        such an omega."""
+        yielded at level `top`, or at -1 where omega is not positive and its
+        distance vanishes; a census (`top` None) refuses such an omega."""
         fe, pp = self.fe, self.pp
         bits = fe.bits
         scale = 1 << bits
@@ -341,7 +328,6 @@ class FibreContext:
         if self._gp_in_form:
             acc -= pins[1][0]
             err += pins[1][1]
-        every, at_1 = self._rational_everywhere, self._rational_at_1
         schedule = isinstance(pp.omega, tuple)
         om = None if schedule else pp.omega_at(1)
         last = ()     # no omega yet
@@ -352,6 +338,10 @@ class FibreContext:
             acc = (acc + (q - prev) * pin) & mask
             err += (q - prev) * spread
             prev = q
+            d = acc if acc <= half else scale - acc
+            lo = d - err if d > err else 0
+            hi = d + err if d + err <= half else half
+            window = lo, hi, scale
             if schedule:
                 om = pp.omega_at(q)
             if om is not last:
@@ -365,14 +355,8 @@ class FibreContext:
                 if top is None:
                     raise ValueError("census cells need a positive omega")
                 zero = om is not None and self.dist_is_zero(q)
-                yield q, -1 if zero else top, None
+                yield q, -1 if zero else top, window
                 continue
-            if every or (at_1 and q == 1):
-                yield (q, *self._level(q, om, top))
-                continue
-            d = acc if acc <= half else scale - acc
-            lo = d - err if d > err else 0
-            hi = d + err if d + err <= half else half
             if s <= 64:
                 # _pow_levels on scale = 2^bits: floor(log2(x^s q^p /
                 # scale^s)) is the bit length of x^s q^p less (bits s + 1)
@@ -383,35 +367,24 @@ class FibreContext:
                 a, b = _log_levels(lo, hi, scale, p, s, log2_scaled(q, 96))
             if top is not None:
                 a, b = min(a, top), min(b, top)
-            if a == b:
-                yield q, a, (lo, hi, scale)
-            else:
-                yield (q, *self._level(q, om, top))
+            yield q, a if a == b else self._level(q, om, top), window
 
-    def _level(self, q: int, om: Fraction, top: Optional[int]) -> tuple:
-        """(the level of q clamped to at most `top`, or None at the cap; the
-        distance window (lo, hi, scale) that the ladder took at the
-        evaluator's first rung, or None), decided on the evaluator's
-        ladder."""
+    def _level(self, q: int, om: Fraction, top: Optional[int]) -> Optional[int]:
+        """The level of q clamped to at most `top`, or None at the cap,
+        decided on the evaluator's ladder."""
         p, s = om.numerator, om.denominator
         if s <= 64:
             levels = partial(_pow_levels, s=s, qp=q ** p)
         else:
             levels = partial(_log_levels, p=p, s=s, lgq=log2_scaled(q, 96))
-        first_scale = 1 << self.fe.bits
-        first = None
 
         def verdict(fr, err, scale):
-            nonlocal first
-            lo, hi, _ = window = frac_to_dist(fr, err, scale)
-            if scale == first_scale:
-                first = window
-            a, b = levels(lo, hi, scale)
+            a, b = levels(*frac_to_dist(fr, err, scale))
             if top is not None:
                 a, b = min(a, top), min(b, top)
             return a if a == b else None
 
-        return self.fe.decide(self._coeffs(q), verdict), first
+        return self.fe.decide(self._coeffs(q), verdict)
 
     def psi_primes(self, qs):
         """Yield (q, state, lo, hi) for each q of `qs`, increasing ints >= 1,
@@ -424,16 +397,16 @@ class FibreContext:
 
     def _psi_prime(self, q: int, level: Optional[int], window) -> tuple:
         """(state, lo, hi) of psi'(q) from q's support level and first-rung
-        window.  The distance window is that one where it is positive; else
-        `positive_windows` takes it, first rung and ladder alike, so the
-        value is the same either way."""
+        window.  The distance window is that one where it is positive; where
+        it reaches 0, `positive_windows` climbs the ladder from the same
+        first rung, so the value is the same either way."""
         state = _support(level)
         if state != SupportState.IN:
             return state, 0, 0
         pl, ph, pd = self.pp.psi.window(q)
         if ph == 0:
             return state, 0, 0
-        if window is None or window[0] == 0:
+        if window[0] == 0:
             (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
             window = d_lo, d_hi, 1 << b
         d_lo, d_hi, scale = window

@@ -115,9 +115,6 @@ class Enclosure:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, value: RationalLike) -> bool:
-        return self.lo <= value <= self.hi
-
     def __add__(self, other):
         if isinstance(other, Enclosure):
             return Enclosure(self.lo + other.lo, self.hi + other.hi)
@@ -652,10 +649,6 @@ class RealExpr:
             ((c, p) for c, p in merged.values() if c != 0),
             key=lambda cp: cp[1].canonical()))
         return RealExpr(kept, off)
-
-    @staticmethod
-    def of(param: RealParam, coeff: int = 1, offset: RationalLike = 0) -> "RealExpr":
-        return RealExpr.build([(coeff, param)], offset)
 
     @property
     def is_rational(self) -> bool:

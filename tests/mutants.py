@@ -139,9 +139,9 @@ MUTANTS = (
            "prev = 1\n",
            ("tests/test_gallagher.py"
             "::test_the_range_route_matches_the_per_q_route",)),
-    Mutant("fibre-collapse-check-dropped", "gallagher.py",
-           "if every or (at_1 and q == 1):",
-           "if False:",
+    Mutant("fibre-window-widened", "gallagher.py",
+           "window = lo, hi, scale",
+           "window = lo, hi + 1, scale",
            ("tests/test_gallagher.py"
             "::test_the_range_route_matches_the_per_q_route",)),
     Mutant("star-window-without-err", "discrepancy.py",

@@ -1,7 +1,7 @@
 """Test-side helpers: checks that only the tests call, the `Fraction`
 reference route of the integer-window kernels, the comparison route of
 real expressions, the wall-comparison route of the fibre level, and its
-per-q route with a one-entry slot, which the range route replaced.
+per-q route, which the range route replaced.
 
 The reference functions build, normalise and compare a `Fraction` per
 term, as the library did before its hot loops ran on integer windows.
@@ -29,6 +29,7 @@ from mdl.circlesets import (
     _psi_lookup,
     aq_pair_measure_raw,
 )
+from mdl.discrepancy import SHELL_BITS, _shell_sums
 from mdl.gallagher import (
     _FAMILY_EXPONENTS,
     HALF,
@@ -83,6 +84,23 @@ def from_endpoint_pairs(pairs, slack=0) -> CircleSet:
 def overlaps(a: Enclosure, b: Enclosure) -> bool:
     """Do two enclosures share a point?"""
     return a.lo <= b.hi and b.lo <= a.hi
+
+
+def contains(e: Enclosure, value) -> bool:
+    """Does the enclosure e hold the rational value?"""
+    return e.lo <= value <= e.hi
+
+
+def expr_of(param, coeff: int = 1, offset=0) -> RealExpr:
+    """The expression coeff * param + offset."""
+    return RealExpr.build([(coeff, param)], offset)
+
+
+def etk_shell_terms(params, N: int, H: int) -> tuple:
+    """The shell enclosures of `etk_bound_sweep(params, N, H)`: entry h - 1
+    holds the |k| = h (or max(|k1|, |k2|) = h) frequency-sum contribution."""
+    return tuple(Enclosure.dyadic(lo, hi, SHELL_BITS)
+                 for lo, hi in _shell_sums(params, N, H, DEFAULT_PRECISION_CAP))
 
 
 def quantize(e: Enclosure, bits: int) -> Enclosure:
@@ -424,59 +442,42 @@ def psi_prime_value(ctx, q: int) -> Enclosure:
 
 class PerQFibre:
     """`FibreContext`'s per-q route before the range route: each q's level
-    is one `FormEvaluator.decide` call from the evaluator's first rung,
-    and the last decision is kept in a one-entry slot (q, first-rung
-    window, level), which `psi_prime` reads for the window of q and
-    `support_state` for a level already decided."""
+    is one `FormEvaluator.decide` call from the evaluator's first rung, and
+    its distance window is `frac_window`'s at that rung."""
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._slot = None, None, None
 
-    def level(self, q: int, om: Fraction, top):
-        """The level of q clamped to at most `top`, or None at the cap; the
-        slot receives (q, the window the ladder took at its first rung or
-        None, the level)."""
+    def level(self, q: int, om, top):
+        """The level of q clamped to at most `top`, or None at the cap; with
+        no level (omega None or not positive), `top`, or -1 where omega is
+        not positive and the distance vanishes."""
+        if om is None or om <= 0:
+            return -1 if om is not None and self.ctx.dist_is_zero(q) else top
         p, s = om.numerator, om.denominator
         if s <= 64:
             levels = partial(_pow_levels, s=s, qp=q ** p)
         else:
             levels = partial(_log_levels, p=p, s=s, lgq=log2_scaled(q, 96))
-        first_scale = 1 << self.ctx.fe.bits
-        first = None
 
         def verdict(fr, err, scale):
-            nonlocal first
-            lo, hi, _ = window = frac_to_dist(fr, err, scale)
-            if scale == first_scale:
-                first = window
-            a, b = levels(lo, hi, scale)
+            a, b = levels(*frac_to_dist(fr, err, scale))
             if top is not None:
                 a, b = min(a, top), min(b, top)
             return a if a == b else None
 
-        result = self.ctx.fe.decide(self.ctx._coeffs(q), verdict)
-        self._slot = q, first, result
-        return result
+        return self.ctx.fe.decide(self.ctx._coeffs(q), verdict)
+
+    def window(self, q: int) -> tuple:
+        """The distance window (lo, hi, scale) of q at the first rung."""
+        fr, err, b = self.ctx.fe.frac_window(self.ctx._coeffs(q))
+        return frac_to_dist(fr, err, 1 << b)
 
     def support_state(self, q: int) -> str:
-        om = self.ctx.pp.omega_at(q)
-        if om is None:
-            return SupportState.IN
-        if om <= 0:
-            return SupportState.IN if not self.ctx.dist_is_zero(q) \
-                else SupportState.OUT
-        slot_q, _, level = self._slot
-        if slot_q != q or level is None:
-            level = self.level(q, om, 0)
+        level = self.level(q, self.ctx.pp.omega_at(q), 0)
         if level is None:
             return SupportState.UNDECIDED
         return SupportState.IN if level >= 0 else SupportState.OUT
-
-    def window(self, q: int):
-        """The first-rung window the slot holds for q, or None."""
-        slot_q, window, _ = self._slot
-        return window if slot_q == q else None
 
     def psi_prime(self, q: int) -> tuple:
         state = self.support_state(q)
@@ -485,8 +486,8 @@ class PerQFibre:
         pl, ph, pd = self.ctx.pp.psi.window(q)
         if ph == 0:
             return state, 0, 0
-        slot_q, window, _ = self._slot
-        if slot_q != q or window is None or window[0] == 0:
+        window = self.window(q)
+        if window[0] == 0:
             (d_lo, d_hi, b), = self.ctx.fe.positive_windows([self.ctx._coeffs(q)])
             window = d_lo, d_hi, 1 << b
         d_lo, d_hi, scale = window

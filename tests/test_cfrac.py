@@ -13,7 +13,13 @@ from mdl.cfrac import (
     sigma_single,
 )
 from mdl.realnum import DependenceError, FormEvaluator, RealParam
-from oracles import dist_enclosure, min_dist, overlaps, witness_verifies
+from oracles import (
+    contains,
+    dist_enclosure,
+    min_dist,
+    overlaps,
+    witness_verifies,
+)
 
 F = Fraction
 
@@ -60,7 +66,7 @@ def test_min_dist_examples(sqrt2, golden):
     assert n == 5 and abs(float(d.mid) - 0.0710678) < 1e-4
     d, n = min_dist(sqrt2, 1)
     assert n == 1
-    assert d.contains(F(665857, 470832) - 1) or float(d.mid) == pytest.approx(
+    assert contains(d, F(665857, 470832) - 1) or float(d.mid) == pytest.approx(
         math.sqrt(2) - 1, abs=1e-12)
 
 

@@ -39,7 +39,7 @@ from mdl.realnum import (
     parse_param,
 )
 import oracles
-from oracles import dist_pow_compare, eval_checked, overlaps
+from oracles import contains, dist_pow_compare, eval_checked, overlaps
 
 F = Fraction
 R0 = RealParam.rational(0)
@@ -54,10 +54,10 @@ def test_psi_families():
     oq = ApproxFunction.over_q(F(1, 2))
     assert oq.eval(4).lo == F(1, 8)
     assert oq.q0 == 2      # psi(1) = 1/2 violates the range
-    m2 = ApproxFunction.mono2_shape(F(1))
+    m2 = parse_psi("mono2:1")
     ref = 1 / (100 * math.log2(100)**2 * math.sqrt(math.log2(math.log2(100))))
     assert float(m2.eval(100).mid) == pytest.approx(ref, rel=1e-9)
-    ev = ApproxFunction.ev_shape(F(1))
+    ev = parse_psi("ev:1")
     ref = 1 / (100 * math.log2(100) * math.log2(math.log2(100))**2)
     assert float(ev.eval(100).mid) == pytest.approx(ref, rel=1e-9)
     lsq = ApproxFunction.log2sq_shape(F(1, 2))
@@ -71,8 +71,8 @@ def test_psi_families():
 
 
 def test_psi_domain_start():
-    assert ApproxFunction.mono2_shape(F(1)).q0 >= 3
-    assert ApproxFunction.ev_shape(F(1)).q0 >= 3
+    assert parse_psi("mono2:1").q0 >= 3
+    assert parse_psi("ev:1").q0 >= 3
     assert ApproxFunction.const(F(2, 5)).q0 == 1
     for c in (F(1, 2), F(3, 5), F(7)):
         with pytest.raises(ValueError, match="never drops below 1/2"):
@@ -263,21 +263,61 @@ def test_sklr_decides_each_level_once(monkeypatch, sqrt2, sqrt3):
     assert ladders == Counter()
 
 
+def _counting_calls(monkeypatch, cls, names):
+    """A Counter of the calls to the methods `names` of `cls` from now on."""
+    calls = Counter()
+    for name in names:
+        def counting(self, *args, _real=getattr(cls, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
     """psi'(q) divides by the window its level decision took: here every
     window is the running first rung, so neither `frac_window` nor
     `positive_windows` takes a second one."""
-    calls = Counter()
-    for name in ("frac_window", "positive_windows"):
-        def counting(self, *args, _real=getattr(FormEvaluator, name),
-                     _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(self, *args, **kwargs)
-        monkeypatch.setattr(FormEvaluator, name, counting)
+    calls = _counting_calls(monkeypatch, FormEvaluator,
+                            ("frac_window", "positive_windows"))
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
     r = divergence_sum(pp, 2000)
     assert (pp.psi.q0, r.contributing, r.undecided) == (2, 1208, 0)
     assert calls == Counter()
+
+
+def test_an_untruncated_divergence_sum_takes_no_second_window(monkeypatch,
+                                                              sqrt2):
+    """With omega None there is no level to decide, and psi'(q) still
+    divides by the running first rung: no q takes a window of its own."""
+    calls = _counting_calls(monkeypatch, FormEvaluator,
+                            ("frac_window", "positive_windows", "decide"))
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
+    r = divergence_sum(pp, 2000)
+    assert (pp.psi.q0, r.contributing, r.undecided) == (1, 2000, 0)
+    assert calls == Counter()
+
+
+def test_a_rational_fibre_reads_its_levels_off_the_first_rung(monkeypatch):
+    """A form that collapses to a rational at every q takes its level off
+    the running first rung like any other: ||2q/7 - 1/3|| never straddles
+    a wall of omega = 1/2 there, so no q climbs the ladder, and every cell
+    is the one that the exact distance gives."""
+    calls = _counting_calls(monkeypatch, FibreContext, ("_level",))
+    census = gl_census(parse_param("rat:2/7"), F(1, 3), F(1, 2), 2500)
+    assert calls == Counter() and census.undecided == []
+    want = {}
+    for q in range(1, 2501):
+        x = F(2 * q, 7) - F(1, 3)
+        d = abs(x - round(x))
+        # the level l >= 0 has 4^l <= d^2 q < 4^(l+1)
+        l, v = -1, d * d * q
+        while v >= 1:
+            l, v = l + 1, v / 4
+        if l >= 0:
+            want.setdefault(l, []).append(q)
+    assert census.cells == want
 
 
 def test_hit_sweep_decides_each_support_once(monkeypatch, sqrt3):
@@ -363,23 +403,24 @@ def test_the_range_route_matches_the_per_q_route(beta, gp, omega, cap, tag,
                                                  start, length, step):
     """`levels` and `psi_primes` over a run of q give, q for q, the level,
     the first-rung window and psi' of the per-q route (`oracles.PerQFibre`),
-    undecided answers and DependenceError witnesses included."""
+    undecided answers and DependenceError witnesses included; the window
+    comes with every q, a collapsed form's and a q without a level too."""
     b = parse_param(beta)
     pp = PsiPrime(parse_psi(tag), b, b if gp == "beta" else parse_param(gp),
                   omega)
     qs = range(start, start + length * step, step)
     oms = [pp.omega_at(q) for q in qs]
-    if any(om is None or om <= 0 for om in oms):
-        # no level: a census refuses it, and psi' below checks the support
+    no_level = any(om is None or om <= 0 for om in oms)
+    if no_level:
+        # a census refuses an omega that gives no level
         with pytest.raises(ValueError):
             list(FibreContext(pp, cap=cap).levels(qs))
-    else:
-        for top in (None, 0):
-            ctx = FibreContext(pp, cap=cap)
-            oracle = oracles.PerQFibre(ctx)
-            want = [(q, oracle.level(q, om, top), oracle.window(q))
-                    for q, om in zip(qs, oms)]
-            assert list(ctx.levels(qs, top)) == want
+    for top in (0,) if no_level else (None, 0):
+        ctx = FibreContext(pp, cap=cap)
+        oracle = oracles.PerQFibre(ctx)
+        want = [(q, oracle.level(q, om, top), oracle.window(q))
+                for q, om in zip(qs, oms)]
+        assert list(ctx.levels(qs, top)) == want
     qs = range(max(start, pp.psi.q0), start + length * step, step)
     ctx = FibreContext(pp, cap=cap)
     oracle = oracles.PerQFibre(ctx)
@@ -504,7 +545,7 @@ def test_hit_count_vanishing_distance_outside_the_support(sqrt2):
     assert (r.count, r.undecided, r.degenerate) == (0, 0, [])
     # odd q >= 3 carry psi' = 1/(2q), and nothing else contributes
     expected = mc_survey(sqrt2, pp, 10, 1, seed=0).expected
-    assert expected.contains(F(1, 3) + F(1, 5) + F(1, 7) + F(1, 9))
+    assert contains(expected, F(1, 3) + F(1, 5) + F(1, 7) + F(1, 9))
     assert expected.width < F(1, 2**120)
 
 
@@ -558,7 +599,7 @@ def test_mc_survey_harmonic_oracle(sqrt3):
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), RealParam.sqrt(2), R0, None)
     r = mc_survey(sqrt3, pp, 400, 60, seed=9, direct=True)
     harmonic = sum(F(1, 2 * q) for q in range(1, 401))
-    assert r.expected.contains(harmonic)
+    assert contains(r.expected, harmonic)
     assert abs(float(r.mean) - float(harmonic)) < 0.8
     assert r.undecided == 0
 

@@ -21,7 +21,7 @@ from mdl.circlesets import (
 )
 from mdl.gallagher import ApproxFunction, PsiPrime
 from mdl.realnum import Enclosure, RealParam
-from oracles import intersect, master_check_fraction, pair_measure
+from oracles import contains, intersect, master_check_fraction, pair_measure
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "pair_kernel_golden.json"
@@ -69,12 +69,12 @@ def test_dyadic_pin_encloses_truth(ks, k, B):
     for q in range(2, len(ks) + 1):
         for qp in range(1, q):
             t = intersect(sets[q], sets[qp]).measure()
-            assert pair_measure(fam, q, qp).contains(t), (q, qp)
+            assert contains(pair_measure(fam, q, qp), t), (q, qp)
             truth += t
         dlo, dhi = fam.row(q)
         lo += dlo
         hi += dhi
-    assert fam.total(lo, hi).contains(truth)
+    assert contains(fam.total(lo, hi), truth)
 
 
 @settings(max_examples=40, deadline=None)

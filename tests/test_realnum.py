@@ -31,7 +31,14 @@ from mdl.realnum import (
     sqrt_enclosure,
 )
 import oracles
-from oracles import Comparison, compare, dist_pow_compare, frac_and_dist
+from oracles import (
+    Comparison,
+    compare,
+    contains,
+    dist_pow_compare,
+    expr_of,
+    frac_and_dist,
+)
 
 F = Fraction
 
@@ -86,7 +93,7 @@ def test_rational_power_brackets():
 
 def test_neg_log2_enclosure():
     e = neg_log2_enclosure(Enclosure.exact(F(1, 8)), 40)
-    assert e.contains(3)
+    assert contains(e, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +187,11 @@ def test_rational_param_exact():
 def test_eval_examples(sqrt2):
     e = RealExpr.build([], F(3, 7)).eval(10)
     assert e.is_exact and e.lo == F(3, 7)
-    e = RealExpr.of(sqrt2).eval(10)
+    e = expr_of(sqrt2).eval(10)
     assert e.width <= F(1, 2**10)
     assert e.lo <= F(14142136, 10**7) <= e.hi + F(1, 10**6)
     # syntactic cancellation
-    x = RealExpr.of(sqrt2) - RealExpr.of(sqrt2)
+    x = expr_of(sqrt2) - expr_of(sqrt2)
     assert x.is_rational
     assert x.eval(4) == Enclosure.exact(0)
 
@@ -208,9 +215,9 @@ def test_frac_and_dist_examples():
 
 
 def test_frac_and_dist_irrational(sqrt2):
-    fr, d = frac_and_dist(RealExpr.of(sqrt2), 64)
+    fr, d = frac_and_dist(expr_of(sqrt2), 64)
     assert fr.width <= F(1, 2**60)
-    assert d.contains(mp_fraction(mpmath.sqrt(2) - 1))
+    assert contains(d, mp_fraction(mpmath.sqrt(2) - 1))
 
 
 @given(st.fractions(min_value=-100, max_value=100))
@@ -222,17 +229,17 @@ def test_rational_dist_identity(x):
 
 def test_compare_examples(sqrt2):
     assert dist_pow_compare(FormEvaluator([sqrt2]), (1,), 1, F(1, 2)) == Comparison.LT
-    x = RealExpr.of(RealParam.rational(F(3, 7)), 7, -3)
+    x = expr_of(RealParam.rational(F(3, 7)), 7, -3)
     assert compare(x, 0) == Comparison.EQ
     # the convergent 665857/470832 lies above sqrt(2): 665857^2 = 2*470832^2+1
     assert 665857**2 - 2 * 470832**2 == 1
-    assert compare(RealExpr.of(sqrt2), F(665857, 470832)) == Comparison.LT
-    assert compare(RealExpr.of(sqrt2), F(665857, 470833)) == Comparison.GT
+    assert compare(expr_of(sqrt2), F(665857, 470832)) == Comparison.LT
+    assert compare(expr_of(sqrt2), F(665857, 470833)) == Comparison.GT
 
 
 def test_compare_undecided_at_cap():
     p = RealParam.decimal("0.25", F(1, 10**9))
-    assert compare(RealExpr.of(p), F(1, 4), cap=256) == Comparison.UNDECIDED
+    assert compare(expr_of(p), F(1, 4), cap=256) == Comparison.UNDECIDED
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5),

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from mdl import cfrac, discrepancy, gallagher
-from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime
+from mdl.gallagher import ApproxFunction, FibreContext, PsiPrime, parse_psi
 from mdl.realnum import DependenceError, Enclosure, RealParam, parse_param
 
 F = Fraction
@@ -67,12 +68,13 @@ def _digest(rows):
 
 
 def _etk(params, H):
-    sweep = discrepancy.etk_bound_sweep([parse_param(p) for p in params],
-                                        ETK_N, H)
+    params = [parse_param(p) for p in params]
+    sweep = discrepancy.etk_bound_sweep(params, ETK_N, H)
+    shells = oracles.etk_shell_terms(params, ETK_N, H)
     return {"bounds_sha256": _digest([_enc(b.bound) for b in sweep]),
-            "shells_sha256": _digest([_enc(s) for s in sweep[-1].shell_terms]),
+            "shells_sha256": _digest([_enc(s) for s in shells]),
             "last_bound": _enc(sweep[-1].bound),
-            "last_shell": _enc(sweep[-1].shell_terms[-1])}
+            "last_shell": _enc(shells[-1])}
 
 
 def _psi(tag, c):
@@ -89,8 +91,8 @@ R0 = RealParam.rational(0)
 SWEEPS = {
     "direct_overq_2000": (PsiPrime(ApproxFunction.over_q(F(1, 4)), SQRT3, R0,
                                    None), 2000, True),
-    "direct_mono2_2000": (PsiPrime(ApproxFunction.mono2_shape(F(1)), SQRT3,
-                                   R0, None), 2000, True),
+    "direct_mono2_2000": (PsiPrime(parse_psi("mono2:1"), SQRT3, R0, None),
+                          2000, True),
     "fibred_log2sq_1500": (PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)),
                                     SQRT3, R0, F(1, 4)), 1500, False),
 }

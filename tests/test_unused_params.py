@@ -79,10 +79,6 @@ ALLOWED_OPTIONS = {
     ("arith.py", "factorize", "sieve_bound"):
         "the seam that lets the tests compare the Pollard-Brent route with "
         "the sieve on every q the sieve covers",
-    ("realnum.py", "of", "coeff"):
-        "RealExpr is a test oracle that the benchmark's tracer still wraps",
-    ("realnum.py", "of", "offset"):
-        "RealExpr is a test oracle that the benchmark's tracer still wraps",
     ("realnum.py", "eval", "cap"):
         "RealExpr is a test oracle that the benchmark's tracer still wraps",
 }
@@ -146,3 +142,57 @@ def test_every_option_is_set_by_a_caller():
     unset = _unset_options()
     assert sorted(unset - ALLOWED_OPTIONS.keys()) == []
     assert sorted(ALLOWED_OPTIONS.keys() - unset) == []
+
+
+def _definitions():
+    """(file, qualified name, name) of every `def` and `class` in `src/mdl`
+    but the dunders and the `@command` handlers, which the CLI reaches
+    through its command table."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name
+                handler = any(isinstance(d, ast.Call) and
+                              getattr(d.func, "id", None) == "command"
+                              for d in child.decorator_list)
+                dunder = name.startswith("__") and name.endswith("__")
+                if not (handler or dunder):
+                    found.add((path.name, ".".join(scope + (name,)), name))
+                visit(child, path, scope + (name,))
+            else:
+                visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, ())
+    return found
+
+
+def _named():
+    """Every name that `src/mdl` or `perfbench` reads: a Name, an
+    attribute, an imported name, and in `perfbench` each dotted part of a
+    string constant (its tracer wraps functions by their dotted names)."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif path.parent == PERFBENCH and isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_named_outside_the_tests():
+    """A function or class of `src/mdl` that neither the library nor the
+    benchmark names runs only under the tests: it belongs in
+    `tests/oracles.py`, or nowhere."""
+    named = _named()
+    assert sorted(q for file, q, name in _definitions()
+                  if name not in named) == []
