@@ -24,6 +24,7 @@ from .realnum import (
     FormEvaluator,
     RealParam,
     log2_enclosure,
+    log2_scaled,
     orbit_lane,
     param_evaluator,
     precision_ladder,
@@ -352,18 +353,19 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
     coef = Fraction(8000) * sigma / N
     H = 1
     while True:
-        # 1/H <= coef * log2(H) * H^sigma  <=>  1 <= coef log2(H) H^(sigma+1)
-        lg = log2_enclosure(H, 96)
-        hpow = rational_power(Enclosure.exact(H), p + s, s, bits=96)
-        rhs = lg * hpow * coef
-        ok = rhs.lo > 1 or rhs.lo == rhs.hi == 1
-        if not ok and rhs.hi >= 1:
-            raise CapExceeded(f"H-threshold comparison undecided at H={H}")
-        if ok:
+        # 1/H <= coef log2(H) H^sigma  <=>  1 <= (coef log2(H))^s H^(p+s),
+        # decided on ints from log2(H) in [lo, hi] / 2^w: no root is taken
+        lo, hi, w = log2_scaled(H, 96)
+        hpow = H ** (p + s)
+        one = (coef.denominator << w) ** s
+        if (coef.numerator * lo) ** s * hpow >= one:
             break
+        if (coef.numerator * hi) ** s * hpow >= one:
+            raise CapExceeded(f"H-threshold comparison undecided at H={H}")
         H += 1
         if H > 10 ** 9:
             raise RuntimeError("optimized H not found below 1e9")
+    lg = Enclosure.dyadic(lo, hi, w)
     hsig = rational_power(Enclosure.exact(H), p, s, bits=96)
     bound = (Fraction(1, H) + coef * lg * hsig) * (9 * N)
     # reference shape: C * N^(sigma/(sigma+1)) * (log2 N)^(1/(sigma+1))

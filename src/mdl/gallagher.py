@@ -44,6 +44,7 @@ from .realnum import (
     frac_to_dist,
     lane_bounds,
     lane_threshold,
+    lane_window,
     log2_ratio,
     log2_scaled,
     param_evaluator,
@@ -484,6 +485,8 @@ def divergence_sum(pp: PsiPrime, Q: int,
     """sum over q <= Q on the support of psi(q)/||q beta - g'||; undecided
     memberships are excluded from the sum and counted separately.  The
     terms share the 2^-PSI_PRIME_BITS grid, so they are summed as ints."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
     ctx = FibreContext(pp, cap=cap)
     lo = hi = contributing = undecided = 0
     qs = range(max(1, pp.psi.q0), Q + 1)
@@ -930,7 +933,7 @@ class DoublyMetricResult:
 
 
 def doubly_metric_union_bound(N: int, H_prime) -> Enclosure:
-    """sum_{k <= N} 4 k^(1 - H'), exactly, for an integer H' >= 1.
+    """sum_{k <= N} 4 k^(1 - H'), exactly, for an integer H' >= 1 and N >= 1.
 
     This is not the union bound of the pairs that `doubly_metric_sample`
     tests.  Those are the 4h - 2 pairs of each height h = max(|k1|, k2) from
@@ -938,10 +941,17 @@ def doubly_metric_union_bound(N: int, H_prime) -> Enclosure:
     is sum_{h=2}^{N} (8h - 4) h^-H'.  The sum here counts about half of
     them per height, and stays above the sampled fraction only through its
     k = 1 term, 4, which covers no tested pair."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if Fraction(H_prime).denominator != 1 or H_prime < 1:
         raise ValueError("the union bound needs an integer H' >= 1")
     e = int(H_prime) - 1
     return Enclosure.exact(exact_sum([(4, k ** e) for k in range(1, N + 1)]))
+
+
+#: Samples drawn per block of `doubly_metric_sample`: the block's arrays
+#: hold one probe per (sample, k2) and one entry per candidate pair.
+_DM_BLOCK = 128
 
 
 def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
@@ -951,9 +961,21 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     2 <= max(|k1|, |k2|) <= N, with ||k1 gamma + k2 beta|| <=
     max(|k1|,|k2|)^(-H'); the almost-sure complement of joint Diophantinity.
     H' must exceed 2 for the union bound to converge.
+
+    A pair fails at beta = k / 2^64 only if M = R(k1) + k2 k, with R(k1) =
+    k1 gamma 2^64 mod 2^64, lies within the pair's `lane_bounds` maybe
+    bound of 0.  The residues R are sorted once, and `lane_window` finds
+    for each (sample, k2) the k1 within the widest bound W(k2) of that k2:
+    O(N log N) probes plus the candidates per sample, not 4 N^2 pairs.
+    Every other pair is certainly outside, as a scan of all pairs finds.
+    The worst witness (smallest distance/threshold ratio in float64) and
+    the exact fallbacks keep the scan's pair order: k2, then k1 from -N to
+    N.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     Hp = Fraction(H_prime)
     if Hp <= 2:
         raise ValueError("H' must be larger than 2")
@@ -962,47 +984,90 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     Hp = int(Hp)
     if not gamma.is_irrational:
         raise ValueError("gamma must be irrational")
-    fe = param_evaluator(gamma, cap)
-    pairs = [(k1, k2) for k2 in range(1, N + 1)
-             for k1 in list(range(-N, 0)) + list(range(1, N + 1))
-             if max(abs(k1), k2) >= 2]
-    # k1 gamma + k2 beta scaled to 2^64 is within the margin - 1 of K1G +
-    # k2 k, with beta = k / 2^64
-    K1G, marg = form_lane(fe, [[k1] for k1, _ in pairs])
-    k2s = np.array([k2 for _, k2 in pairs], dtype=np.uint64)
-    heights = [max(-k1, k1, k2) ** Hp for k1, k2 in pairs]
-    thr = np.array([lane_threshold(1, 1, h) for h in heights],
-                   dtype=np.uint64).reshape(-1, 2)
-    thr_lo = thr[:, 0]
-    bounds = lane_bounds(thr_lo, thr[:, 1], marg)
-
-    failures = 0
     witnesses = {}
-    for i in range(samples):
-        k = counter_sample(seed, i)
-        sure, maybe, dmin = ball_lane(K1G, k2s, k, *bounds)
-        witness = None
-        if np.any(sure):
-            idx = np.nonzero(sure)[0]
-            # worst witness: smallest dist/threshold ratio
-            ratios = dmin[idx].astype(np.float64) / \
-                np.maximum(thr_lo[idx].astype(np.float64), 1.0)
-            j = int(idx[int(np.argmin(ratios))])
-            witness = pairs[j]
-        else:
-            x = Fraction(k, _U64)
-            for j in np.nonzero(maybe)[0]:
-                k1, k2 = pairs[j]
-                ball = Enclosure.exact(Fraction(1, heights[j]))
-                if fe.dist_below((k1,), ball, closed=True, shift=k2 * x):
-                    witness = (k1, k2)
-                    break
-        if witness is not None:
-            failures += 1
-            witnesses[i] = witness
-    frac = Fraction(failures, samples)
-    return DoublyMetricResult(samples, failures, frac, witnesses,
+    if N >= 2:
+        lanes = _PairLanes(param_evaluator(gamma, cap), Hp, N)
+        for first in range(0, samples, _DM_BLOCK):
+            witnesses.update(lanes.witnesses(
+                seed, range(first, min(samples, first + _DM_BLOCK))))
+    frac = Fraction(len(witnesses), samples)
+    return DoublyMetricResult(samples, len(witnesses), frac, witnesses,
                               doubly_metric_union_bound(N, Hp))
+
+
+class _PairLanes:
+    """The pairs (k1, k2) of `doubly_metric_sample` on the uint64 lane: the
+    sorted residues of k1 gamma, the thresholds by height and the margins by
+    k1, built once for all samples."""
+
+    def __init__(self, fe: FormEvaluator, Hp: int, N: int):
+        self.fe, self.N = fe, N
+        self.k1s = np.r_[-N:0, 1:N + 1]
+        # k1 gamma + k2 beta scaled to 2^64 is within the margin - 1 of
+        # R(k1) + k2 k, with beta = k / 2^64
+        self.R, self.marg = form_lane(fe, self.k1s[:, None])
+        self.order = np.argsort(self.R, kind="stable")
+        self.keys = self.R[self.order]
+        self.a = np.abs(self.k1s)
+        # h^-H' by height h = max(|k1|, k2) from 2 to N; height 1 is untested
+        self.heights = [1, 1] + [h ** Hp for h in range(2, N + 1)]
+        thr = np.array([(0, 0)] * 2 + [lane_threshold(1, 1, t)
+                                       for t in self.heights[2:]],
+                       dtype=np.uint64)
+        self.thr_lo, self.thr_hi = thr[:, 0], thr[:, 1]
+        if self.marg is None:
+            self.W = np.full(N, _U64 - 1, dtype=np.uint64)
+            return
+        m = np.zeros(N + 1, dtype=np.uint64)
+        np.maximum.at(m, self.a, self.marg)         # the widest margin by |k1|
+        # W(k2), the widest maybe bound thr_hi + margin of k2's pairs: those
+        # with |k1| <= k2 have height k2, those with |k1| = a > k2 height a
+        inner = self.thr_hi + np.maximum.accumulate(m)
+        inner[1] = 0            # (+-1, 1), the one pair of height 1
+        own = np.append(self.thr_hi + m, np.uint64(0))  # no |k1| exceeds N
+        outer = np.maximum.accumulate(own[::-1])[::-1]
+        self.W = np.maximum(inner[1:], outer[2:])
+
+    def witnesses(self, seed: int, block) -> dict:
+        """{sample index: worst witness (k1, k2)} over the failing samples
+        of the index range `block`."""
+        N, k1s = self.N, self.k1s
+        ks = [counter_sample(seed, i) for i in block]
+        kv = np.array(ks, dtype=np.uint64)
+        probe, pos = lane_window(self.keys, np.arange(1, N + 1, dtype=np.uint64),
+                                 kv[:, None], self.W)
+        b, k2 = np.divmod(probe, N)
+        k2 += 1
+        j = self.order[pos]
+        h = np.maximum(self.a[j], k2)
+        keep = np.flatnonzero(h >= 2)
+        probe, b, k2, j, h = probe[keep], b[keep], k2[keep], j[keep], h[keep]
+        marg = None if self.marg is None else self.marg[j]
+        bounds = lane_bounds(self.thr_lo[h], self.thr_hi[h], marg)
+        sure, maybe, d = ball_lane(self.R[j], k2.astype(np.uint64), kv[b],
+                                   *bounds)
+        # the candidates in the scan's order: sample, k2, then k1
+        o = np.flatnonzero(sure | maybe)
+        o = o[np.argsort(probe[o] * len(k1s) + j[o], kind="stable")]
+        found = {}
+        s = o[sure[o]]
+        # worst witness: smallest dist/threshold ratio, the first in the
+        # scan's order among equals
+        ratio = d[s].astype(np.float64) / \
+            np.maximum(self.thr_lo[h[s]].astype(np.float64), 1.0)
+        s = s[np.lexsort((ratio, b[s]))]
+        for x in s[np.unique(b[s], return_index=True)[1]].tolist():
+            found[block[b[x]]] = int(k1s[j[x]]), int(k2[x])
+        for x in o[maybe[o]].tolist():
+            i = block[b[x]]
+            if i in found:
+                continue
+            k1, kk2 = int(k1s[j[x]]), int(k2[x])
+            ball = Enclosure.exact(Fraction(1, self.heights[h[x]]))
+            if self.fe.dist_below((k1,), ball, closed=True,
+                                  shift=kk2 * Fraction(ks[b[x]], _U64)):
+                found[i] = k1, kk2
+        return dict(sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------

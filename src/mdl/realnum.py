@@ -35,9 +35,12 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   M mod 2^64 of many forms, with margins m.  Its readers: `ball_lane`
   decides many distances by two compares against the bounds `lane_bounds`
   folds from thresholds and margins, leaving the entries on a wall to
-  `FormEvaluator.dist_below`; `orbit_lane` sorts the points {q x}, q <= Q,
-  and answers None where it cannot certify the exact ladder's order;
-  `cfrac._top_band` leaves the sigma scans only the vectors near the top.
+  `FormEvaluator.dist_below`; `lane_window` finds, by two probes into
+  sorted residues R, the entries R + t k whose distance can fall below a
+  width, so that `ball_lane` sees only those; `orbit_lane` sorts the
+  points {q x}, q <= Q, and answers None where it cannot certify the exact
+  ladder's order; `cfrac._top_band` leaves the sigma scans only the
+  vectors near the top.
 - `exact_sum` adds many rationals, given as int pairs, exactly by a
   pairwise tree, and builds one `Fraction` for the total.
 """
@@ -415,7 +418,14 @@ def _integer_nth_root(n: int, s: int) -> int:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    r = 1 << ((n.bit_length() + s - 1) // s)
+    # Newton's step from far above shrinks r by only a factor (s - 1) / s, so
+    # start near the root, from log2 n read off n's top 64 bits.  One step
+    # lifts any start to at least the floor of the root, and from there the
+    # steps decrease to it.
+    t = max(0, n.bit_length() - 64)
+    e = (math.log2(n >> t) + t) / s
+    r = (int(2 ** (e % 1) * (1 + 2 ** -30) * 2 ** 53) << int(e) >> 53) + 1
+    r = ((s - 1) * r + n // r ** (s - 1)) // s
     while True:
         nr = ((s - 1) * r + n // r ** (s - 1)) // s
         if nr >= r:
@@ -932,7 +942,7 @@ def lane_bounds(thr_lo, thr_hi, margin) -> tuple:
     return thr_lo - np.minimum(thr_lo, margin), thr_hi + margin
 
 
-def ball_lane(offset, mult, k: int, sure_below, maybe_below):
+def ball_lane(offset, mult, k, sure_below, maybe_below):
     """Decide ||x_i|| against t_i for many entries at once on the 2^-64
     grid, where x_i 2^64 is within margin_i - 1 of offset_i + mult_i k
     (mod 2^64), t_i 2^64 lies in [thr_lo_i, thr_hi_i] (`lane_threshold`),
@@ -949,11 +959,75 @@ def ball_lane(offset, mult, k: int, sure_below, maybe_below):
     above thr_lo makes nothing sure, and a clamped thr_hi, which may lie
     below t 2^64, exceeds 2^63 >= d.  Since thr_lo <= thr_hi, every sure
     entry lies below maybe_below, and `maybe` is the rest below it.
+
+    k is an int, or a uint64 array of one k per entry (the entries that
+    `lane_window` leaves, say).
     """
-    M = _wrap(offset, mult, np.uint64(k % _U64))
+    if not isinstance(k, np.ndarray):
+        k = np.uint64(k % _U64)
+    M = _wrap(offset, mult, k)
     d = np.minimum(M, -M)      # uint64 wraparound: min(M, 2^64 - M)
     sure = d < sure_below
     return sure, (d < maybe_below) ^ sure, d
+
+
+def lane_window(keys, mult, k, width) -> tuple:
+    """The entries M = R + mult k (mod 2^64) with min(M, 2^64 - M) < width,
+    found in the sorted uint64 residues `keys` in place of a scan over all
+    of them.  mult, k and width are uint64 arrays that broadcast to the
+    shape of the probes; a width above 2^63 takes every key, since no
+    distance exceeds 2^63, and a width of 0 none.
+
+    Returns (probe, pos), flat int arrays: probe[j] is the flat index of a
+    probe and keys[pos[j]] one of its residues R, the probes in increasing
+    order and each probe's keys along the circle.  With t = mult k and u =
+    width - 1, M lies within u of 0 exactly when R lies in the circular
+    segment [-t - u, -t + u]; two probes (`_bucket_search`) bound it, and
+    a segment that wraps past 2^64 takes the keys at the top and at the
+    bottom."""
+    n = len(keys)
+    u = np.maximum(width, 1) - np.uint64(1)
+    neg = np.uint64(_U64 - 1)                       # -1 mod 2^64
+    centre = _wrap(np.uint64(0), neg, _wrap(np.uint64(0), mult, k))
+    lo = _wrap(centre, neg, u)
+    hi = _wrap(centre, np.uint64(1), u)
+    search = _bucket_search(keys)
+    start, stop = search(lo, "left"), search(hi, "right")
+    count = np.where(lo <= hi, stop - start, n - start + stop)
+    whole = width > np.uint64(1 << 63)
+    count = np.where(whole, n, np.where(width > 0, count, 0)).ravel()
+    start = np.where(whole, 0, start).ravel()
+    probe = np.repeat(np.arange(count.size), count)
+    # each probe's run starts at its own key, first - its offset in probe
+    first = np.repeat(start - (np.cumsum(count) - count), count)
+    return probe, (first + np.arange(probe.size)) % max(n, 1)
+
+
+def _bucket_search(keys):
+    """`np.searchsorted(keys, x, side)` for many uint64 x, as a function of
+    (x, side).  The top b bits of x, with 2^b >= 4 len(keys) up to 2^16,
+    pick the run of keys in x's bucket, and as many vectorized steps as the
+    fullest bucket holds keys walk it: about three times faster than the
+    binary search on residues that spread evenly, as those of k1 gamma do.
+    Keys that crowd more than 4 into a bucket take the binary search."""
+    n = len(keys)
+    shift = np.uint64(64 - min(16, max(1, (4 * n).bit_length())))
+    bounds = np.arange(1 << (64 - int(shift)), dtype=np.uint64) << shift
+    first = np.append(np.searchsorted(keys, bounds), n)
+    steps = int(np.diff(first).max())
+    padded = np.append(keys, np.uint64(0))
+
+    def search(x, side):
+        if steps > 4:
+            return np.searchsorted(keys, x, side)
+        j = (x >> shift).astype(np.intp)
+        pos, end = first[j], first[j + 1]
+        for _ in range(steps):
+            key = padded[pos]
+            pos += (pos < end) & ((key <= x) if side == "right" else (key < x))
+        return pos
+
+    return search
 
 
 def form_lane(fe: FormEvaluator, vectors) -> tuple:

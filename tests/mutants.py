@@ -115,10 +115,25 @@ MUTANTS = (
            "groups.setdefault(i, []).append(i)",
            ("tests/test_realnum.py",)),
     Mutant("doubly-metric-without-negative-k1", "gallagher.py",
-           "for k1 in list(range(-N, 0)) + list(range(1, N + 1))",
-           "for k1 in range(1, N + 1)",
+           "self.k1s = np.r_[-N:0, 1:N + 1]",
+           "self.k1s = np.r_[1:N + 1]",
            ("tests/test_acceptance.py"
             "::test_criterion_10_against_the_failure_measure",)),
+    Mutant("window-without-margin", "gallagher.py",
+           "np.maximum.at(m, self.a, self.marg)",
+           "np.maximum.at(m, self.a, 0 * self.marg)",
+           ("tests/test_gallagher.py"
+            "::test_a_pair_on_its_wall_is_decided_exactly",)),
+    Mutant("window-wrap-dropped", "realnum.py",
+           "count = np.where(lo <= hi, stop - start, n - start + stop)",
+           "count = np.where(lo <= hi, stop - start, n - start)",
+           ("tests/test_realnum.py::test_lane_window_finds_what_a_scan_finds",
+            "tests/test_gallagher.py"
+            "::test_the_window_search_finds_what_the_full_scan_finds")),
+    Mutant("bucket-walk-one-step-short", "realnum.py",
+           "        for _ in range(steps):\n",
+           "        for _ in range(steps - 1):\n",
+           ("tests/test_realnum.py::test_lane_window_finds_what_a_scan_finds",)),
     Mutant("orbit-lane-without-min-key", "realnum.py",
            "if keys[0] < margin or int(keys[-1]) > _U64 - margin:",
            "if int(keys[-1]) > _U64 - margin:",

@@ -1,7 +1,9 @@
 """Test-side helpers: checks that only the tests call, the `Fraction`
 reference route of the integer-window kernels, the comparison route of
 real expressions, the wall-comparison route of the fibre level, and its
-per-q route, which the range route replaced.
+per-q route, which the range route replaced.  Two routes the library left
+for faster ones stay here too: the doubly-metric scan over every pair, and
+`etk_autoH`'s root per step.
 
 The reference functions build, normalise and compare a `Fraction` per
 term, as the library did before its hot loops ran on integer windows.
@@ -29,12 +31,13 @@ from mdl.circlesets import (
     _psi_lookup,
     aq_pair_measure_raw,
 )
-from mdl.discrepancy import SHELL_BITS, _shell_sums
+from mdl.discrepancy import SHELL_BITS, EtkBound, _shell_sums
 from mdl.gallagher import (
     _FAMILY_EXPONENTS,
     HALF,
     PSI_PRIME_BITS,
     SupportState,
+    counter_sample,
     _log_levels,
     _pow_levels,
 )
@@ -46,7 +49,11 @@ from mdl.realnum import (
     FormEvaluator,
     RealExpr,
     _log2_frac_floor,
+    ball_lane,
+    form_lane,
     frac_to_dist,
+    lane_bounds,
+    lane_threshold,
     log2_enclosure,
     log2_scaled,
     neg_log2_enclosure,
@@ -247,6 +254,43 @@ def pair_measure(fam, q: int, qp: int) -> Enclosure:
     return Enclosure(Fraction(lo, CD), Fraction(hi, CD))
 
 
+def doubly_metric_full_scan(gamma, H_prime: int, N: int, samples: int,
+                            seed: int) -> dict:
+    """{sample index: worst witness (k1, k2)} of `doubly_metric_sample`'s
+    failing samples, by the scan it replaced: every one of the 4N^2 - 2
+    pairs through `ball_lane` for every sample, in the order k2, then k1
+    from -N to N."""
+    fe = param_evaluator(gamma)
+    pairs = [(k1, k2) for k2 in range(1, N + 1)
+             for k1 in list(range(-N, 0)) + list(range(1, N + 1))
+             if max(abs(k1), k2) >= 2]
+    K1G, marg = form_lane(fe, [[k1] for k1, _ in pairs])
+    k2s = np.array([k2 for _, k2 in pairs], dtype=np.uint64)
+    heights = [max(-k1, k1, k2) ** H_prime for k1, k2 in pairs]
+    thr = np.array([lane_threshold(1, 1, h) for h in heights],
+                   dtype=np.uint64).reshape(-1, 2)
+    thr_lo = thr[:, 0]
+    bounds = lane_bounds(thr_lo, thr[:, 1], marg)
+    witnesses = {}
+    for i in range(samples):
+        k = counter_sample(seed, i)
+        sure, maybe, dmin = ball_lane(K1G, k2s, k, *bounds)
+        if np.any(sure):
+            idx = np.nonzero(sure)[0]
+            ratios = dmin[idx].astype(np.float64) / \
+                np.maximum(thr_lo[idx].astype(np.float64), 1.0)
+            witnesses[i] = pairs[int(idx[int(np.argmin(ratios))])]
+            continue
+        x = Fraction(k, 1 << 64)
+        for j in np.nonzero(maybe)[0]:
+            k1, k2 = pairs[j]
+            ball = Enclosure.exact(Fraction(1, heights[j]))
+            if fe.dist_below((k1,), ball, closed=True, shift=k2 * x):
+                witnesses[i] = (k1, k2)
+                break
+    return witnesses
+
+
 def doubly_metric_measure(gamma, H_prime: int, N: int, bits: int = 64) -> Enclosure:
     """The measure of the beta that `doubly_metric_sample` counts as
     failing: the union over the pairs k1 in +-[1, N], k2 in [1, N], h =
@@ -391,6 +435,34 @@ def etk_bounds(shells, N: int) -> list:
         acc = quantize(acc + shell, 96)
         out.append(Fraction(9 * N, H) + acc * Fraction(9, 1))
     return out
+
+
+def etk_autoH_stepwise(N: int, sigma: Fraction) -> EtkBound:
+    """`discrepancy.etk_autoH` by its first route: each step compares coef
+    log2(H) H^(sigma+1) with 1 through an outward-rounded 96-bit power, an
+    s-th root per step."""
+    p, s = sigma.numerator, sigma.denominator
+    coef = Fraction(8000) * sigma / N
+    H = 1
+    while True:
+        lg = log2_enclosure(H, 96)
+        rhs = lg * rational_power(Enclosure.exact(H), p + s, s, bits=96) * coef
+        ok = rhs.lo > 1 or rhs.lo == rhs.hi == 1
+        if not ok and rhs.hi >= 1:
+            raise CapExceeded(f"H-threshold comparison undecided at H={H}")
+        if ok:
+            break
+        H += 1
+    hsig = rational_power(Enclosure.exact(H), p, s, bits=96)
+    bound = (Fraction(1, H) + coef * lg * hsig) * (9 * N)
+    npow = rational_power(Enclosure.exact(N), p, p + s, bits=96)
+    lgn = log2_enclosure(N, 96) if N > 1 else Enclosure.exact(1)
+    lpow = rational_power(lgn, s, p + s, bits=96) if N > 2 else Enclosure.exact(1)
+    denom = npow * lpow
+    implied = bound / denom if denom.lo > 0 else None
+    lo, hi = round_outward(bound.lo.numerator, bound.lo.denominator,
+                           bound.hi.numerator, bound.hi.denominator, 96)
+    return EtkBound(N, H, (lo, hi, 1 << 96), implied)
 
 
 def neg_log2_fraction(x: Enclosure, bits: int) -> Enclosure:

@@ -515,6 +515,14 @@ def test_config_value_of_wrong_type_names_its_line(tmp_path, capsys):
      "l must be >= 0: level -1 lies outside the support"),
     ("disc --alpha sqrt:2 --beta sqrt:3 --Q -5 --m 4", "Q must be >= 1"),
     ("disc --alpha sqrt:2 --beta sqrt:3 --Q 0 --m 4", "Q must be >= 1"),
+    ("doubly-metric --gamma sqrt:2 --H-prime 3 --N 0 --samples 2",
+     "N must be >= 1"),
+    ("doubly-metric --gamma sqrt:2 --H-prime 3 --N -3 --samples 2",
+     "N must be >= 1"),
+    ("div-sum --psi overq:1/4 --beta sqrt:2 --omega 1/2 --Q 0",
+     "Q must be >= 1"),
+    ("div-sum --psi overq:1/4 --beta sqrt:2 --omega 1/2 --Q -4",
+     "Q must be >= 1"),
 ])
 def test_unusable_input_is_a_config_error(argv, message, capsys):
     assert main(shlex.split(argv)) == 1

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from mdl import discrepancy
 from mdl.discrepancy import (
     box_count,
     disc2d_grid,
@@ -25,6 +26,7 @@ from mdl.realnum import (
     orbit_lane,
     parse_param,
     precision_ladder,
+    rational_power,
 )
 
 F = Fraction
@@ -380,6 +382,33 @@ def test_etk_autoH_example():
     assert b.H == 2
     assert b.bound.lo >= F(9 * 2, 2)
     assert b.implied_constant is not None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 100, 1000, 10**6])
+def test_etk_autoH_matches_the_stepwise_route(N):
+    """The integer comparison of each step picks the H, and so the bound and
+    the implied constant, that the per-step s-th root picked."""
+    for sigma in (F(1), F(2), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(1, 10),
+                  F(5, 7), F(1, 64)):
+        assert etk_autoH(N, sigma) == oracles.etk_autoH_stepwise(N, sigma)
+
+
+def test_etk_autoH_takes_no_root_per_step(monkeypatch):
+    """The steps up to H compare integers: rational_power is called for the
+    final bound and the implied constant only, however large H is."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rational_power(*args, **kwargs)
+
+    monkeypatch.setattr(discrepancy, "rational_power", counted)
+    counts = {}
+    for N, sigma in ((10, F(1)), (1000, F(1, 1000)), (10**6, F(1, 10))):
+        calls.clear()
+        H = etk_autoH(N, sigma).H
+        counts[H] = len(calls)
+    assert sorted(counts) == [2, 27, 114] and set(counts.values()) == {3}
 
 
 def test_etk_autoH_sweep(sqrt2, sqrt3):

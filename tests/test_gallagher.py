@@ -729,6 +729,56 @@ def test_doubly_metric_without_pairs(sqrt2):
     assert r.union_bound == Enclosure.exact(4)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_an_empty_range_is_refused(N, sqrt2):
+    """N < 1 (Q < 1) leaves no range to sample or sum, and is refused
+    rather than reported as a fraction or a sum of 0."""
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        doubly_metric_sample(sqrt2, 3, N, 2, seed=1)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        doubly_metric_union_bound(N, 3)
+    pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, F(1, 2))
+    with pytest.raises(ValueError, match="Q must be >= 1"):
+        divergence_sum(pp, N)
+
+
+@given(st.sampled_from(("sqrt:2", "sqrt:3", "const:golden", "log2:3",
+                        "const:pi", "const:e")),
+       st.integers(3, 6), st.integers(1, 30), st.integers(0, 2**16),
+       st.integers(1, 150))
+@example("sqrt:2", 3, 30, 2026, 150)
+@example("const:golden", 6, 2, 0, 70)
+@settings(max_examples=40, deadline=None)
+def test_the_window_search_finds_what_the_full_scan_finds(gamma, Hp, N, seed,
+                                                          samples):
+    """The window search over sorted k1 gamma residues gives the failures
+    and the worst witnesses of the scan over all 4N^2 - 2 pairs, across
+    blocks of samples."""
+    g = parse_param(gamma)
+    r = doubly_metric_sample(g, Hp, N, samples, seed)
+    assert r.witnesses == oracles.doubly_metric_full_scan(g, Hp, N, samples,
+                                                          seed)
+    assert r.failures == len(r.witnesses)
+
+
+@pytest.mark.parametrize("gamma", ["sqrt:2", "const:golden"])
+def test_a_pair_on_its_wall_is_decided_exactly(gamma, monkeypatch):
+    """Samples that put 2 gamma + beta within 6 units of +-2^-6 on the
+    2^-64 grid, the wall of the pair (2, 1) at H' = 6, where no other pair
+    of N = 2 comes near: the lane leaves them to the exact decision, which
+    finds the two at d = 2^58 and 2^58 + 1 on the negative side truly
+    inside.  The window of k2 = 1 must reach past the threshold by the
+    margin to see them."""
+    g = parse_param(gamma)
+    (R,), _ = form_lane(param_evaluator(g), [[2]])
+    ks = [(s * 2**58 + e - int(R)) % 2**64 for s in (1, -1) for e in range(-6, 7)]
+    monkeypatch.setattr("mdl.gallagher.counter_sample", lambda _, i: ks[i])
+    monkeypatch.setattr(oracles, "counter_sample", lambda _, i: ks[i])
+    r = doubly_metric_sample(g, 6, 2, len(ks), seed=0)
+    assert r.witnesses == oracles.doubly_metric_full_scan(g, 6, 2, len(ks), 0)
+    assert r.witnesses[18] == r.witnesses[19] == (2, 1)
+
+
 # ---------------------------------------------------------------------------
 # each uint64 lane against its exact path
 # ---------------------------------------------------------------------------

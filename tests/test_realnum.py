@@ -19,9 +19,11 @@ from mdl.realnum import (
     RealExpr,
     RealParam,
     _LANE_CLAMP,
+    _integer_nth_root,
     ball_lane,
     form_lane,
     lane_bounds,
+    lane_window,
     log2_enclosure,
     neg_log2_enclosure,
     nth_root_enclosure,
@@ -84,6 +86,21 @@ def test_nth_root_enclosure():
     e = nth_root_enclosure(F(2), 3, 60)
     assert e.width <= F(1, 2**60)
     assert e.lo**3 <= 2 <= e.hi**3
+
+
+@given(st.one_of(st.integers(1, 2**70), st.integers(1, 2**6000),
+                 st.integers(1, 60).map(lambda r: r ** 1000)),
+       st.one_of(st.integers(1, 12), st.integers(1, 1200)), st.integers(-1, 1))
+@example(1, 1, 0)
+@example(2**64, 64, -1)
+@example(3 ** 1000, 1000, 0)
+@settings(max_examples=150, deadline=None)
+def test_integer_nth_root_is_the_floor(n, s, nudge):
+    """r^s <= n < (r + 1)^s, also next to exact powers and for s far above
+    log2 n, whatever the float start is worth."""
+    n = max(1, n + nudge)
+    r = _integer_nth_root(n, s)
+    assert r ** s <= n < (r + 1) ** s
 
 
 def test_rational_power_brackets():
@@ -405,6 +422,54 @@ def test_ball_lane_bounds_match_the_margin_formula(rows, k, wide):
     want = oracles.ball_lane_margin(off, mult, k, margin, lo, hi)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _window_brute(keys, mult, k, width) -> set:
+    """{(probe, position)}: every key R with min(M, 2^64 - M) < width for M
+    = R + mult k mod 2^64, probe by probe over the broadcast arrays."""
+    probes = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(mult, k, width)))
+    out = set()
+    for p, (m, x, w) in enumerate(probes):
+        for i, r in enumerate(keys.tolist()):
+            M = (r + m * x) % 2**64
+            if min(M, 2**64 - M) < w:
+                out.add((p, i))
+    return out
+
+
+_WIDTH = st.one_of(st.sampled_from((0, 1, 2, 2**63 - 1, 2**63, 2**63 + 1,
+                                    2**64 - 1)),
+                   st.integers(0, 2**62), st.integers(0, 2**64 - 1))
+_TARGET = st.one_of(st.sampled_from((0, 1, 2**63, 2**64 - 1)),
+                    st.integers(0, 2**64 - 1))
+
+
+@given(st.lists(_TARGET, min_size=1, max_size=3),
+       st.lists(_WIDTH, min_size=1, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=0, max_size=6),
+       st.lists(_TARGET, min_size=0, max_size=6),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+@example([0, 2**64 - 1], [0, 2**63, 2**63 + 1], [], [0, 0, 2**64 - 1], [1])
+@example([5], [2**40], [0, 1, 2], [], [3])
+@example([1], [2**63], [0, 1], [2**63], [2**63])
+@settings(max_examples=150, deadline=None)
+def test_lane_window_finds_what_a_scan_finds(targets, widths, near, far, ks):
+    """The window search returns exactly the keys a scan finds below each
+    width, once each and probe by probe: targets at 0 and 2^64 - 1, widths
+    0 and from 2^63 up, duplicate keys, and keys placed at d = W - 1, W and
+    W + 1 of a probe's target."""
+    t, w = targets[0] * ks[0], widths[0]
+    # near: keys at d = W - 1 + |j| from the first probe's target, either side
+    keys = [(s * (w + abs(j) - 1) - t) % 2**64 for j in near for s in (1, -1)]
+    keys = _u64(sorted(keys + far + far[:2]))
+    mult = _u64(targets)[None, :, None]
+    width = _u64(widths)[None, None, :]
+    k = _u64(ks)[:, None, None]
+    probe, pos = lane_window(keys, mult, k, width)
+    got = list(zip(probe.tolist(), pos.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) == _window_brute(keys, mult, k, width)
+    assert (np.diff(probe) >= 0).all()
 
 
 @pytest.mark.parametrize("start, cap, levels", [
