@@ -351,13 +351,15 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
         raise ValueError("N must be >= 1")
     p, s = sigma.numerator, sigma.denominator
     coef = Fraction(8000) * sigma / N
+    # 1/H <= coef log2(H) H^sigma  <=>  1 <= (coef log2(H))^s H^(p+s),
+    # decided on ints from log2(H) in [lo, hi] / 2^w: no root is taken.
+    # The grid 2^-w is the same for every H.
+    w = log2_scaled(1, 96)[2]
+    one = (coef.denominator << w) ** s
     H = 1
     while True:
-        # 1/H <= coef log2(H) H^sigma  <=>  1 <= (coef log2(H))^s H^(p+s),
-        # decided on ints from log2(H) in [lo, hi] / 2^w: no root is taken
-        lo, hi, w = log2_scaled(H, 96)
+        lo, hi, _ = log2_scaled(H, 96)
         hpow = H ** (p + s)
-        one = (coef.denominator << w) ** s
         if (coef.numerator * lo) ** s * hpow >= one:
             break
         if (coef.numerator * hi) ** s * hpow >= one:

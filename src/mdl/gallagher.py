@@ -984,90 +984,71 @@ def doubly_metric_sample(gamma: RealParam, H_prime, N: int, samples: int,
     Hp = int(Hp)
     if not gamma.is_irrational:
         raise ValueError("gamma must be irrational")
-    witnesses = {}
-    if N >= 2:
-        lanes = _PairLanes(param_evaluator(gamma, cap), Hp, N)
-        for first in range(0, samples, _DM_BLOCK):
-            witnesses.update(lanes.witnesses(
-                seed, range(first, min(samples, first + _DM_BLOCK))))
-    frac = Fraction(len(witnesses), samples)
-    return DoublyMetricResult(samples, len(witnesses), frac, witnesses,
-                              doubly_metric_union_bound(N, Hp))
-
-
-class _PairLanes:
-    """The pairs (k1, k2) of `doubly_metric_sample` on the uint64 lane: the
-    sorted residues of k1 gamma, the thresholds by height and the margins by
-    k1, built once for all samples."""
-
-    def __init__(self, fe: FormEvaluator, Hp: int, N: int):
-        self.fe, self.N = fe, N
-        self.k1s = np.r_[-N:0, 1:N + 1]
-        # k1 gamma + k2 beta scaled to 2^64 is within the margin - 1 of
-        # R(k1) + k2 k, with beta = k / 2^64
-        self.R, self.marg = form_lane(fe, self.k1s[:, None])
-        self.order = np.argsort(self.R, kind="stable")
-        self.keys = self.R[self.order]
-        self.a = np.abs(self.k1s)
-        # h^-H' by height h = max(|k1|, k2) from 2 to N; height 1 is untested
-        self.heights = [1, 1] + [h ** Hp for h in range(2, N + 1)]
-        thr = np.array([(0, 0)] * 2 + [lane_threshold(1, 1, t)
-                                       for t in self.heights[2:]],
-                       dtype=np.uint64)
-        self.thr_lo, self.thr_hi = thr[:, 0], thr[:, 1]
-        if self.marg is None:
-            self.W = np.full(N, _U64 - 1, dtype=np.uint64)
-            return
+    fe = param_evaluator(gamma, cap)
+    k1s = np.r_[-N:0, 1:N + 1]
+    a = np.abs(k1s)
+    # k1 gamma + k2 beta scaled to 2^64 is within the margin - 1 of R(k1) +
+    # k2 k, with beta = k / 2^64
+    R, marg = form_lane(fe, k1s[:, None])
+    order = np.argsort(R, kind="stable")
+    keys = R[order]
+    # h^-H' by height h = max(|k1|, k2) from 2 to N; height 1 is untested
+    heights = [1, 1] + [h ** Hp for h in range(2, N + 1)]
+    thr = np.array([(0, 0)] * 2 + [lane_threshold(1, 1, t)
+                                   for t in heights[2:]], dtype=np.uint64)
+    thr_lo, thr_hi = thr[:, 0], thr[:, 1]
+    if marg is None:
+        W = np.full(N, _U64 - 1, dtype=np.uint64)
+    else:
         m = np.zeros(N + 1, dtype=np.uint64)
-        np.maximum.at(m, self.a, self.marg)         # the widest margin by |k1|
+        np.maximum.at(m, a, marg)               # the widest margin by |k1|
         # W(k2), the widest maybe bound thr_hi + margin of k2's pairs: those
         # with |k1| <= k2 have height k2, those with |k1| = a > k2 height a
-        inner = self.thr_hi + np.maximum.accumulate(m)
+        inner = thr_hi + np.maximum.accumulate(m)
         inner[1] = 0            # (+-1, 1), the one pair of height 1
-        own = np.append(self.thr_hi + m, np.uint64(0))  # no |k1| exceeds N
+        own = np.append(thr_hi + m, np.uint64(0))   # no |k1| exceeds N
         outer = np.maximum.accumulate(own[::-1])[::-1]
-        self.W = np.maximum(inner[1:], outer[2:])
-
-    def witnesses(self, seed: int, block) -> dict:
-        """{sample index: worst witness (k1, k2)} over the failing samples
-        of the index range `block`."""
-        N, k1s = self.N, self.k1s
+        W = np.maximum(inner[1:], outer[2:])
+    k2s = np.arange(1, N + 1, dtype=np.uint64)
+    witnesses = {}
+    for first in range(0, samples, _DM_BLOCK):
+        block = range(first, min(samples, first + _DM_BLOCK))
         ks = [counter_sample(seed, i) for i in block]
         kv = np.array(ks, dtype=np.uint64)
-        probe, pos = lane_window(self.keys, np.arange(1, N + 1, dtype=np.uint64),
-                                 kv[:, None], self.W)
+        probe, pos = lane_window(keys, k2s, kv[:, None], W)
         b, k2 = np.divmod(probe, N)
         k2 += 1
-        j = self.order[pos]
-        h = np.maximum(self.a[j], k2)
+        j = order[pos]
+        h = np.maximum(a[j], k2)
         keep = np.flatnonzero(h >= 2)
         probe, b, k2, j, h = probe[keep], b[keep], k2[keep], j[keep], h[keep]
-        marg = None if self.marg is None else self.marg[j]
-        bounds = lane_bounds(self.thr_lo[h], self.thr_hi[h], marg)
-        sure, maybe, d = ball_lane(self.R[j], k2.astype(np.uint64), kv[b],
-                                   *bounds)
+        bounds = lane_bounds(thr_lo[h], thr_hi[h],
+                             None if marg is None else marg[j])
+        sure, maybe, d = ball_lane(R[j], k2.astype(np.uint64), kv[b], *bounds)
         # the candidates in the scan's order: sample, k2, then k1
         o = np.flatnonzero(sure | maybe)
         o = o[np.argsort(probe[o] * len(k1s) + j[o], kind="stable")]
-        found = {}
         s = o[sure[o]]
         # worst witness: smallest dist/threshold ratio, the first in the
         # scan's order among equals
         ratio = d[s].astype(np.float64) / \
-            np.maximum(self.thr_lo[h[s]].astype(np.float64), 1.0)
+            np.maximum(thr_lo[h[s]].astype(np.float64), 1.0)
         s = s[np.lexsort((ratio, b[s]))]
         for x in s[np.unique(b[s], return_index=True)[1]].tolist():
-            found[block[b[x]]] = int(k1s[j[x]]), int(k2[x])
+            witnesses[block[b[x]]] = int(k1s[j[x]]), int(k2[x])
         for x in o[maybe[o]].tolist():
             i = block[b[x]]
-            if i in found:
+            if i in witnesses:
                 continue
             k1, kk2 = int(k1s[j[x]]), int(k2[x])
-            ball = Enclosure.exact(Fraction(1, self.heights[h[x]]))
-            if self.fe.dist_below((k1,), ball, closed=True,
-                                  shift=kk2 * Fraction(ks[b[x]], _U64)):
-                found[i] = k1, kk2
-        return dict(sorted(found.items()))
+            ball = Enclosure.exact(Fraction(1, heights[h[x]]))
+            if fe.dist_below((k1,), ball, closed=True,
+                             shift=kk2 * Fraction(ks[b[x]], _U64)):
+                witnesses[i] = k1, kk2
+    witnesses = dict(sorted(witnesses.items()))
+    return DoublyMetricResult(samples, len(witnesses),
+                              Fraction(len(witnesses), samples), witnesses,
+                              doubly_metric_union_bound(N, Hp))
 
 
 # ---------------------------------------------------------------------------

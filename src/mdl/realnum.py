@@ -982,7 +982,7 @@ def lane_window(keys, mult, k, width) -> tuple:
     probe and keys[pos[j]] one of its residues R, the probes in increasing
     order and each probe's keys along the circle.  With t = mult k and u =
     width - 1, M lies within u of 0 exactly when R lies in the circular
-    segment [-t - u, -t + u]; two probes (`_bucket_search`) bound it, and
+    segment [-t - u, -t + u]; two `np.searchsorted` probes bound it, and
     a segment that wraps past 2^64 takes the keys at the top and at the
     bottom."""
     n = len(keys)
@@ -991,8 +991,8 @@ def lane_window(keys, mult, k, width) -> tuple:
     centre = _wrap(np.uint64(0), neg, _wrap(np.uint64(0), mult, k))
     lo = _wrap(centre, neg, u)
     hi = _wrap(centre, np.uint64(1), u)
-    search = _bucket_search(keys)
-    start, stop = search(lo, "left"), search(hi, "right")
+    start = np.searchsorted(keys, lo, "left")
+    stop = np.searchsorted(keys, hi, "right")
     count = np.where(lo <= hi, stop - start, n - start + stop)
     whole = width > np.uint64(1 << 63)
     count = np.where(whole, n, np.where(width > 0, count, 0)).ravel()
@@ -1001,33 +1001,6 @@ def lane_window(keys, mult, k, width) -> tuple:
     # each probe's run starts at its own key, first - its offset in probe
     first = np.repeat(start - (np.cumsum(count) - count), count)
     return probe, (first + np.arange(probe.size)) % max(n, 1)
-
-
-def _bucket_search(keys):
-    """`np.searchsorted(keys, x, side)` for many uint64 x, as a function of
-    (x, side).  The top b bits of x, with 2^b >= 4 len(keys) up to 2^16,
-    pick the run of keys in x's bucket, and as many vectorized steps as the
-    fullest bucket holds keys walk it: about three times faster than the
-    binary search on residues that spread evenly, as those of k1 gamma do.
-    Keys that crowd more than 4 into a bucket take the binary search."""
-    n = len(keys)
-    shift = np.uint64(64 - min(16, max(1, (4 * n).bit_length())))
-    bounds = np.arange(1 << (64 - int(shift)), dtype=np.uint64) << shift
-    first = np.append(np.searchsorted(keys, bounds), n)
-    steps = int(np.diff(first).max())
-    padded = np.append(keys, np.uint64(0))
-
-    def search(x, side):
-        if steps > 4:
-            return np.searchsorted(keys, x, side)
-        j = (x >> shift).astype(np.intp)
-        pos, end = first[j], first[j + 1]
-        for _ in range(steps):
-            key = padded[pos]
-            pos += (pos < end) & ((key <= x) if side == "right" else (key < x))
-        return pos
-
-    return search
 
 
 def form_lane(fe: FormEvaluator, vectors) -> tuple:

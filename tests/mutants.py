@@ -115,13 +115,13 @@ MUTANTS = (
            "groups.setdefault(i, []).append(i)",
            ("tests/test_realnum.py",)),
     Mutant("doubly-metric-without-negative-k1", "gallagher.py",
-           "self.k1s = np.r_[-N:0, 1:N + 1]",
-           "self.k1s = np.r_[1:N + 1]",
+           "k1s = np.r_[-N:0, 1:N + 1]",
+           "k1s = np.r_[1:N + 1]",
            ("tests/test_acceptance.py"
             "::test_criterion_10_against_the_failure_measure",)),
     Mutant("window-without-margin", "gallagher.py",
-           "np.maximum.at(m, self.a, self.marg)",
-           "np.maximum.at(m, self.a, 0 * self.marg)",
+           "np.maximum.at(m, a, marg)",
+           "np.maximum.at(m, a, 0 * marg)",
            ("tests/test_gallagher.py"
             "::test_a_pair_on_its_wall_is_decided_exactly",)),
     Mutant("window-wrap-dropped", "realnum.py",
@@ -130,10 +130,6 @@ MUTANTS = (
            ("tests/test_realnum.py::test_lane_window_finds_what_a_scan_finds",
             "tests/test_gallagher.py"
             "::test_the_window_search_finds_what_the_full_scan_finds")),
-    Mutant("bucket-walk-one-step-short", "realnum.py",
-           "        for _ in range(steps):\n",
-           "        for _ in range(steps - 1):\n",
-           ("tests/test_realnum.py::test_lane_window_finds_what_a_scan_finds",)),
     Mutant("orbit-lane-without-min-key", "realnum.py",
            "if keys[0] < margin or int(keys[-1]) > _U64 - margin:",
            "if int(keys[-1]) > _U64 - margin:",
