@@ -139,7 +139,7 @@ def star_discrepancy_1d(alpha: RealParam, Q: int,
     fe = param_evaluator(alpha, cap)
     lane = orbit_lane(fe, Q, next(precision_ladder(fe.bits, cap)))
     for b in precision_ladder(fe.bits, cap):
-        lo_pin, spread = fe.pin(b)[0][0]
+        lo_pin, spread, _ = fe.frac_window((1,), b)
         scale = 1 << b
         err = Q * spread  # absolute window width in grid units
         if lane is not None:    # certified on this first rung
@@ -275,30 +275,28 @@ class EtkBound:
 def _etk_shells_1d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h contribution (both signs k = +-h) to
     sum 2/(|k|+1) * 2/||k alpha||, as outward-rounded integer pairs on the
-    2^-SHELL_BITS grid."""
-    hs = range(1, Hmax + 1)
-    windows = fe.positive_windows([(h,) for h in hs])
+    2^-SHELL_BITS grid; the shells h = 1..Hmax are one run."""
     return [round_outward(8 << b, (h + 1) * hi, 8 << b, (h + 1) * lo, SHELL_BITS)
-            for h, (lo, hi, b) in zip(hs, windows)]
+            for h, (lo, hi, b) in enumerate(fe.run_windows((1,), 0, Hmax), 1)]
 
 
 def _etk_shells_2d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h: pairs with max(|k1|,|k2|) = h of
     4/((|k1|+1)(|k2|+1)) * 2/||k1 a + k2 b||, signs folded (factor 2), as
-    integer pairs on the 2^-SHELL_BITS grid, each term rounded outward."""
+    integer pairs on the 2^-SHELL_BITS grid, each term rounded outward.
+    A shell is two runs: (k1, h) for k1 = -h..h, then (h, k2) for k2 =
+    -h+1..h-1, each (k1,k2) standing for {(k1,k2), (-k1,-k2)}."""
     shells = []
     for h in range(1, Hmax + 1):
-        # each (k1,k2) stands for the sign pair {(k1,k2), (-k1,-k2)}
-        pairs = [(k1, h) for k1 in range(-h, h + 1)]
-        pairs += [(h, k2) for k2 in range(-h + 1, h)]
         lo_acc = hi_acc = 0
-        for (k1, k2), (lo, hi, b) in zip(pairs, fe.positive_windows(pairs)):
-            # 16 / (w ||form||) with ||form|| in [lo, hi] / 2^b, rounded
-            # outward as `round_outward` does, inline in this hot loop
-            w = (abs(k1) + 1) * (abs(k2) + 1)
-            num = 16 << (b + SHELL_BITS)
-            lo_acc += num // (w * hi)
-            hi_acc -= -num // (w * lo)
+        for start, axis in (((-h, h), 0), ((h, 1 - h), 1)):
+            ks = range(start[axis], h + 1 - axis)
+            for k, (lo, hi, b) in zip(ks, fe.run_windows(start, axis, len(ks))):
+                # 16 / (w ||form||), ||form|| in [lo, hi] / 2^b, rounded outward
+                w = (abs(k) + 1) * (h + 1)
+                num = 16 << (b + SHELL_BITS)
+                lo_acc += num // (w * hi)
+                hi_acc -= -num // (w * lo)
         shells.append((lo_acc, hi_acc))
     return shells
 
@@ -341,6 +339,13 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
     1/H <= (8000 sigma / N) * log2(H) * H^sigma, and the returned bound is
     9N(1/H + (8000 sigma/N) log2(H) H^sigma).
 
+    Each H is tested on ints, 1 <= (coef lo)^s H^(p+s) with sigma = p/s
+    and log2(H) in [lo, hi] / 2^w: no root is taken, and CapExceeded where
+    hi passes but lo does not.  Both tests fail at H = 1 (log2 1 = 0) and
+    grow with H from 2, as H^(p+s), lo and hi do: log2(H + 1) - log2(H) >
+    2^-31 for H < 2^30, and hi - lo <= 2^(w-96).  So doubling, then
+    bisection, finds the smallest H that passes with hi in O(log H) tests.
+
     The implied constant reported is bound / (N^(s/(s+1)) (log2 N)^(1/(s+1)))
     with s = sigma_N.
     """
@@ -351,22 +356,23 @@ def etk_autoH(N: int, sigma_N: Fraction) -> EtkBound:
         raise ValueError("N must be >= 1")
     p, s = sigma.numerator, sigma.denominator
     coef = Fraction(8000) * sigma / N
-    # 1/H <= coef log2(H) H^sigma  <=>  1 <= (coef log2(H))^s H^(p+s),
-    # decided on ints from log2(H) in [lo, hi] / 2^w: no root is taken.
-    # The grid 2^-w is the same for every H.
-    w = log2_scaled(1, 96)[2]
+    w = log2_scaled(1, 96)[2]   # the grid 2^-w is the same for every H
     one = (coef.denominator << w) ** s
-    H = 1
-    while True:
-        lo, hi, _ = log2_scaled(H, 96)
-        hpow = H ** (p + s)
-        if (coef.numerator * lo) ** s * hpow >= one:
-            break
-        if (coef.numerator * hi) ** s * hpow >= one:
-            raise CapExceeded(f"H-threshold comparison undecided at H={H}")
-        H += 1
-        if H > 10 ** 9:
+
+    def passes(H: int, end: int) -> bool:   # end 0 tests lo, 1 tests hi
+        return (coef.numerator * log2_scaled(H, 96)[end]) ** s * H ** (p + s) >= one
+
+    low, H = 1, 2
+    while not passes(H, 1):
+        if H >= 10 ** 9:
             raise RuntimeError("optimized H not found below 1e9")
+        low, H = H, min(2 * H, 10 ** 9)
+    while H - low > 1:
+        mid = (low + H) // 2
+        low, H = (low, mid) if passes(mid, 1) else (mid, H)
+    if not passes(H, 0):
+        raise CapExceeded(f"H-threshold comparison undecided at H={H}")
+    lo, hi, _ = log2_scaled(H, 96)
     lg = Enclosure.dyadic(lo, hi, w)
     hsig = rational_power(Enclosure.exact(H), p, s, bits=96)
     bound = (Fraction(1, H) + coef * lg * hsig) * (9 * N)

@@ -29,8 +29,9 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   form's signed fractional part, rung after rung, until the verdict
   answers; orbit boxes, grid cells, fibre levels and distance balls are
   all verdicts on it.  `dist_window` gives one integer distance window and
-  `positive_windows` the windows, certified positive, of many coefficient
-  vectors at once.
+  `run_windows` the windows, certified positive, of a run of coefficient
+  vectors start + j e_axis, one addition of a pin per vector: an ETK shell
+  is two runs, and `positive_windows` takes any vectors as runs of one.
 - One certified uint64 lane: `form_lane` alone turns pins into residues
   M mod 2^64 of many forms, with margins m.  Its readers: `ball_lane`
   decides many distances by two compares against the bounds `lane_bounds`
@@ -790,30 +791,43 @@ class FormEvaluator:
         return lo, hi, b
 
     def positive_windows(self, vectors: Sequence[Sequence[int]]):
-        """Yield, for each coefficient vector in order, a window (lo, hi, b)
-        with 0 < lo <= ||form|| 2^b <= hi.
-
-        The table pinned at `self.bits` separates almost every vector from
-        0 in one tight loop; only the vectors it cannot separate are checked
-        for syntactic dependence and climb `precision_ladder`.
-        DependenceError names the first vector (sign-normalized) whose
-        distance is exactly 0 or cannot be separated from 0 at the cap."""
-        b = self.bits
-        pins, off, off_err = self.pin(b)
-        scale = 1 << b
-        half = scale >> 1
+        """Yield, for each coefficient vector in order, the window that
+        `run_windows` yields for the run of that one vector."""
         for coeffs in vectors:
-            acc, err = off, off_err
-            for k, (pin, spread) in zip(coeffs, pins):
-                acc += k * pin
-                err += abs(k) * spread
-            d = acc % scale
+            yield from self.run_windows(coeffs, 0, 1)
+
+    def run_windows(self, start: Sequence[int], axis: int, n: int):
+        """Yield, for j = 0..n-1, a window (lo, hi, b) with 0 < lo <=
+        ||form|| 2^b <= hi of the vector start + j e_axis.
+
+        On the table pinned at `self.bits` the sum grows by the one pin of
+        `axis` a vector, and the error is the fixed coordinates' err0 plus
+        |k| times that pin's spread.  That separates almost every vector
+        from 0; the rest are checked for syntactic dependence and climb
+        `precision_ladder`.  DependenceError names the first vector (sign-
+        normalized) whose distance is 0 or not separated from 0 at the cap."""
+        b = self.bits
+        pins, acc, err0 = self.pin(b)
+        scale = 1 << b
+        half, mask = scale >> 1, scale - 1     # acc & mask is acc % scale
+        for i, (k, (pin, spread)) in enumerate(zip(start, pins)):
+            acc += k * pin
+            if i != axis:
+                err0 += abs(k) * spread
+        step, spread = pins[axis]
+        vec = list(start)
+        for k in range(vec[axis], vec[axis] + n):
+            d = acc & mask
             if d > half:
                 d = scale - d
+            err = err0 + abs(k) * spread
             if d > err:
-                yield d - err, min(half, d + err), b
+                hi = d + err
+                yield d - err, hi if hi < half else half, b
             else:
-                yield self._positive_window(coeffs)
+                vec[axis] = k
+                yield self._positive_window(vec)
+            acc += step
 
     def _positive_window(self, coeffs: Sequence[int]) -> tuple:
         witness = normalize_witness(coeffs)
@@ -821,7 +835,7 @@ class FormEvaluator:
             raise DependenceError(witness)
         for bits in precision_ladder(self.bits, self.cap):
             if bits == self.bits:
-                continue    # the rung `positive_windows` has just tried
+                continue    # the rung `run_windows` has just tried
             window = self.dist_window(coeffs, bits)
             if window[0] > 0:
                 return window
@@ -1011,7 +1025,7 @@ def form_lane(fe: FormEvaluator, vectors) -> tuple:
     largest |k|) reaches 2^62: below that neither d + m (d <= 2^63) nor a
     `lane_threshold` + m wraps, and a pin that wide certifies nothing.
 
-    m also covers the window `positive_windows` takes at b = fe.bits.  Both
+    m also covers the window `run_windows` takes at b = fe.bits.  Both
     pinned boxes hold a point y (the parameters, or a decimal's interval);
     with E = err / 2^bits, the b-window lies within 2 E_b of form(y), and
     form(y) within E_64 of M.  So m = 1 + err_64 + ceil(2 err_b 2^(64 - b))

@@ -160,6 +160,19 @@ MUTANTS = (
            "max(0, vmax)",
            ("tests/test_discrepancy.py"
             "::test_a_decimal_holds_over_its_radius",)),
+    Mutant("shell-run-err-without-fixed-spread", "realnum.py",
+           "err0 += abs(k) * spread",
+           "err0 += 0",
+           ("tests/test_integer_windows.py",)),
+    Mutant("shell-run-climb-from-start", "realnum.py",
+           "                vec[axis] = k\n",
+           "",
+           ("tests/test_integer_windows.py",)),
+    Mutant("star-prefilter-keeps-only-float-max", "discrepancy.py",
+           "f >= f.max() - 2 * tau",
+           "f == f.max()",
+           ("tests/test_discrepancy.py"
+            "::test_the_star_prefilter_keeps_the_exact_maximum",)),
     Mutant("threads-later-chunks-shifted-by-one", "cli.py",
            "return [items[i:i + size] for i in range(0, len(items), size)]",
            "return [items[i + (i > 0):i + size + (i > 0)]\n"

@@ -416,6 +416,15 @@ def test_precision_cap_is_honoured():
                  "--precision-bits", "8"]) == 3
 
 
+def test_etk_auto_at_a_billion_points():
+    """H near 5.5 10^6 is found by bisection, not one step at a time."""
+    rc, out, _ = run_cli("etk-auto", "--gamma", "sqrt:2", "--beta", "sqrt:3",
+                         "--N", "1000000000", "--sigma", "1/1000")
+    assert rc == 0
+    assert cells(out)[0][:4] == ["etk-auto-H", "sqrt:2;sqrt:3;sigma=1/1000",
+                                 "1000000000", "5496833"]
+
+
 def test_etk_sweep_through_the_writer(tmp_path, capsys):
     argv = ["etk", "--alpha", "sqrt:2", "--N", "20", "--sweep-H", "3"]
     out = tmp_path / "sweep.csv"

@@ -16,6 +16,7 @@ from mdl.discrepancy import (
     etk_bound,
     etk_bound_sweep,
     grid_box_max,
+    _near_the_maximum,
     star_discrepancy_1d,
 )
 from mdl.realnum import (
@@ -23,6 +24,7 @@ from mdl.realnum import (
     DependenceError,
     FormEvaluator,
     RealParam,
+    log2_scaled,
     orbit_lane,
     parse_param,
     precision_ladder,
@@ -222,6 +224,20 @@ def test_star_discrepancy_matches_the_exact_sort(alpha, Q, cap):
     assert star_discrepancy_1d(x, Q, cap=cap) == want
 
 
+def test_the_star_prefilter_keeps_the_exact_maximum():
+    """Two keys whose float deviations order the other way round.  float64
+    rounds 3 2^62 + 2^13 + 2^10 - 1 down by 1023, so f reads 8704 and 8192
+    (in units of 2^-64) where the exact deviations are 8704 and 9215; the
+    prefilter must still yield the second point."""
+    keys = np.array([2**62 - 2**13 - 2**9, 3 * 2**62 + 2**13 + 2**10 - 1],
+                    dtype=np.uint64)
+    # with pin 1 on the 2^-64 grid and order[j] = keys[j] - 1, q = keys[j]
+    # puts each point u on its key
+    points = _near_the_maximum(1, 2**64, keys - np.uint64(1), keys, 1)
+    dev = {i: abs(u * 4 - (2 * i - 1) * 2**64) for i, u in points}
+    assert max(dev.values()) == 4 * 9215 > 4 * 8704
+
+
 def _star_at(t: Fraction, Q: int) -> Fraction:
     """D* of {q t}, q = 1..Q, for a rational t, sorted as exact ints."""
     a, D = t.numerator, t.denominator
@@ -409,6 +425,28 @@ def test_etk_autoH_takes_no_root_per_step(monkeypatch):
         H = etk_autoH(N, sigma).H
         counts[H] = len(calls)
     assert sorted(counts) == [2, 27, 114] and set(counts.values()) == {3}
+
+
+def test_etk_autoH_searches_H_in_log_steps(monkeypatch):
+    """Doubling, then bisection: N = 10^9 at sigma = 1/1000 reaches H near
+    5.5 10^6 in O(log H) log2 windows, and H is the smallest that passes
+    the lower test (H - 1 fails the upper one)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log2_scaled(*args)
+
+    monkeypatch.setattr(discrepancy, "log2_scaled", counted)
+    H = etk_autoH(10**9, F(1, 1000)).H
+    assert len(calls) <= 2 * H.bit_length() + 3
+    coef = F(8000, 1000) / 10**9
+
+    def passes(H, end):
+        lg = log2_scaled(H, 96)
+        return (coef * F(lg[end], 1 << lg[2])) ** 1000 * H ** 1001 >= 1
+
+    assert passes(H, 0) and not passes(H - 1, 1)
 
 
 def test_etk_autoH_sweep(sqrt2, sqrt3):

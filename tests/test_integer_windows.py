@@ -9,7 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from test_acceptance import _pairwise_sum
-from mdl.discrepancy import etk_bound_sweep
+from mdl.discrepancy import (
+    SHELL_BITS,
+    _etk_shells_1d,
+    _etk_shells_2d,
+    etk_bound_sweep,
+)
 from mdl.gallagher import (
     ApproxFunction,
     FibreContext,
@@ -74,6 +79,49 @@ def test_etk_sweep_matches_the_fraction_oracle(texts, H, N):
     shells = oracle(fe, H, fe.cap)
     assert oracles.etk_shell_terms(params, N, H) == tuple(shells)
     assert [b.bound for b in sweep] == oracles.etk_bounds(shells, N)
+
+
+def _run_place(coeffs) -> str:
+    """Where a 2D vector sits in its shell h's two runs, (k1, h) for k1 =
+    -h..h then (h, k2) for k2 = -h+1..h-1."""
+    k1, k2 = coeffs
+    h = max(abs(k1), abs(k2))
+    if coeffs in ((h, h), (h, 1 - h)):
+        return "seam"
+    if coeffs == (-h, h):
+        return "start"
+    return "k=0" if 0 in coeffs else "mid-run"
+
+
+def test_shell_runs_match_the_oracle_on_low_rungs(monkeypatch):
+    """On a low first rung many vectors of a run cannot be separated from 0
+    there and climb the ladder; each climb must start from the vector that
+    missed and leave the run's sum stepping on.  At 16 and 24 bits misses
+    are rare (two among these pairs at 16 bits, none at 24), so the 8-bit
+    rung is swept too, where they land mid-run, at k = 0 and at the seam
+    between a shell's two runs."""
+    climbs = []
+    exact = FormEvaluator._positive_window
+
+    def counted(self, coeffs):
+        climbs.append(tuple(coeffs))
+        return exact(self, coeffs)
+
+    monkeypatch.setattr(FormEvaluator, "_positive_window", counted)
+    texts = ("sqrt:2", "sqrt:3", "const:golden", "log2:3")
+    sets = [(t,) for t in texts] + [(a, b) for i, a in enumerate(texts)
+                                    for b in texts[i + 1:]]
+    for bits in (8, 16, 24):
+        for params in sets:
+            fe = FormEvaluator([parse_param(t) for t in params], 0, bits=bits)
+            one = len(params) == 1
+            shells = (_etk_shells_1d if one else _etk_shells_2d)(fe, 12)
+            oracle = oracles.etk_shells_1d if one else oracles.etk_shells_2d
+            assert [Enclosure.dyadic(lo, hi, SHELL_BITS)
+                    for lo, hi in shells] == oracle(fe, 12, fe.cap)
+    places = {_run_place(c) for c in climbs if len(c) == 2}
+    assert {"mid-run", "k=0", "seam"} <= places
+    assert any(c != (1,) for c in climbs if len(c) == 1)
 
 
 @pytest.mark.parametrize("texts", [("sqrt:2", "sqrt:2"), ("sqrt:2", "sqrt:8"),

@@ -18,7 +18,7 @@ ALLOWED = {
         "the one ladder of a predicate on a form",
     ("realnum", "FormEvaluator._positive_window"):
         "raises DependenceError on a syntactic zero, and its integer windows "
-        "feed the ETK and psi' records, whose first rung positive_windows "
+        "feed the ETK and psi' records, whose first rung run_windows "
         "inlines",
     ("discrepancy", "star_discrepancy_1d"):
         "separates the sorted order of all Q orbit points at one rung, not "
