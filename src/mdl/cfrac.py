@@ -116,11 +116,12 @@ class SigmaEntry:
 
 def _exponent(window, coeffs, bits: int = 96):
     """-log2(dist) / log2(height) with outward rounding, for a distance
-    window (lo, hi, b) of the vector `coeffs`; None when it touches 0."""
-    lo, hi, b = window
+    window (lo, hi, scale) of the vector `coeffs`; None when it touches 0."""
+    lo, hi, scale = window
     if lo <= 0:
         return None
-    neg_log = neg_log2_enclosure(Enclosure.dyadic(lo, hi, b), bits)
+    neg_log = neg_log2_enclosure(Enclosure(Fraction(lo, scale),
+                                           Fraction(hi, scale)), bits)
     lh = log2_enclosure(max(map(abs, coeffs)), bits)
     return Enclosure(neg_log.lo / lh.hi, neg_log.hi / lh.lo)
 
@@ -139,7 +140,7 @@ def _top_band(vectors: np.ndarray, fe: FormEvaluator, cap: int) -> np.ndarray:
     within the margin m of d.
 
     Kept: every vector whose lane window [d - m, d + m] touches 0 (only
-    there can positive_windows climb or raise), and every other whose U =
+    there can positive_window climb or raise), and every other whose U =
     (64 - log2(d - m)) / log2(height) reaches max L - _BAND, with L = (64 -
     log2(d + m)) / log2(height).  The lane window holds the window whose
     upper end hi gives the scan's exponent e = (b - log2 hi) / log2(height),
@@ -178,12 +179,16 @@ def _best_candidate(cands, fe: FormEvaluator, cap: int):
     scored = []
     # DependenceError also catches non-syntactic dependences such as
     # 2*sqrt2 - sqrt8, whose distance never separates from 0
-    for coeffs, (lo, hi, b) in zip(vectors, fe.positive_windows(vectors)):
-        approx = -(math.log2(hi) - b) / math.log2(max(map(abs, coeffs)))
-        scored.append((approx, coeffs, (lo, hi, b)))
+    for coeffs in vectors:
+        window = fe.dist_window(coeffs)
+        if not window[0]:       # touches 0 on the first rung: climb
+            window = fe.positive_window(coeffs)
+        approx = (math.log2(window[2]) - math.log2(window[1])) \
+            / math.log2(max(map(abs, coeffs)))
+        scored.append((approx, coeffs, window))
     scored.sort(key=lambda t: (-t[0], t[1]))
     best_approx, best, window = scored[0]
-    # from the window positive_windows certified, which may lie past fe.bits
+    # from the window positive_window certified, which may lie past fe.bits
     best_enc = _exponent(window, best)
     tied = None     # hull of the enclosures of candidates tied at the cap
     # rigorously confirm the winner against close runners-up

@@ -95,10 +95,6 @@ class CircleSet:
     slack: Fraction = Fraction(0)
 
     @staticmethod
-    def empty() -> "CircleSet":
-        return CircleSet((), Fraction(0))
-
-    @staticmethod
     def full() -> "CircleSet":
         return CircleSet(((Fraction(0), Fraction(1)),), Fraction(0))
 
@@ -132,9 +128,11 @@ class CircleSet:
         return out
 
 
-def union(s: CircleSet, t: CircleSet) -> CircleSet:
-    return CircleSet(_canonicalize(list(s.arcs) + list(t.arcs)),
-                     s.slack + t.slack)
+def union(*sets: CircleSet) -> CircleSet:
+    """The union of `sets`, canonicalized once (the merged form of a union
+    of closed arcs is unique, so it is the pairwise fold's); slacks add."""
+    return CircleSet(_canonicalize([a for s in sets for a in s.arcs]),
+                     sum((s.slack for s in sets), Fraction(0)))
 
 
 # ---------------------------------------------------------------------------

@@ -479,11 +479,12 @@ def _etk_sweep(params, ptxt, args) -> RunResult:
 
 
 @command("etk-auto", "ETK bound with the optimized truncation",
-         "gamma", "beta", "N", "sigma")
+         "gamma", "beta", "N", "sigma", gamma=OPTIONAL, beta=OPTIONAL)
 def run_etk_auto(args) -> RunResult:
     # gamma and beta only label the record: the bound depends on N and sigma
     b = discrepancy.etk_autoH(args.N, Fraction(args.sigma))
-    ptxt = f"{args.gamma.canonical()};{args.beta.canonical()};sigma={args.sigma}"
+    labels = [p.canonical() for p in (args.gamma, args.beta) if p is not None]
+    ptxt = ";".join(labels + [f"sigma={args.sigma}"])
     recs = [_rec("etk-auto-H", ptxt, args.N, b.H),
             _rec_enc("etk-auto-bound", ptxt, args.N, b.bound)]
     if b.implied_constant is not None:

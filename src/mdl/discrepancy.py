@@ -139,8 +139,7 @@ def star_discrepancy_1d(alpha: RealParam, Q: int,
     fe = param_evaluator(alpha, cap)
     lane = orbit_lane(fe, Q, next(precision_ladder(fe.bits, cap)))
     for b in precision_ladder(fe.bits, cap):
-        lo_pin, spread, _ = fe.frac_window((1,), b)
-        scale = 1 << b
+        lo_pin, spread, scale = fe.frac_window((1,), b)
         err = Q * spread  # absolute window width in grid units
         if lane is not None:    # certified on this first rung
             points = _near_the_maximum(lo_pin, scale, *lane)
@@ -275,26 +274,36 @@ class EtkBound:
 def _etk_shells_1d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h contribution (both signs k = +-h) to
     sum 2/(|k|+1) * 2/||k alpha||, as outward-rounded integer pairs on the
-    2^-SHELL_BITS grid; the shells h = 1..Hmax are one run."""
-    return [round_outward(8 << b, (h + 1) * hi, 8 << b, (h + 1) * lo, SHELL_BITS)
-            for h, (lo, hi, b) in enumerate(fe.run_windows((1,), 0, Hmax), 1)]
+    2^-SHELL_BITS grid; the shells h = 1..Hmax are one walk."""
+    shells = []
+    for h, lo, hi, scale in fe.run_windows((0,), 0, range(1, Hmax + 1)):
+        if not lo:      # touches 0 on the first rung: climb
+            lo, hi, scale = fe.positive_window((h,))
+        shells.append(round_outward(8 * scale, (h + 1) * hi,
+                                    8 * scale, (h + 1) * lo, SHELL_BITS))
+    return shells
 
 
 def _etk_shells_2d(fe: FormEvaluator, Hmax: int) -> list:
     """shell h: pairs with max(|k1|,|k2|) = h of
     4/((|k1|+1)(|k2|+1)) * 2/||k1 a + k2 b||, signs folded (factor 2), as
     integer pairs on the 2^-SHELL_BITS grid, each term rounded outward.
-    A shell is two runs: (k1, h) for k1 = -h..h, then (h, k2) for k2 =
+    A shell is two walks: (k1, h) for k1 = -h..h, then (h, k2) for k2 =
     -h+1..h-1, each (k1,k2) standing for {(k1,k2), (-k1,-k2)}."""
     shells = []
+    first = 1 << (fe.bits + SHELL_BITS + 4)     # 16 scale 2^SHELL_BITS
     for h in range(1, Hmax + 1):
         lo_acc = hi_acc = 0
-        for start, axis in (((-h, h), 0), ((h, 1 - h), 1)):
-            ks = range(start[axis], h + 1 - axis)
-            for k, (lo, hi, b) in zip(ks, fe.run_windows(start, axis, len(ks))):
-                # 16 / (w ||form||), ||form|| in [lo, hi] / 2^b, rounded outward
+        for start, axis, ks in (((0, h), 0, range(-h, h + 1)),
+                                ((h, 0), 1, range(1 - h, h))):
+            for k, lo, hi, _ in fe.run_windows(start, axis, ks):
+                num = first
+                if not lo:      # touches 0 on the first rung: climb
+                    lo, hi, scale = fe.positive_window(
+                        (k, h) if axis == 0 else (h, k))
+                    num = scale << (SHELL_BITS + 4)
+                # 16 / (w ||form||) for ||form|| in [lo, hi] / scale, outward
                 w = (abs(k) + 1) * (h + 1)
-                num = 16 << (b + SHELL_BITS)
                 lo_acc += num // (w * hi)
                 hi_acc -= -num // (w * lo)
         shells.append((lo_acc, hi_acc))

@@ -28,7 +28,6 @@ from . import arith
 from .cfrac import omega_schedule, omega_schedule_lemma3
 from .circlesets import (
     AqFamily,
-    CircleSet,
     build_Aq,
     union as arc_union,
 )
@@ -273,19 +272,20 @@ class FibreContext:
     Support and census cell are one number per q, the level
     max(-1, floor(log2(||q beta - g'|| q^omega))): q lies in the support
     iff its level is at least 0, and in the census cell l iff its level is
-    l.  `levels` is the one route to it, over an increasing run of q.  It
-    keeps the first rung of the evaluator's precision ladder as a running
-    total, stepped from q to q by beta's pin and spread, and reads the
+    l.  `levels` is the one route to it, over a run of q.  It takes each
+    q's first-rung distance window from the evaluator's walk
+    (`FormEvaluator.run_windows` along beta's coordinate) and reads the
     level off that window on ints: exactly for omega = p/s with s <= 64,
     from 96-bit log2 bounds otherwise.  Every q gets that window, a form
     that collapses to a rational too; only a q whose window straddles a
-    wall climbs the evaluator's ladder, which decides a collapsed form
-    exactly.  What the cap cannot decide is flagged, never guessed.
+    wall is decided by the evaluator's `decide`, which decides a collapsed
+    form exactly.  What the cap cannot decide is flagged, never guessed.
 
     `psi_primes` maps the route to psi': (state, lo, hi), one pair of ints
     on the 2^-PSI_PRIME_BITS grid, the integer window of psi(q) divided by
-    the first-rung window of q's level.  `support_state`, `cell_of` and
-    `psi_prime` are the one-q calls of the route.
+    the first-rung window of q's level, or by `positive_window`'s where
+    that one touches 0.  `support_state`, `cell_of` and `psi_prime` are
+    the one-q calls of the route.
     """
 
     def __init__(self, pp: PsiPrime, cap: int = DEFAULT_PRECISION_CAP):
@@ -309,7 +309,7 @@ class FibreContext:
         return self.fe.dist_is_zero_exact(self._coeffs(q))
 
     def levels(self, qs, top: Optional[int] = None):
-        """Yield (q, level, window) for each q of `qs`, increasing ints >= 1:
+        """Yield (q, level, window) for each q of `qs`, ints >= 1:
         the level of q clamped to at most `top`, or None where the cap
         cannot decide it, and the distance window (lo, hi, scale) of the
         evaluator's first rung, for every q.  The level is read off that
@@ -320,28 +320,12 @@ class FibreContext:
         yielded at level `top`, or at -1 where omega is not positive and its
         distance vanishes; a census (`top` None) refuses such an omega."""
         fe, pp = self.fe, self.pp
-        bits = fe.bits
-        scale = 1 << bits
-        half, mask = scale >> 1, scale - 1
-        # the form's first rung at q = 0: the offset, minus g' in the form
-        pins, acc, err = fe.pin(bits)
-        pin, spread = pins[0]
-        if self._gp_in_form:
-            acc -= pins[1][0]
-            err += pins[1][1]
         schedule = isinstance(pp.omega, tuple)
         om = None if schedule else pp.omega_at(1)
         last = ()     # no omega yet
-        prev = 0
-        for q in qs:
-            if q <= prev:
-                raise ValueError(f"q = {q}: a range needs increasing q >= 1")
-            acc = (acc + (q - prev) * pin) & mask
-            err += (q - prev) * spread
-            prev = q
-            d = acc if acc <= half else scale - acc
-            lo = d - err if d > err else 0
-            hi = d + err if d + err <= half else half
+        for q, lo, hi, scale in fe.run_windows(self._coeffs(0), 0, qs):
+            if q < 1:
+                raise ValueError(f"q = {q}: levels need q >= 1")
             window = lo, hi, scale
             if schedule:
                 om = pp.omega_at(q)
@@ -351,7 +335,7 @@ class FibreContext:
                 positive = om is not None and om > 0
                 if positive:
                     p, s = om.numerator, om.denominator
-                    sb = bits * s + 1
+                    sb = fe.bits * s + 1
             if not positive:
                 if top is None:
                     raise ValueError("census cells need a positive omega")
@@ -388,7 +372,7 @@ class FibreContext:
         return self.fe.decide(self._coeffs(q), verdict)
 
     def psi_primes(self, qs):
-        """Yield (q, state, lo, hi) for each q of `qs`, increasing ints >= 1,
+        """Yield (q, state, lo, hi) for each q of `qs`, ints >= 1,
         with psi'(q) in [lo, hi] / 2^PSI_PRIME_BITS, and (q, state, 0, 0)
         outside the support: psi(q) / ||q beta - g'|| rounded outward once.
         DependenceError where psi(q) > 0 meets a distance that vanishes or
@@ -399,8 +383,7 @@ class FibreContext:
     def _psi_prime(self, q: int, level: Optional[int], window) -> tuple:
         """(state, lo, hi) of psi'(q) from q's support level and first-rung
         window.  The distance window is that one where it is positive; where
-        it reaches 0, `positive_windows` climbs the ladder from the same
-        first rung, so the value is the same either way."""
+        it reaches 0, `positive_window` climbs from the same first rung."""
         state = _support(level)
         if state != SupportState.IN:
             return state, 0, 0
@@ -408,8 +391,7 @@ class FibreContext:
         if ph == 0:
             return state, 0, 0
         if window[0] == 0:
-            (d_lo, d_hi, b), = self.fe.positive_windows([self._coeffs(q)])
-            window = d_lo, d_hi, 1 << b
+            window = self.fe.positive_window(self._coeffs(q))
         d_lo, d_hi, scale = window
         return (state, *round_outward(pl * scale, pd * d_hi, ph * scale,
                                       pd * d_lo, PSI_PRIME_BITS))
@@ -714,16 +696,15 @@ def union_series(psi_or_pp, gamma, Q0: int, Q: int,
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
     values, _ = _radius_table(psi_or_pp, Q, cap)
-    acc = CircleSet.empty()
+    sets = []
     for q in range(Q0, Q + 1):
         v = values[q]
         if v.hi == 0:
             continue
         if 2 * v.lo >= 1:
             return Enclosure.exact(1)
-        s = build_Aq(v, gamma, q)
-        acc = arc_union(acc, s)
-    return acc.measure_bounds()
+        sets.append(build_Aq(v, gamma, q))
+    return arc_union(*sets).measure_bounds()
 
 
 # ---------------------------------------------------------------------------

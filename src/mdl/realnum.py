@@ -28,10 +28,12 @@ of ints [lo, hi] on a dyadic grid 2^-k, and a record reduces it once.
   ladder for a predicate on a form: it hands a verdict the window of the
   form's signed fractional part, rung after rung, until the verdict
   answers; orbit boxes, grid cells, fibre levels and distance balls are
-  all verdicts on it.  `dist_window` gives one integer distance window and
-  `run_windows` the windows, certified positive, of a run of coefficient
-  vectors start + j e_axis, one addition of a pin per vector: an ETK shell
-  is two runs, and `positive_windows` takes any vectors as runs of one.
+  all verdicts on it, and `positive_window` climbs a distance until it is
+  clear of 0.  A distance window is (lo, hi, scale), for [lo, hi] / scale:
+  `dist_window` gives one on a rung, and `run_windows`, the one walk of a
+  pinned sum, the first-rung windows along one coordinate, k times its pin
+  added to the sum of the others; the ETK shells and the fibre levels read
+  theirs off it, and only `realnum` reads a pin table.
 - One certified uint64 lane: `form_lane` alone turns pins into residues
   M mod 2^64 of many forms, with margins m.  Its readers: `ball_lane`
   decides many distances by two compares against the bounds `lane_bounds`
@@ -766,9 +768,9 @@ class FormEvaluator:
 
     def frac_window(self, coeffs: Sequence[int], bits: int | None = None,
                     shift: RationalLike = 0):
-        """(s, err, scale_bits): the signed fractional part of the form plus
-        `shift`, scaled by 2^scale_bits, lies within err of s (modulo
-        2^scale_bits), with s in (-2^(scale_bits-1), 2^(scale_bits-1)]."""
+        """(s, err, scale), scale = 2^bits: the signed fractional part of the
+        form plus `shift`, scaled by scale, lies within err of s (modulo
+        scale), with s in (-scale/2, scale/2]."""
         b = self.bits if bits is None else bits
         pins, acc, err = self.pin(b)
         scale = 1 << b
@@ -781,65 +783,52 @@ class FormEvaluator:
             acc += k * pin
             err += abs(k) * spread
         m = acc % scale
-        return (m if 2 * m <= scale else m - scale), err, b
+        return (m if 2 * m <= scale else m - scale), err, scale
 
     def dist_window(self, coeffs: Sequence[int], bits: int | None = None):
-        """(d_lo, d_hi, scale_bits): rigorous integer window for
-        ||sum k_i x_i + c|| scaled by 2^scale_bits."""
-        s, err, b = self.frac_window(coeffs, bits)
-        lo, hi, _ = frac_to_dist(s, err, 1 << b)
-        return lo, hi, b
+        """(lo, hi, scale): rigorous integer window [lo, hi] / scale of
+        ||sum k_i x_i + c||, scale = 2^bits."""
+        return frac_to_dist(*self.frac_window(coeffs, bits))
 
-    def positive_windows(self, vectors: Sequence[Sequence[int]]):
-        """Yield, for each coefficient vector in order, the window that
-        `run_windows` yields for the run of that one vector."""
-        for coeffs in vectors:
-            yield from self.run_windows(coeffs, 0, 1)
+    def run_windows(self, start: Sequence[int], axis: int, ks):
+        """Yield (k, lo, hi, scale) for each int k of `ks`: the first-rung
+        window [lo, hi] / scale, scale = 2^self.bits, of the distance of the
+        vector start with its axis coordinate set to k, and lo = 0 where it
+        touches 0.  It does not climb: `positive_window` separates such a
+        vector from 0.
 
-    def run_windows(self, start: Sequence[int], axis: int, n: int):
-        """Yield, for j = 0..n-1, a window (lo, hi, b) with 0 < lo <=
-        ||form|| 2^b <= hi of the vector start + j e_axis.
-
-        On the table pinned at `self.bits` the sum grows by the one pin of
-        `axis` a vector, and the error is the fixed coordinates' err0 plus
-        |k| times that pin's spread.  That separates almost every vector
-        from 0; the rest are checked for syntactic dependence and climb
-        `precision_ladder`.  DependenceError names the first vector (sign-
-        normalized) whose distance is 0 or not separated from 0 at the cap."""
-        b = self.bits
-        pins, acc, err0 = self.pin(b)
-        scale = 1 << b
+        The one walk of a pinned sum: the other coordinates' sum is taken
+        once, and k times the pin of `axis` is added to it; the error is
+        their err0 plus |k| times that pin's spread.  So any ks, gapped or
+        stepped, get the window `dist_window` gives on the first rung."""
+        pins, acc, err0 = self.pin(self.bits)
+        scale = 1 << self.bits
         half, mask = scale >> 1, scale - 1     # acc & mask is acc % scale
         for i, (k, (pin, spread)) in enumerate(zip(start, pins)):
-            acc += k * pin
             if i != axis:
+                acc += k * pin
                 err0 += abs(k) * spread
-        step, spread = pins[axis]
-        vec = list(start)
-        for k in range(vec[axis], vec[axis] + n):
-            d = acc & mask
+        pin, spread = pins[axis]
+        for k in ks:
+            d = (acc + k * pin) & mask
             if d > half:
                 d = scale - d
             err = err0 + abs(k) * spread
-            if d > err:
-                hi = d + err
-                yield d - err, hi if hi < half else half, b
-            else:
-                vec[axis] = k
-                yield self._positive_window(vec)
-            acc += step
+            hi = d + err
+            yield k, d - err if d > err else 0, hi if hi < half else half, scale
 
-    def _positive_window(self, coeffs: Sequence[int]) -> tuple:
+    def positive_window(self, coeffs: Sequence[int]) -> tuple:
+        """The window (lo, hi, scale) of ||form|| that `decide` reaches
+        first with lo > 0.  DependenceError names the vector (sign-
+        normalized) when the form collapses to an integer, or when its
+        distance cannot be separated from 0 at the cap."""
         witness = normalize_witness(coeffs)
         if self.dist_is_zero_exact(coeffs):
             raise DependenceError(witness)
-        for bits in precision_ladder(self.bits, self.cap):
-            if bits == self.bits:
-                continue    # the rung `run_windows` has just tried
-            window = self.dist_window(coeffs, bits)
-            if window[0] > 0:
-                return window
-        raise DependenceError(witness, "distance cannot be separated from 0")
+        window = self.decide(coeffs, _positive_verdict)
+        if window is None:
+            raise DependenceError(witness, "distance cannot be separated from 0")
+        return window
 
     def _rational_value(self, coeffs: Sequence[int]) -> Optional[Fraction]:
         """The form's value if it collapses syntactically to a rational."""
@@ -863,8 +852,7 @@ class FormEvaluator:
             m = v.numerator % den
             return verdict(m if 2 * m <= den else m - den, 0, den)
         for bits in precision_ladder(self.bits, self.cap):
-            s, err, b = self.frac_window(coeffs, bits, shift)
-            answer = verdict(s, err, 1 << b)
+            answer = verdict(*self.frac_window(coeffs, bits, shift))
             if answer is not None:
                 return answer
         return None
@@ -906,6 +894,12 @@ def frac_to_dist(s, err, scale: int) -> tuple:
     d = abs(s)
     hi = d + err
     return max(0, d - err), hi if 2 * hi <= scale else scale >> 1, scale
+
+
+def _positive_verdict(s, err, scale: int) -> Optional[tuple]:
+    """x's distance window (`frac_to_dist`) once it is clear of 0."""
+    window = frac_to_dist(s, err, scale)
+    return window if window[0] > 0 else None
 
 
 def _ball_verdict(t: Enclosure, closed: bool, s, err, scale: int) -> Optional[bool]:

@@ -140,21 +140,27 @@ MUTANTS = (
            "np.max(g[a1 + 1:] - g[a1], axis=1)",
            ("tests/test_discrepancy.py"
             "::test_grid_box_max_matches_the_box_scan",)),
-    Mutant("fibre-error-without-beta-spread", "gallagher.py",
-           "err += (q - prev) * spread",
-           "err += 0",
+    Mutant("fibre-error-without-beta-spread", "realnum.py",
+           "err = err0 + abs(k) * spread",
+           "err = err0",
            ("tests/test_gallagher.py"
-            "::test_the_range_route_matches_the_per_q_route",)),
-    Mutant("fibre-accumulator-one-q-late", "gallagher.py",
-           "prev = 0\n",
-           "prev = 1\n",
+            "::test_the_range_route_matches_the_per_q_route",
+            "tests/test_integer_windows.py"
+            "::test_the_walk_gives_the_first_rung_windows")),
+    Mutant("fibre-accumulator-one-q-late", "realnum.py",
+           "d = (acc + k * pin) & mask",
+           "d = (acc + (k - 1) * pin) & mask",
            ("tests/test_gallagher.py"
-            "::test_the_range_route_matches_the_per_q_route",)),
-    Mutant("fibre-window-widened", "gallagher.py",
-           "window = lo, hi, scale",
-           "window = lo, hi + 1, scale",
+            "::test_the_range_route_matches_the_per_q_route",
+            "tests/test_integer_windows.py"
+            "::test_the_walk_gives_the_first_rung_windows")),
+    Mutant("fibre-window-widened", "realnum.py",
+           "hi if hi < half else half, scale",
+           "hi + 1 if hi < half else half, scale",
            ("tests/test_gallagher.py"
-            "::test_the_range_route_matches_the_per_q_route",)),
+            "::test_the_range_route_matches_the_per_q_route",
+            "tests/test_integer_windows.py"
+            "::test_the_walk_gives_the_first_rung_windows")),
     Mutant("star-window-without-err", "discrepancy.py",
            "max(0, vmax - 2 * Q * err)",
            "max(0, vmax)",
@@ -164,10 +170,11 @@ MUTANTS = (
            "err0 += abs(k) * spread",
            "err0 += 0",
            ("tests/test_integer_windows.py",)),
-    Mutant("shell-run-climb-from-start", "realnum.py",
-           "                vec[axis] = k\n",
-           "",
-           ("tests/test_integer_windows.py",)),
+    Mutant("shell-run-climb-from-start", "discrepancy.py",
+           "(k, h) if axis == 0 else (h, k)",
+           "start",
+           ("tests/test_integer_windows.py"
+            "::test_shell_runs_match_the_oracle_on_low_rungs",)),
     Mutant("star-prefilter-keeps-only-float-max", "discrepancy.py",
            "f >= f.max() - 2 * tau",
            "f == f.max()",

@@ -172,9 +172,15 @@ def F_sum_direct(Q: int) -> Enclosure:
     return Enclosure(Fraction(lo_acc, 1 << shift), Fraction(hi_acc, 1 << shift))
 
 
+def window_enclosure(window) -> Enclosure:
+    """The enclosure [lo, hi] / scale of a distance window (lo, hi, scale)."""
+    lo, hi, scale = window
+    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+
+
 def dist_enclosure(fe, coeffs, bits=None) -> Enclosure:
     """||form|| of a FormEvaluator as an enclosure at `bits`."""
-    return Enclosure.dyadic(*fe.dist_window(coeffs, bits))
+    return window_enclosure(fe.dist_window(coeffs, bits))
 
 
 def min_dist(alpha, N: int, cap: int = DEFAULT_PRECISION_CAP):
@@ -204,15 +210,20 @@ def min_dist(alpha, N: int, cap: int = DEFAULT_PRECISION_CAP):
 
 def best_candidate_full(cands, fe, cap: int):
     """`cfrac._best_candidate` without its uint64 lane: every vector, in
-    scan order, through the 128-bit `positive_windows`, the float sort and
-    the ladder confirmation, as the library scanned before the lane (with
-    the winner's exponent from its certified window, and a window touching
-    0 on a rung climbing, not raising)."""
+    scan order, through its first-rung window (`positive_window`'s where
+    that touches 0), the float sort and the ladder confirmation, as the
+    library scanned before the lane (with the winner's exponent from its
+    certified window, and a window touching 0 on a rung climbing, not
+    raising)."""
     cands = [tuple(int(k) for k in c) for c in cands]
     scored = []
-    for coeffs, window in zip(cands, fe.positive_windows(cands)):
+    for coeffs in cands:
+        window = fe.dist_window(coeffs)
+        if window[0] == 0:
+            window = fe.positive_window(coeffs)
         height = max(abs(k) for k in coeffs)
-        approx = -(math.log2(window[1]) - window[2]) / math.log2(height)
+        approx = (math.log2(window[2]) - math.log2(window[1])) \
+            / math.log2(height)
         scored.append((approx, coeffs, window))
     scored.sort(key=lambda t: (-t[0], t[1]))
     best = scored[0]
@@ -398,6 +409,20 @@ def dist_positive(fe, coeffs, cap: int) -> Enclosure:
     raise DependenceError(witness)
 
 
+def dist_positive_exact(fe, coeffs, cap: int) -> Enclosure:
+    """`dist_positive`, but the exact distance of a form that collapses to
+    a rational once identical parameters are merged."""
+    expr = RealExpr.build(list(zip(coeffs, fe.params)), fe.offset)
+    if not expr.is_rational:
+        return dist_positive(fe, coeffs, cap)
+    v = expr.offset
+    d = abs(v - round(v))
+    if d == 0:
+        raise DependenceError(tuple(-k for k in coeffs) if coeffs[0] < 0
+                              else tuple(coeffs))
+    return Enclosure.exact(d)
+
+
 def etk_shells_1d(fe, Hmax: int, cap: int) -> list:
     shells = []
     for h in range(1, Hmax + 1):
@@ -542,8 +567,7 @@ class PerQFibre:
 
     def window(self, q: int) -> tuple:
         """The distance window (lo, hi, scale) of q at the first rung."""
-        fr, err, b = self.ctx.fe.frac_window(self.ctx._coeffs(q))
-        return frac_to_dist(fr, err, 1 << b)
+        return frac_to_dist(*self.ctx.fe.frac_window(self.ctx._coeffs(q)))
 
     def support_state(self, q: int) -> str:
         level = self.level(q, self.ctx.pp.omega_at(q), 0)
@@ -560,8 +584,7 @@ class PerQFibre:
             return state, 0, 0
         window = self.window(q)
         if window[0] == 0:
-            (d_lo, d_hi, b), = self.ctx.fe.positive_windows([self.ctx._coeffs(q)])
-            window = d_lo, d_hi, 1 << b
+            window = self.ctx.fe.positive_window(self.ctx._coeffs(q))
         d_lo, d_hi, scale = window
         return (state, *round_outward(pl * scale, pd * d_hi, ph * scale,
                                       pd * d_lo, PSI_PRIME_BITS))

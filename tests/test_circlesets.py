@@ -69,7 +69,7 @@ def test_intersect_union_examples():
 
 
 def test_empty_and_full():
-    assert CircleSet.empty().measure() == 0
+    assert union().measure() == 0
     assert CircleSet.full().measure() == 1
 
 
@@ -101,6 +101,22 @@ def test_self_intersection(raw):
     s = from_arcs(raw)
     assert intersect(s, s).arcs == s.arcs
     assert union(s, s).arcs == s.arcs
+
+
+@given(st.lists(st.tuples(arcs_strategy(),
+                          st.fractions(min_value=0, max_value=F(1, 100))),
+                max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_one_fold_is_the_pairwise_fold(raw):
+    """`union` of many sets canonicalizes their arcs once; the pairwise
+    fold, which re-merges the union so far at each step, gives the same
+    arcs and slack."""
+    sets = [from_arcs(arcs, slack) for arcs, slack in raw]
+    folded = union()
+    for s in sets:
+        folded = union(folded, s)
+    assert union(*sets) == folded
+    assert union(*sets).measure_bounds() == folded.measure_bounds()
 
 
 def test_serialization_round_trip():

@@ -425,6 +425,18 @@ def test_etk_auto_at_a_billion_points():
                                  "1000000000", "5496833"]
 
 
+def test_etk_auto_runs_without_its_labels():
+    """--gamma and --beta only label the records, so each may be left out,
+    and an absent one is left out of the params."""
+    rc, out, _ = run_cli("etk-auto", "--N", "1000", "--sigma", "1/1000")
+    assert rc == 0
+    assert cells(out)[0][:4] == ["etk-auto-H", "sigma=1/1000", "1000", "27"]
+    rc, out, _ = run_cli("etk-auto", "--beta", "sqrt:3", "--N", "1000",
+                         "--sigma", "1/1000")
+    assert rc == 0
+    assert cells(out)[0][1] == "sqrt:3;sigma=1/1000"
+
+
 def test_etk_sweep_through_the_writer(tmp_path, capsys):
     argv = ["etk", "--alpha", "sqrt:2", "--N", "20", "--sweep-H", "3"]
     out = tmp_path / "sweep.csv"

@@ -278,9 +278,9 @@ def _counting_calls(monkeypatch, cls, names):
 def test_divergence_sum_takes_one_window_per_q(monkeypatch, sqrt3):
     """psi'(q) divides by the window its level decision took: here every
     window is the running first rung, so neither `frac_window` nor
-    `positive_windows` takes a second one."""
+    `positive_window` takes a second one."""
     calls = _counting_calls(monkeypatch, FormEvaluator,
-                            ("frac_window", "positive_windows"))
+                            ("frac_window", "positive_window"))
     pp = PsiPrime(ApproxFunction.log2sq_shape(F(1, 2)), sqrt3, R0, F(1, 4))
     r = divergence_sum(pp, 2000)
     assert (pp.psi.q0, r.contributing, r.undecided) == (2, 1208, 0)
@@ -292,7 +292,7 @@ def test_an_untruncated_divergence_sum_takes_no_second_window(monkeypatch,
     """With omega None there is no level to decide, and psi'(q) still
     divides by the running first rung: no q takes a window of its own."""
     calls = _counting_calls(monkeypatch, FormEvaluator,
-                            ("frac_window", "positive_windows", "decide"))
+                            ("frac_window", "positive_window", "decide"))
     pp = PsiPrime(ApproxFunction.over_q(F(1, 4)), sqrt2, R0, None)
     r = divergence_sum(pp, 2000)
     assert (pp.psi.q0, r.contributing, r.undecided) == (1, 2000, 0)

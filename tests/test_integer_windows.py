@@ -27,6 +27,7 @@ from mdl.realnum import (
     Enclosure,
     FormEvaluator,
     exact_sum,
+    frac_to_dist,
     log2_enclosure,
     log2_ratio,
     log2_scaled,
@@ -50,7 +51,9 @@ FAMILIES = ("ev", "mono2", "log2sq")
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FORM_SETS), st.data())
 @example(("sqrt:2", "sqrt:8"), None)
-def test_positive_windows_match_the_fraction_ladder(texts, data):
+def test_positive_window_matches_the_fraction_ladder(texts, data):
+    """`positive_window` is the first window of the ladder clear of 0, and
+    the exact one of a form that collapses to a rational."""
     fe = FormEvaluator([parse_param(t) for t in texts], cap=512)
     if data is None:
         vecs = [(3, 1), (2, -1), (0, 1)]
@@ -59,13 +62,45 @@ def test_positive_windows_match_the_fraction_ladder(texts, data):
         vecs = data.draw(st.lists(st.tuples(*[coeff] * len(texts)),
                                   min_size=1, max_size=10))
     try:
-        want = [oracles.dist_positive(fe, v, fe.cap) for v in vecs]
+        want = [oracles.dist_positive_exact(fe, v, fe.cap) for v in vecs]
     except DependenceError as e:
         with pytest.raises(DependenceError) as got:
-            list(fe.positive_windows(vecs))
+            [fe.positive_window(v) for v in vecs]
         assert got.value.witness == normalize_witness(e.witness)
         return
-    assert [Enclosure.dyadic(*w) for w in fe.positive_windows(vecs)] == want
+    assert [oracles.window_enclosure(fe.positive_window(v))
+            for v in vecs] == want
+
+
+WALK_PARAMS = ("sqrt:2", "sqrt:3", "const:golden", "log2:3", "rat:2/7",
+               "dec:0.4142135@1e-6")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(WALK_PARAMS), min_size=1, max_size=2),
+       st.sampled_from((0, F(-1, 3))), st.sampled_from((8, 16, 128)),
+       st.data())
+def test_the_walk_gives_the_first_rung_windows(texts, offset, bits, data):
+    """`run_windows` yields, k for k, the first-rung window of the vector
+    start with its axis coordinate set to k, for negative k, gaps, steps of
+    1 to 3 and ks in any order, on rungs low enough to touch 0."""
+    fe = FormEvaluator([parse_param(t) for t in texts], offset, bits=bits)
+    coeff = st.integers(-60, 60)
+    start = st.tuples(*[coeff] * len(texts))
+    if len(texts) == 2:
+        start = st.one_of(st.just((0, -1)), start)
+    start = data.draw(start)
+    axis = data.draw(st.integers(0, len(texts) - 1))
+    ks = data.draw(st.one_of(
+        st.builds(lambda a, n, s: range(a, a + n * s, s),
+                  st.integers(-40, 40), st.integers(0, 30), st.integers(1, 3)),
+        st.lists(st.integers(-200, 200), max_size=20)))
+    got = list(fe.run_windows(start, axis, ks))
+    assert [k for k, *_ in got] == list(ks)
+    for k, *window in got:
+        vec = list(start)
+        vec[axis] = k
+        assert tuple(window) == frac_to_dist(*fe.frac_window(vec, fe.bits))
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,13 +136,13 @@ def test_shell_runs_match_the_oracle_on_low_rungs(monkeypatch):
     rung is swept too, where they land mid-run, at k = 0 and at the seam
     between a shell's two runs."""
     climbs = []
-    exact = FormEvaluator._positive_window
+    exact = FormEvaluator.positive_window
 
     def counted(self, coeffs):
         climbs.append(tuple(coeffs))
         return exact(self, coeffs)
 
-    monkeypatch.setattr(FormEvaluator, "_positive_window", counted)
+    monkeypatch.setattr(FormEvaluator, "positive_window", counted)
     texts = ("sqrt:2", "sqrt:3", "const:golden", "log2:3")
     sets = [(t,) for t in texts] + [(a, b) for i, a in enumerate(texts)
                                     for b in texts[i + 1:]]

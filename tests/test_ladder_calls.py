@@ -5,7 +5,9 @@ here; a new one fails this test until it does.
 
 Likewise a pinned form meets the 2^-64 grid in one place: only
 `realnum.form_lane` reads the 64-bit pins, and only `realnum._wrap` lets
-numpy wrap around."""
+numpy wrap around.  And only `realnum` reads a pin table at all: every
+other module takes its windows from `FormEvaluator`, whose walk
+`run_windows` steps a pinned sum for the fibre and the ETK shells."""
 
 import ast
 from pathlib import Path
@@ -16,10 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mdl"
 ALLOWED = {
     ("realnum", "FormEvaluator.decide"):
         "the one ladder of a predicate on a form",
-    ("realnum", "FormEvaluator._positive_window"):
-        "raises DependenceError on a syntactic zero, and its integer windows "
-        "feed the ETK and psi' records, whose first rung run_windows "
-        "inlines",
     ("discrepancy", "star_discrepancy_1d"):
         "separates the sorted order of all Q orbit points at one rung, not "
         "one form; its first rung also feeds the uint64 orbit lane",
@@ -73,3 +71,10 @@ def _pins_at_64(name, args):
 def test_one_lane_reads_the_64_bit_pins():
     assert _callers(_pins_at_64) == {("realnum", "form_lane")}
     assert _callers(lambda name, _: name == "errstate") == {("realnum", "_wrap")}
+
+
+def test_only_realnum_reads_pin_tables():
+    outside = {(module, function) for module, function
+               in _callers(lambda name, _: name == "pin")
+               if module != "realnum"}
+    assert sorted(outside) == []

@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "data" / "pair_kernel_golden.json"
 
 
 def _sets(table, g):
-    return {q: build_Aq(v, g, q) if v else CircleSet.empty()
+    return {q: build_Aq(v, g, q) if v else CircleSet(())
             for q, v in table.items()}
 
 

@@ -334,26 +334,28 @@ def test_dist_below_on_the_wall():
     assert irr.dist_below((1,), Enclosure.exact(F(42, 100)), closed=True) is True
 
 
-def test_positive_windows_climb_from_the_next_rung(monkeypatch):
-    """A decimal whose form 2x - 1 straddles 0 at every rung: the table at
-    128 bits fails, and the ladder goes on at 256 and 512, not at 128."""
+def test_positive_window_climbs_through_decide(monkeypatch):
+    """A decimal whose form 2x - 1 straddles 0 at every rung: `decide`
+    takes its window on every rung from the first, 128 bits, to the cap,
+    and `positive_window` then raises."""
     fe = FormEvaluator([parse_param("dec:0.5@1e-12")], -1, cap=512)
     bits = []
-    real = FormEvaluator.dist_window
+    real = FormEvaluator.frac_window
 
-    def counting(self, coeffs, b=None):
+    def counting(self, coeffs, b=None, shift=0):
         bits.append(b)
-        return real(self, coeffs, b)
+        return real(self, coeffs, b, shift)
 
-    monkeypatch.setattr(FormEvaluator, "dist_window", counting)
-    with pytest.raises(DependenceError):
-        list(fe.positive_windows([(2,)]))
-    assert bits == [256, 512]
+    monkeypatch.setattr(FormEvaluator, "frac_window", counting)
+    with pytest.raises(DependenceError, match="cannot be separated") as e:
+        fe.positive_window((2,))
+    assert e.value.witness == (2,)
+    assert bits == [128, 256, 512]
     bits.clear()
     at_cap = FormEvaluator([parse_param("dec:0.5@1e-12")], -1, cap=128)
-    with pytest.raises(DependenceError):
-        list(at_cap.positive_windows([(2,)]))
-    assert bits == []
+    with pytest.raises(DependenceError, match="cannot be separated"):
+        at_cap.positive_window((2,))
+    assert bits == [128]
 
 
 def _u64(values):

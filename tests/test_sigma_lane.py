@@ -63,30 +63,31 @@ def test_the_lane_refuses_a_wide_decimal():
 @settings(max_examples=150, deadline=None)
 def test_the_lane_window_holds_the_exact_one(params, vec):
     """[d - m + 1, d + m - 1] / 2^64, d = min(M, -M), holds the window
-    positive_windows takes at fe.bits, where the lane answers at all."""
+    `dist_window` takes at fe.bits, where the lane answers at all."""
     fe = FormEvaluator([parse_param(p) for p in params])
     (M,), m = form_lane(fe, np.array([vec], dtype=np.int64))
     if m is None:
         return
     d, r = min(int(M), 2**64 - int(M)), int(m[0]) - 1
-    lo, hi, b = fe.dist_window(vec)
-    assert (d - r) << (b - 64) <= lo and hi <= (d + r) << (b - 64)
+    lo, hi, scale = fe.dist_window(vec)
+    assert (d - r) * scale <= lo << 64 and hi << 64 <= (d + r) * scale
 
 
 def test_only_the_top_band_reaches_the_exact_windows(sqrt2, sqrt3):
     """sigma_pair(sqrt 2, sqrt 3, 200) scans 80,396 vectors; a lane that
-    stopped filtering would send all of them to positive_windows."""
+    stopped filtering would score all of them on the exact first rung."""
     seen = []
-    exact = FormEvaluator.positive_windows
+    exact = FormEvaluator.dist_window
 
-    def counted(self, vectors):
-        seen.append(len(vectors))
-        return exact(self, vectors)
+    def counted(self, coeffs, bits=None):
+        if bits is None:        # the first-rung window that scores a vector
+            seen.append(coeffs)
+        return exact(self, coeffs, bits)
 
-    with patch.object(FormEvaluator, "positive_windows", counted):
+    with patch.object(FormEvaluator, "dist_window", counted):
         entry = cfrac.sigma_pair(sqrt2, sqrt3, 200)
     assert entry.witness == (5, 4)
-    assert sum(seen) <= 10, seen
+    assert len(seen) <= 10, seen
 
 
 S, T = 2**130, 2**70
@@ -98,7 +99,7 @@ S, T = 2**130, 2**70
 ])
 def test_a_winner_separated_past_128_bits(params, witness):
     """The winner's distance is below 2^-128, so its 128-bit window touches
-    0 and positive_windows separates it higher up; its exponent comes from
+    0 and positive_window separates it higher up; its exponent comes from
     that window (such winners raised ValueError once).  sqrt(s^2 + 1) lies
     about 1/(2s) above s, so ||2 sqrt(S^2 + 1)|| is about 2^-130, and the
     two roots of the pair differ by about 1/(2T^2) from an integer."""
